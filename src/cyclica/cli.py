@@ -39,9 +39,9 @@ from .spectrum import (
     residues_hit,
     spectrum_admits_SstarN,
 )
-from .verdicts import NON_CYCLIC, NOT_CYCLIC
+from .verdicts import STATUS_CLASSES
 
-NONCYCLIC_STATUSES = {NON_CYCLIC, NOT_CYCLIC, "No-witness"}
+NONCYCLIC_STATUSES = frozenset(STATUS_CLASSES["negative"])
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ def psi_unreshape(rs: ReshapedSeries) -> VectorSeries:
     return VectorSeries(d, exps, np.array(coeffs), max(trunc, max(exps)))
 
 
-def _window_span_verdict(exponents, vectors, full_dim, tol, burn_in=None):
+def _window_span_verdict(exponents, vectors, full_dim, tol):
     """Tail spans over sliding windows of a stacked coefficient enumeration.
 
     Cyclic-at-horizon iff the span of {vectors[k] : k >= m} is all of

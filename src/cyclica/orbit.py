@@ -8,8 +8,10 @@ matrix of the orbit, which for a lacunary series is built by band filling
 over term pairs rather than by materializing the shifted series.
 
 Disc orbits use a dense Gram system (incremental Cholesky for the curve, a
-spectral pseudo-inverse for the authoritative endpoint); polydisc orbits over
-large shift boxes use a sparse least-squares solve (LSMR).
+spectral pseudo-inverse for the authoritative endpoint).  Polydisc orbits over
+large shift boxes use a sparse least-squares solve (LSMR) on a matrix
+assembled in one vectorized pass; ``one_in_orbit_check`` thresholds the
+residual of the constant 1 at the full box.
 """
 
 from __future__ import annotations
@@ -161,59 +163,51 @@ def _box_columns(box):
     return np.stack([g.ravel() for g in grid], axis=1)
 
 
-def _polydisc_lstsq(f: PolySeries, g: PolySeries, box, tol):
-    """Sparse least squares over the shift box; returns (residual, ncols)."""
-    d = f.dim
-    rows = {}
+def _polydisc_lstsq(f: PolySeries, g: PolySeries, box):
+    """Sparse least squares over the shift box.
 
-    def row_of(beta, comp):
-        key = (beta, comp)
-        if key not in rows:
-            rows[key] = len(rows)
-        return rows[key]
-
-    data, ri, ci = [], [], []
-    terms = [(np.asarray(t, dtype=np.int64), c) for t, c in zip(f.multi_exponents, f.coeffs)]
+    Rows are the (multi-index, component) pairs reached by an orbit column or
+    by g, numbered in order of first occurrence: columns in box order, then
+    f's terms, then g's terms.  Returns (residual, x, ncols, istop, itn) with
+    LSMR's stop reason and iteration count.
+    """
     cols = _box_columns(box)
-    ncols = cols.shape[0]
-    for cidx in range(ncols):
-        alpha = cols[cidx]
-        for t, c in terms:
-            if np.all(t >= alpha):
-                beta = tuple(int(x) for x in (t - alpha))
-                for comp in range(d):
-                    if c[comp] != 0:
-                        data.append(c[comp])
-                        ri.append(row_of(beta, comp))
-                        ci.append(cidx)
-    for t, c in zip(g.multi_exponents, g.coeffs):
-        for comp in range(d):
-            if c[comp] != 0:
-                row_of(tuple(int(x) for x in t), comp)
-    nrows = len(rows)
+    T = np.asarray(f.multi_exponents, dtype=np.int64)
+    hit = np.all(T[None] >= cols[:, None], axis=2)  # (column, term)
+    ci, ti, comp = np.nonzero(hit[:, :, None] & (f.coeffs != 0)[None])
+    Tg = np.asarray(g.multi_exponents, dtype=np.int64).reshape(len(g), f.poly_dim)
+    gi, gcomp = np.nonzero(g.coeffs != 0)
+    # key rows rather than linear indices: exponent extents can overflow int64
+    keys = np.concatenate([np.column_stack([T[ti] - cols[ci], comp]),
+                           np.column_stack([Tg[gi], gcomp])])
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    row = rank[inverse.ravel()]
+    nrows, ncols = len(first), cols.shape[0]
     A = scipy.sparse.coo_matrix(
-        (np.asarray(data, dtype=complex), (ri, ci)), shape=(nrows, ncols)
+        (f.coeffs[ti, comp], (row[: len(ci)], ci)), shape=(nrows, ncols)
     ).tocsr()
     b = np.zeros(nrows, dtype=complex)
-    for t, c in zip(g.multi_exponents, g.coeffs):
-        for comp in range(d):
-            key = (tuple(int(x) for x in t), comp)
-            if key in rows:
-                b[rows[key]] = c[comp]
-    sol = scipy.sparse.linalg.lsmr(A, b, atol=1e-12, btol=1e-12,
-                                   maxiter=8 * (ncols + nrows))
-    x = sol[0]
+    b[row[len(ci):]] = g.coeffs[gi, gcomp]
+    x, istop, itn = scipy.sparse.linalg.lsmr(A, b, atol=1e-12, btol=1e-12,
+                                             maxiter=8 * (ncols + nrows))[:3]
     resid = float(np.linalg.norm(A @ x - b))
-    return resid, x, ncols
+    return resid, x, ncols, istop, itn
 
 
-def orbit_project_polydisc(f: PolySeries, g: PolySeries, box,
-                           tol: Tolerances = Tolerances(),
-                           chain=(0.125, 0.25, 0.5, 0.75, 1.0)) -> OrbitReport:
+# fractions of the box at which the residual curve is reported
+_CHAIN = (0.125, 0.25, 0.5, 0.75, 1.0)
+
+
+def orbit_project_polydisc(f: PolySeries, g: PolySeries, box) -> OrbitReport:
     """Least squares of g against {S*^alpha f : alpha <= box componentwise}.
 
-    The residual is reported along a nested chain of sub-boxes (fractions of
-    the full box), so the curve is nonincreasing by construction.
+    The residual is reported along a nested chain of sub-boxes (the fractions
+    ``_CHAIN`` of the full box), so the curve is nonincreasing by
+    construction.  ``detail`` carries LSMR's ``istop`` and ``itn`` for the
+    full-box solve.
     """
     if not f.terms:
         raise ValueError("cannot project onto the orbit of the zero series")
@@ -224,15 +218,13 @@ def orbit_project_polydisc(f: PolySeries, g: PolySeries, box,
         raise ValueError("box bounds must be nonnegative")
     residuals = []
     boxes = []
-    x = None
-    ncols = 0
-    for frac in chain:
+    for frac in _CHAIN:
         sub = tuple(int(np.floor(b * frac)) for b in box)
         if boxes and sub == boxes[-1]:
             residuals.append(residuals[-1])
             boxes.append(sub)
             continue
-        resid, x, ncols = _polydisc_lstsq(f, g, sub, tol)
+        resid, x, ncols, istop, itn = _polydisc_lstsq(f, g, sub)
         # nested boxes: never allow a numerically larger value to break
         # the mathematical monotonicity (solver noise only)
         if residuals:
@@ -247,40 +239,25 @@ def orbit_project_polydisc(f: PolySeries, g: PolySeries, box,
         truncation_degree=max(max(t) for t in f.multi_exponents),
         target_norm=g.norm(),
         residual_final=float(residuals[-1]),
-        detail={"columns_at_full_box": ncols, "chain": tuple(chain)},
+        detail={"columns_at_full_box": ncols, "chain": _CHAIN,
+                "lsmr_istop": int(istop), "lsmr_itn": int(itn)},
     )
 
 
 def one_in_orbit_check(f: PolySeries, box, tol: Tolerances = Tolerances(),
-                       threshold=None, replay_monomials=True) -> bool:
+                       threshold=None) -> bool:
     """Is the constant 1 within tolerance of the truncated orbit span?
 
-    Scalar polydisc series only.  When the constant is reached, the
-    induction step is replayed on the low monomial targets z^eta
-    (|eta| <= 2), whose residuals are recorded but not thresholded.
+    Scalar polydisc series only.  The constant is projected onto the orbit
+    over the shift box, and its full-box residual is compared with
+    ``threshold`` (default ``tol.tol_residual``).
     """
     if f.dim != 1:
         raise ValueError("one_in_orbit_check applies to scalar series only")
     thr = threshold if threshold is not None else tol.tol_residual
     n = f.poly_dim
     one = PolySeries(n, 1, [(tuple([0] * n), [1.0])])
-    rep = orbit_project_polydisc(f, one, box, tol)
-    ok = rep.residual_final < thr
-    if ok and replay_monomials:
-        for eta in _low_monomials(n):
-            target = PolySeries(n, 1, [(eta, [1.0])])
-            orbit_project_polydisc(f, target, box, tol, chain=(1.0,))
-    return ok
-
-
-def _low_monomials(n):
-    out = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        out.append(tuple(e))
-    out.append(tuple([1] * n))
-    return out
+    return orbit_project_polydisc(f, one, box).residual_final < thr
 
 
 @dataclass(frozen=True)

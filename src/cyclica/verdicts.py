@@ -25,6 +25,7 @@ __all__ = [
     "NOT_CYCLIC",
     "CYCLIC_SUFFICIENT",
     "INCONCLUSIVE",
+    "STATUS_CLASSES",
 ]
 
 CYCLIC = "Cyclic"
@@ -36,6 +37,15 @@ POSSIBLY_CYCLIC = "PossiblyCyclic"
 NOT_CYCLIC = "NotCyclic"
 CYCLIC_SUFFICIENT = "CyclicSufficient"
 INCONCLUSIVE = "Inconclusive"
+
+# every status belongs to exactly one class: positive statuses make a verdict
+# truthy, negative ones fail a --strict CLI run
+STATUS_CLASSES = {
+    "positive": (CYCLIC, PROVEN, YES_AT_HORIZON, POSSIBLY_CYCLIC,
+                 CYCLIC_SUFFICIENT),
+    "negative": (NON_CYCLIC, NOT_CYCLIC, NO_WITNESS),
+    "inconclusive": (INCONCLUSIVE,),
+}
 
 
 @dataclass(frozen=True)
@@ -50,8 +60,7 @@ class Verdict:
             raise ValueError(f"unknown verdict mode {self.mode!r}")
 
     def __bool__(self):
-        return self.status in (CYCLIC, PROVEN, YES_AT_HORIZON,
-                               POSSIBLY_CYCLIC, CYCLIC_SUFFICIENT)
+        return self.status in STATUS_CLASSES["positive"]
 
     def __str__(self):
         w = f", witness={self.witness}" if self.witness is not None else ""

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from cyclica import (
     PolySeries,
@@ -7,6 +11,7 @@ from cyclica import (
     one_in_orbit_check,
     orbit_project,
     orbit_project_polydisc,
+    poly_backward_shift,
     scalar_series,
     tail_diagnostics,
 )
@@ -133,11 +138,107 @@ def test_polydisc_curve_nonincreasing():
 
 def test_polydisc_projection_of_shift_member():
     f = _poly_lacunary(K=3)
-    from cyclica import poly_backward_shift
-
     g = poly_backward_shift(f, (2, 3))
-    rep = orbit_project_polydisc(f, g, (8, 9), chain=(1.0,))
+    rep = orbit_project_polydisc(f, g, (8, 9))
+    assert rep.shifts_used[-1] == (8, 9)
     assert rep.residual_final < 1e-8
+
+
+def _dense_poly_orbit(f, g, box):
+    """Independent oracle: the explicit orbit matrix [S*^alpha f] and the
+    target g as dense vectors over the grid of multi-indices up to the
+    largest exponent of f and g."""
+    top = np.max(np.array(f.multi_exponents + g.multi_exponents), axis=0) + 1
+
+    def dense(h):
+        v = np.zeros(tuple(top) + (h.dim,), dtype=complex)
+        for t, c in h.terms:
+            v[t] = c
+        return v.ravel()
+
+    alphas = itertools.product(*(range(b + 1) for b in box))
+    A = np.column_stack([dense(poly_backward_shift(f, a)) for a in alphas])
+    return A, dense(g)
+
+
+POLY_ORACLE_CASES = {
+    # vector-valued; g's (20, 20) lies above every term of f, so its rows
+    # come from g alone
+    "vector_unreached": (
+        PolySeries(2, 2, [((1, 2), [1.0, 0.5j]), ((4, 3), [0.0, 0.25]),
+                          ((9, 7), [0.1, 0.2])]),
+        PolySeries(2, 2, [((0, 0), [1.0, 0.0]), ((20, 20), [0.0, 1.0]),
+                          ((1, 1), [0.3, -0.2j])]),
+        (6, 5),
+    ),
+    "poly_dim_1": (
+        PolySeries(1, 1, [((2,), [1.0]), ((5,), [0.5]), ((11,), [0.25j])]),
+        PolySeries(1, 1, [((0,), [1.0]), ((13,), [1.0])]),
+        (9,),
+    ),
+    "poly_dim_3": (
+        PolySeries(3, 1, [((1, 2, 1), [1.0]), ((3, 4, 2), [0.5]),
+                          ((7, 9, 5), [0.25])]),
+        PolySeries(3, 1, [((0, 0, 0), [1.0]), ((1, 0, 1), [0.5])]),
+        (3, 4, 2),
+    ),
+    "scalar_lacunary": (
+        _poly_lacunary(K=3, decay=0.5),
+        PolySeries(2, 1, [((0, 0), [1.0]), ((1, 1), [-0.5j])]),
+        (8, 9),
+    ),
+}
+
+
+def _loop_poly_system(f, g, box):
+    """Reference assembly by explicit loops: rows numbered in order of first
+    occurrence over columns in box order, then f's terms, then g's terms."""
+    rows, data, ri, ci = {}, [], [], []
+    alphas = list(itertools.product(*(range(b + 1) for b in box)))
+    for cidx, alpha in enumerate(alphas):
+        for t, c in f.terms:
+            if all(ti >= ai for ti, ai in zip(t, alpha)):
+                beta = tuple(ti - ai for ti, ai in zip(t, alpha))
+                for comp in np.flatnonzero(c):
+                    data.append(c[comp])
+                    ri.append(rows.setdefault((beta, comp), len(rows)))
+                    ci.append(cidx)
+    for t, c in g.terms:
+        for comp in np.flatnonzero(c):
+            rows.setdefault((t, comp), len(rows))
+    A = scipy.sparse.coo_matrix(
+        (np.asarray(data, dtype=complex), (ri, ci)), shape=(len(rows), len(alphas))
+    ).tocsr()
+    b = np.zeros(len(rows), dtype=complex)
+    for t, c in g.terms:
+        for comp in np.flatnonzero(c):
+            b[rows[(t, comp)]] = c[comp]
+    return A, b
+
+
+@pytest.mark.parametrize("case", sorted(POLY_ORACLE_CASES))
+def test_polydisc_solution_matches_loop_assembly(case):
+    # the vectorized assembly builds the same system entry for entry, so
+    # LSMR returns the same solution bit for bit
+    f, g, box = POLY_ORACLE_CASES[case]
+    A, b = _loop_poly_system(f, g, box)
+    x = scipy.sparse.linalg.lsmr(A, b, atol=1e-12, btol=1e-12,
+                                 maxiter=8 * sum(A.shape))[0]
+    rep = orbit_project_polydisc(f, g, box)
+    assert np.array_equal(rep.coefficients, x)
+
+
+@pytest.mark.parametrize("case", sorted(POLY_ORACLE_CASES))
+def test_polydisc_residual_matches_dense_lstsq(case):
+    f, g, box = POLY_ORACLE_CASES[case]
+    A, b = _dense_poly_orbit(f, g, box)
+    x = np.linalg.lstsq(A, b, rcond=None)[0]
+    oracle = np.linalg.norm(A @ x - b)
+    rep = orbit_project_polydisc(f, g, box)
+    assert rep.detail["lsmr_istop"] in (1, 2), rep.detail
+    assert rep.detail["lsmr_itn"] > 0
+    assert abs(rep.residual_final - oracle) <= 1e-8 * g.norm(), (
+        rep.residual_final, oracle)
 
 
 def test_one_in_orbit_check_scalar_only():
