@@ -23,4 +23,4 @@ print(f"constant-1 reachable in box {box}:",
 one = PolySeries(2, 1, [((0, 0), [1.0])])
 rep = orbit_project_polydisc(f, one, box)
 print("residual chain over growing sub-boxes:",
-      [round(r, 4) for r in rep.residuals])
+      [round(float(r), 4) for r in rep.residuals])

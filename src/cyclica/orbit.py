@@ -2,15 +2,16 @@
 
 The orbit of f under the backward shift spans the whole space exactly when f
 is cyclic; numerically we certify this at truncation by projecting a target g
-onto span{S*^n f : n <= budget} and reporting the residual curve.  All inner
-products are computed exactly on the stored coefficients through the Gram
-matrix of the orbit, which for a lacunary series is built by band filling
-over term pairs rather than by materializing the shifted series.
+onto span{S*^alpha f : alpha within a shift budget} and reporting the
+residual curve.  ``_orbit_system`` assembles the sparse orbit matrix and the
+target vector in one vectorized pass; the disc is the one-variable case.
 
-Disc orbits use a dense Gram system (incremental Cholesky for the curve, a
-spectral pseudo-inverse for the authoritative endpoint).  Polydisc orbits over
-large shift boxes use a sparse least-squares solve (LSMR) on a matrix
-assembled in one vectorized pass; ``one_in_orbit_check`` thresholds the
+Disc orbits factor the column-scaled Gram matrix once, by incremental
+Cholesky that skips a direction within sine ``tol_rank`` of the accepted
+span.  The factor yields the exactly nonincreasing residual curve, a
+condition estimate, and the endpoint coefficients, refined by LSMR on the
+orbit matrix it preconditions.  Polydisc orbits over large shift boxes are
+solved by LSMR on the orbit matrix; ``one_in_orbit_check`` thresholds the
 residual of the constant 1 at the full box.
 """
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .core import Tolerances, VectorSeries, backward_shift
 from .polydisc import PolySeries
@@ -41,89 +42,101 @@ class OrbitReport:
     shifts_used: tuple
     residuals: np.ndarray  # nonincreasing, indexed by budget
     coefficients: np.ndarray  # best approximation at the largest budget
+    # disc: LAPACK trcon estimate, squared, of the condition number of the
+    # column-scaled Gram matrix over the accepted directions; polydisc: nan
     gram_condition: float
     truncation_degree: int
     target_norm: float
-    residual_final: float  # endpoint recomputed via the spectral pseudo-inverse
+    residual_final: float  # ||A x - b||: `coefficients` replayed on the orbit matrix
     detail: dict = field(default_factory=dict)
 
 
-def _orbit_gram(f: VectorSeries, n_max: int) -> np.ndarray:
-    """G[m, n] = <S*^n f, S*^m f>, filled along diagonals d = n - m.
+def _orbit_system(T, coeffs, Tg, gcoeffs, cols):
+    """Sparse orbit matrix A = [S*^alpha f : alpha in cols] and target b.
 
-    A term pair (e_i, a_i), (e_j, a_j) contributes <a_i, a_j> to every (m, n)
-    with e_i - n = e_j - m >= 0, i.e. along the band n - m = e_i - e_j.
+    T (terms x poly_dim, int64) and ``coeffs`` (terms x dim) describe f, Tg
+    and ``gcoeffs`` g.  Rows are the (multi-index, component) pairs reached
+    by an orbit column or by g, numbered by first occurrence: columns in
+    order, then f's terms, then g's terms.
     """
-    B = n_max + 1
-    G = np.zeros((B, B), dtype=complex)
-    E = f.exponents
-    A = f.coeffs
-    for i in range(len(E)):
-        for j in range(len(E)):
-            d = int(E[i] - E[j])
-            v = complex(np.vdot(A[j], A[i]))  # <a_i, a_j>
-            mlo = max(0, -d)
-            mhi = min(int(E[j]), n_max, n_max - d)
-            if mhi >= mlo:
-                idx = np.arange(mlo, mhi + 1)
-                G[idx, idx + d] += v
-    return G
+    hit = np.all(T[None] >= cols[:, None], axis=2)  # (column, term)
+    ci, ti, comp = np.nonzero(hit[:, :, None] & (coeffs != 0)[None])
+    gi, gcomp = np.nonzero(gcoeffs != 0)
+    # key rows rather than linear indices: exponent extents can overflow int64
+    keys = np.concatenate([np.column_stack([T[ti] - cols[ci], comp]),
+                           np.column_stack([Tg[gi], gcomp])])
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    row = rank[inverse.ravel()]
+    nrows = len(first)
+    A = scipy.sparse.coo_matrix(
+        (coeffs[ti, comp], (row[: len(ci)], ci)), shape=(nrows, cols.shape[0])
+    ).tocsr()
+    b = np.zeros(nrows, dtype=complex)
+    b[row[len(ci):]] = gcoeffs[gi, gcomp]
+    return A, b
 
 
-def _orbit_beta(f: VectorSeries, g: VectorSeries, n_max: int) -> np.ndarray:
-    """beta[n] = <g, S*^n f>."""
-    beta = np.zeros(n_max + 1, dtype=complex)
-    for ei, ai in zip(f.exponents, f.coeffs):
-        for eg, bg in zip(g.exponents, g.coeffs):
-            n = int(ei - eg)
-            if 0 <= n <= n_max:
-                beta[n] += np.vdot(ai, bg)  # <b_g, a_i> conj-linear in a_i
-    return beta
+def _cholesky_skipping(G, beta, cut):
+    """Incremental Cholesky of a unit-diagonal Gram matrix.
 
-
-def _curve_incremental(G, beta, g_norm2, cut):
-    """Residual curve by incremental Cholesky with near-dependent skipping.
-
-    Exactly nonincreasing: each accepted orbit direction removes a
-    nonnegative amount |y_n|^2 from the squared residual, and skipped
-    directions change nothing.
+    Direction n is accepted when its squared pivot, the squared sine to the
+    span of the accepted directions, exceeds ``cut``; skipped directions
+    change nothing.  Returns the lower factor L over the accepted directions,
+    y = L^-1 beta there, and their indices.
     """
-    B = G.shape[0]
-    L = np.zeros((B, B), dtype=complex)
-    y = np.zeros(B, dtype=complex)
+    L = np.zeros(G.shape, dtype=complex)
+    y = np.zeros(G.shape[0], dtype=complex)
     acc = []
-    res2 = g_norm2
-    curve = np.empty(B)
-    diag_max = max(float(G[0, 0].real), 1e-300)
-    for n in range(B):
-        gnn = float(G[n, n].real)
-        diag_max = max(diag_max, gnn)
+    for n in range(G.shape[0]):
         k = len(acc)
-        if k:
-            col = G[acc, n]
-            w = solve_triangular(L[:k, :k], col, lower=True, check_finite=False)
-        else:
-            w = np.zeros(0, dtype=complex)
-        d2 = gnn - float(np.vdot(w, w).real)
-        if d2 > cut * diag_max:
+        w = solve_triangular(L[:k, :k], G[acc, n], lower=True, check_finite=False)
+        d2 = float(G[n, n].real) - float(np.vdot(w, w).real)
+        if d2 > cut:
             d = np.sqrt(d2)
             L[k, :k] = w.conj()
             L[k, k] = d
-            yn = (beta[n] - np.vdot(w, y[:k])) / d
-            y[k] = yn
+            y[k] = (beta[n] - np.vdot(w, y[:k])) / d
             acc.append(n)
-            res2 = max(res2 - abs(yn) ** 2, 0.0)
-        curve[n] = np.sqrt(res2)
-    return curve, acc
+    k = len(acc)
+    return L[:k, :k], y[:k], np.asarray(acc, dtype=np.int64)
+
+
+def _refine(C, b, L, y, acc):
+    """Least squares of b on the unit columns of C by LSMR from L^H x = y.
+
+    Right-preconditioned by L on the accepted columns, so ||C x - b|| is
+    accurate to rounding, not to its square root as in the Gram system.
+    Returns x, LSMR's istop and itn.
+    """
+    def right(v, trans="C"):  # P^-1 v, or P^-H v with trans="N"
+        x = v.copy()
+        x[acc] = solve_triangular(L, v[acc], lower=True, trans=trans,
+                                  check_finite=False)
+        return x
+
+    CH = C.conj().T
+    op = scipy.sparse.linalg.LinearOperator(
+        C.shape, dtype=complex, matvec=lambda v: C @ right(v),
+        rmatvec=lambda u: right(CH @ u, "N"))
+    v0 = np.zeros(C.shape[1], dtype=complex)
+    v0[acc] = y
+    v, istop, itn = scipy.sparse.linalg.lsmr(
+        op, b, atol=1e-14, btol=1e-14, maxiter=4 * C.shape[1], x0=v0)[:3]
+    return right(v), istop, itn
 
 
 def orbit_project(f: VectorSeries, g: VectorSeries, n_max: int,
                   tol: Tolerances = Tolerances()) -> OrbitReport:
     """Project g onto span{S*^n f : 0 <= n <= n_max}, exactly on truncations.
 
-    Returns the full residual curve for budgets 0..n_max plus the endpoint
-    solved by spectral decomposition of the Gram system with relative cutoff
-    ``tol_rank``.
+    One factorization of the column-scaled Gram matrix, skipping directions
+    within sine ``tol_rank`` of the accepted span, gives the residual curve
+    for budgets 0..n_max and the coefficients at n_max; the endpoint is
+    their residual on the orbit matrix.  ``detail`` holds
+    ``accepted_directions`` and the refining LSMR's ``lsmr_istop``, ``lsmr_itn``.
     """
     if f.is_zero:
         raise ValueError("cannot project onto the orbit of the zero series")
@@ -131,28 +144,35 @@ def orbit_project(f: VectorSeries, g: VectorSeries, n_max: int,
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    G = _orbit_gram(f, n_max)
-    beta = _orbit_beta(f, g, n_max)
+    A, b = _orbit_system(f.exponents[:, None], f.coeffs, g.exponents[:, None],
+                         g.coeffs, np.arange(n_max + 1)[:, None])
+    AH = A.conj().T
+    G = (AH @ A).toarray()
+    beta = AH @ b
+    s = np.sqrt(G.diagonal().real)
+    live = np.flatnonzero(s > 0)  # S*^n f = 0 once n exceeds the degree
+    s = s[live]
+    G = G[np.ix_(live, live)]
+    G /= np.outer(s, s)
+    L, y, acc = _cholesky_skipping(G, beta[live] / s, cut=tol.tol_rank**2)
+    drop = np.zeros(n_max + 1)
+    drop[live[acc]] = np.abs(y) ** 2
     g_norm2 = g.norm() ** 2
-    curve, acc = _curve_incremental(G, beta, g_norm2, cut=tol.tol_rank**2)
-    # authoritative endpoint: spectral pseudo-inverse of the full Gram system
-    w, V = np.linalg.eigh(G)
-    w = np.maximum(w, 0.0)
-    keep = w > tol.tol_rank * (w[-1] if w[-1] > 0 else 1.0)
-    Vb = V[:, keep].conj().T @ beta
-    proj2 = float(np.sum(np.abs(Vb) ** 2 / w[keep])) if np.any(keep) else 0.0
-    res_final = float(np.sqrt(max(g_norm2 - proj2, 0.0)))
-    coeffs = V[:, keep] @ (Vb / w[keep]) if np.any(keep) else np.zeros_like(beta)
-    cond = float(w[-1] / w[keep].min()) if np.any(keep) else np.inf
+    curve = np.sqrt(np.maximum(g_norm2 - np.cumsum(drop), 0.0))
+    x, istop, itn = _refine(A[:, live] @ scipy.sparse.diags(1.0 / s), b, L, y, acc)
+    coeffs = np.zeros(n_max + 1, dtype=complex)
+    coeffs[live] = x / s
+    rcond = get_lapack_funcs("trcon", (L,))(L, norm="1", uplo="L")[0]
     return OrbitReport(
         shifts_used=tuple(range(n_max + 1)),
         residuals=curve,
         coefficients=coeffs,
-        gram_condition=cond,
+        gram_condition=float(rcond ** -2) if rcond > 0 else float("inf"),
         truncation_degree=f.truncation_degree,
         target_norm=float(np.sqrt(g_norm2)),
-        residual_final=res_final,
-        detail={"accepted_directions": len(acc)},
+        residual_final=float(np.linalg.norm(A @ coeffs - b)),
+        detail={"accepted_directions": len(acc), "lsmr_istop": int(istop),
+                "lsmr_itn": int(itn)},
     )
 
 
@@ -164,37 +184,21 @@ def _box_columns(box):
 
 
 def _polydisc_lstsq(f: PolySeries, g: PolySeries, box):
-    """Sparse least squares over the shift box.
+    """Sparse least squares over the shift box, columns in box order.
 
-    Rows are the (multi-index, component) pairs reached by an orbit column or
-    by g, numbered in order of first occurrence: columns in box order, then
-    f's terms, then g's terms.  Returns (residual, x, ncols, istop, itn) with
-    LSMR's stop reason and iteration count.
+    Returns (residual, x, ncols, info); ``info`` holds LSMR's stop reason,
+    iteration count, residual-norm estimate and condition estimate of A.
     """
     cols = _box_columns(box)
     T = np.asarray(f.multi_exponents, dtype=np.int64)
-    hit = np.all(T[None] >= cols[:, None], axis=2)  # (column, term)
-    ci, ti, comp = np.nonzero(hit[:, :, None] & (f.coeffs != 0)[None])
     Tg = np.asarray(g.multi_exponents, dtype=np.int64).reshape(len(g), f.poly_dim)
-    gi, gcomp = np.nonzero(g.coeffs != 0)
-    # key rows rather than linear indices: exponent extents can overflow int64
-    keys = np.concatenate([np.column_stack([T[ti] - cols[ci], comp]),
-                           np.column_stack([Tg[gi], gcomp])])
-    _, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                  return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    row = rank[inverse.ravel()]
-    nrows, ncols = len(first), cols.shape[0]
-    A = scipy.sparse.coo_matrix(
-        (f.coeffs[ti, comp], (row[: len(ci)], ci)), shape=(nrows, ncols)
-    ).tocsr()
-    b = np.zeros(nrows, dtype=complex)
-    b[row[len(ci):]] = g.coeffs[gi, gcomp]
-    x, istop, itn = scipy.sparse.linalg.lsmr(A, b, atol=1e-12, btol=1e-12,
-                                             maxiter=8 * (ncols + nrows))[:3]
+    A, b = _orbit_system(T, f.coeffs, Tg, g.coeffs, cols)
+    x, istop, itn, normr, _, _, conda = scipy.sparse.linalg.lsmr(
+        A, b, atol=1e-12, btol=1e-12, maxiter=8 * sum(A.shape))[:7]
     resid = float(np.linalg.norm(A @ x - b))
-    return resid, x, ncols, istop, itn
+    info = {"lsmr_istop": int(istop), "lsmr_itn": int(itn),
+            "lsmr_normr": float(normr), "lsmr_conda": float(conda)}
+    return resid, x, cols.shape[0], info
 
 
 # fractions of the box at which the residual curve is reported
@@ -206,8 +210,10 @@ def orbit_project_polydisc(f: PolySeries, g: PolySeries, box) -> OrbitReport:
 
     The residual is reported along a nested chain of sub-boxes (the fractions
     ``_CHAIN`` of the full box), so the curve is nonincreasing by
-    construction.  ``detail`` carries LSMR's ``istop`` and ``itn`` for the
-    full-box solve.
+    construction.  ``detail`` carries LSMR's stop reason, iteration count,
+    residual estimate and condition estimate of the orbit matrix for the
+    full-box solve (``lsmr_istop``, ``lsmr_itn``, ``lsmr_normr``,
+    ``lsmr_conda``).
     """
     if not f.terms:
         raise ValueError("cannot project onto the orbit of the zero series")
@@ -216,31 +222,24 @@ def orbit_project_polydisc(f: PolySeries, g: PolySeries, box) -> OrbitReport:
     box = tuple(int(b) for b in box)
     if any(b < 0 for b in box):
         raise ValueError("box bounds must be nonnegative")
+    boxes = tuple(tuple(int(np.floor(b * frac)) for b in box) for frac in _CHAIN)
     residuals = []
-    boxes = []
-    for frac in _CHAIN:
-        sub = tuple(int(np.floor(b * frac)) for b in box)
-        if boxes and sub == boxes[-1]:
+    for i, sub in enumerate(boxes):
+        if i and sub == boxes[i - 1]:
             residuals.append(residuals[-1])
-            boxes.append(sub)
             continue
-        resid, x, ncols, istop, itn = _polydisc_lstsq(f, g, sub)
-        # nested boxes: never allow a numerically larger value to break
-        # the mathematical monotonicity (solver noise only)
-        if residuals:
-            resid = min(resid, residuals[-1])
-        residuals.append(resid)
-        boxes.append(sub)
+        resid, x, ncols, info = _polydisc_lstsq(f, g, sub)
+        # nested boxes: solver noise must not break the monotonicity
+        residuals.append(min([resid] + residuals[-1:]))
     return OrbitReport(
-        shifts_used=tuple(boxes),
+        shifts_used=boxes,
         residuals=np.asarray(residuals),
         coefficients=x,
         gram_condition=float("nan"),
         truncation_degree=max(max(t) for t in f.multi_exponents),
         target_norm=g.norm(),
         residual_final=float(residuals[-1]),
-        detail={"columns_at_full_box": ncols, "chain": _CHAIN,
-                "lsmr_istop": int(istop), "lsmr_itn": int(itn)},
+        detail={"columns_at_full_box": ncols, "chain": _CHAIN, **info},
     )
 
 

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from cyclica import (
     PolySeries,
     VectorSeries,
+    backward_shift,
     one_in_orbit_check,
     orbit_project,
     orbit_project_polydisc,
@@ -15,7 +19,7 @@ from cyclica import (
     scalar_series,
     tail_diagnostics,
 )
-from cyclica.orbit import _orbit_beta, _orbit_gram
+from cyclica.orbit import _orbit_system
 
 from conftest import dyadic_scalar
 
@@ -39,7 +43,18 @@ def _dense_target(g, dim_cols):
     return b
 
 
-# -- Gram assembly against the dense oracle -----------------------------------
+# -- orbit operator against the dense oracle ----------------------------------
+
+
+def _gram_beta(f, g, n_max):
+    """Gram matrix A^H A and A^H b of the builder's disc orbit system."""
+    A, b = _orbit_system(f.exponents[:, None], f.coeffs, g.exponents[:, None],
+                         g.coeffs, np.arange(n_max + 1)[:, None])
+    return (A.conj().T @ A).toarray(), A.conj().T @ b
+
+
+def _zero(dim):
+    return VectorSeries(dim, [], np.zeros((0, dim)))
 
 
 def test_gram_matches_dense_oracle(rng):
@@ -49,14 +64,14 @@ def test_gram_matches_dense_oracle(rng):
     )
     n_max = 8
     cols = _dense_orbit_matrix(f, n_max, 20)
-    G = _orbit_gram(f, n_max)
+    G = _gram_beta(f, _zero(2), n_max)[0]
     assert np.allclose(G, cols.conj().T @ cols, atol=1e-12)
 
 
 def test_beta_matches_dense_oracle(rng):
     f = scalar_series([1, 3, 6], [1.0, 2.0, 3.0])
     g = scalar_series([0, 2, 5], [1.0, 1j, 2.0])
-    beta = _orbit_beta(f, g, 6)
+    beta = _gram_beta(f, g, 6)[1]
     cols = _dense_orbit_matrix(f, 6, 10)
     b = _dense_target(g, 10)
     assert np.allclose(beta, cols.conj().T @ b, atol=1e-12)
@@ -67,7 +82,7 @@ def test_gram_positive_semidefinite(rng):
         3, [2, 5, 9, 16],
         rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)),
     )
-    w = np.linalg.eigvalsh(_orbit_gram(f, 12))
+    w = np.linalg.eigvalsh(_gram_beta(f, _zero(3), 12)[0])
     assert w.min() >= -1e-10
 
 
@@ -95,13 +110,104 @@ def test_endpoint_matches_dense_least_squares():
     assert rep.residuals[-1] == pytest.approx(oracle, abs=1e-8)
 
 
-def test_projection_of_orbit_member_is_exact():
+@pytest.mark.parametrize("n", range(9))
+def test_projection_of_orbit_member_is_exact(n):
     f = dyadic_scalar(K=6)
-    from cyclica import backward_shift
-
-    g = backward_shift(f, 3)
+    g = backward_shift(f, n)
     rep = orbit_project(f, g, 8)
     assert rep.residual_final < 1e-10
+
+
+def _lacunary_draw(draw):
+    """f with lacunary exponents (ratio at least 1.25) up to 1024,
+    coefficients base^-k times random unit vectors in C^d, and a target on
+    low monomials."""
+    base = draw(st.sampled_from([2, 4, 16]))
+    d = draw(st.sampled_from([1, 2]))
+    ratio = draw(st.sampled_from([1.25, 1.5, 2.0]))
+    K = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exps = [int(rng.integers(0, 7))]
+    while len(exps) < K:
+        nxt = max(exps[-1] + 1, int(np.ceil(ratio * exps[-1]))) + int(rng.integers(0, 3))
+        if nxt > 1024:
+            break
+        exps.append(nxt)
+    c = rng.standard_normal((len(exps), d)) + 1j * rng.standard_normal((len(exps), d))
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    f = VectorSeries(d, exps, c * (float(base) ** -np.arange(len(exps)))[:, None])
+    gexps = sorted(set(rng.integers(0, 9, size=int(rng.integers(1, 4))).tolist()))
+    g = VectorSeries(d, gexps, rng.standard_normal((len(gexps), d))
+                     + 1j * rng.standard_normal((len(gexps), d)))
+    return f, g
+
+
+def _scaled_qr(M, b):
+    """Householder QR of the nonzero columns of M scaled to unit norm:
+    returns their indices, R, Q^H b and the least-squares residual."""
+    norms = np.linalg.norm(M, axis=0)
+    live = np.flatnonzero(norms > 0)
+    Q, R = np.linalg.qr(M[:, live] / norms[live])
+    c = Q.conj().T @ b
+    return live, R, c, np.linalg.norm(b - Q @ c)
+
+
+@given(data=st.data(), budget=st.integers(1, 96))
+@settings(max_examples=80, deadline=None)
+def test_disc_projection_matches_dense_qr(data, budget):
+    # oracle: Householder QR of the explicit, column-scaled orbit matrix;
+    # the budget may run past the degree, where S*^n f = 0
+    f, g = _lacunary_draw(data.draw)
+    rows = int(f.exponents[-1]) + 9
+    M = _dense_orbit_matrix(f, budget, rows)
+    b = _dense_target(g, rows)
+    live, R, c, o = _scaled_qr(M, b)
+    gn = g.norm()
+    eps = np.finfo(float).eps
+    rep = orbit_project(f, g, budget)
+    for n in {0, budget // 4, budget // 2, budget}:
+        m = np.searchsorted(live, n, side="right")
+        o2 = gn**2 - np.sum(np.abs(c[:m]) ** 2)
+        # the curve comes from the Gram matrix, so besides 1e-8 it carries
+        # the normal-equations error eps * ||x_n||^2 of the scaled optimal
+        # coefficients x_n (Higham, ch. 20), which ill-conditioned draws reach
+        x2 = np.sum(np.abs(solve_triangular(R[:m, :m], c[:m])) ** 2)
+        assert abs(rep.residuals[n] ** 2 - o2) <= 1e-8 * gn**2 + 64 * eps * x2, (
+            n, rep.residuals[n], o2, x2)
+    assert o - 1e-12 * gn <= rep.residual_final <= o + 1e-6 * gn, (rep.residual_final, o)
+    # the replay agrees up to the rounding of evaluating M x - b
+    x = rep.coefficients
+    replay = np.linalg.norm(M @ x - b)
+    slack = 1e-12 * gn + 8 * eps * np.linalg.norm(np.abs(M) @ np.abs(x))
+    assert abs(replay - rep.residual_final) <= slack, (replay, rep.residual_final)
+
+
+def test_base16_orbit_keeps_every_direction():
+    # column-scaled, the base-16 dyadic orbit is well conditioned (every
+    # sine above 0.06); a cutoff relative to the largest unscaled diagonal
+    # used to drop 86 of its 257 directions
+    f = dyadic_scalar(K=10, ratio=1 / 16)
+    g = scalar_series([0], [1.0])
+    rep = orbit_project(f, g, 256)
+    o = _scaled_qr(_dense_orbit_matrix(f, 256, 2**10 + 1),
+                   _dense_target(g, 2**10 + 1))[3]
+    assert rep.detail["accepted_directions"] == 257
+    assert abs(rep.residuals[-1] - o) <= 1e-8, (rep.residuals[-1], o)
+    assert abs(rep.residual_final - o) <= 1e-12, (rep.residual_final, o)
+
+
+def test_endpoint_reaches_optimum_on_ill_conditioned_orbit():
+    # 16^-k at exponents growing by 1.25: the scaled Gram condition is
+    # about 1e20 and z^3 lies in the orbit span (80-digit arithmetic gives
+    # residual 0); back substitution alone leaves 0.028
+    exps = [0]
+    while len(exps) < 18:
+        exps.append(max(exps[-1] + 1, int(np.ceil(1.25 * exps[-1]))))
+    f = scalar_series(exps, [16.0**-k for k in range(len(exps))])
+    g = scalar_series([3], [1.0])
+    rep = orbit_project(f, g, 96)
+    o = _scaled_qr(_dense_orbit_matrix(f, 96, 100), _dense_target(g, 100))[3]
+    assert o - 1e-12 <= rep.residual_final <= o + 1e-6, (rep.residual_final, o)
 
 
 def test_noncyclic_witness_lower_bound():
@@ -239,6 +345,17 @@ def test_polydisc_residual_matches_dense_lstsq(case):
     assert rep.detail["lsmr_itn"] > 0
     assert abs(rep.residual_final - oracle) <= 1e-8 * g.norm(), (
         rep.residual_final, oracle)
+
+
+def test_polydisc_detail_reports_lsmr_estimates():
+    f = PolySeries(2, 1, [((2**k, 3**k), [16.0**-k]) for k in range(1, 7)])
+    one = PolySeries(2, 1, [((0, 0), [1.0])])
+    rep = orbit_project_polydisc(f, one, (32, 27))
+    normr, conda = rep.detail["lsmr_normr"], rep.detail["lsmr_conda"]
+    assert rep.residual_final > 0
+    assert abs(normr - rep.residual_final) <= 1e-6 * rep.residual_final, (
+        normr, rep.residual_final)
+    assert np.isfinite(conda) and conda >= 1.0, conda
 
 
 def test_one_in_orbit_check_scalar_only():
