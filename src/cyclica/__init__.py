@@ -54,6 +54,7 @@ from .multishift import (
     psi_unreshape,
     residue_crosscheck,
     sstarN_cyclicity,
+    sstarN_cyclicity_spectral,
 )
 from .unions import (
     DcLedger,

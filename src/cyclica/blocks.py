@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefspace import cyclicity_single
-from .core import Subspace, Tolerances, VectorSeries, numerical_span, span_of_matrix
+from .core import Subspace, Tolerances, VectorSeries, first_proper_tail, numerical_span
 from .verdicts import CYCLIC, NON_CYCLIC, NOT_CYCLIC, POSSIBLY_CYCLIC, Verdict
 
 __all__ = [
@@ -197,21 +197,16 @@ def blocks_decompose(bs: BlockSeries, model: PolyDirectionModel,
     return g, p
 
 
-def blocks_necessary(bs: BlockSeries, tol: Tolerances = Tolerances(),
-                     horizon=None) -> Verdict:
+def blocks_necessary(bs: BlockSeries, tol: Tolerances = Tolerances()) -> Verdict:
     """Necessary test: the block coefficient vectors must span C^d on tails.
 
-    If the sliding-window span of all P_k^(j) with k >= m is a proper
-    subspace, the series cannot be cyclic.
+    If the span of all P_k^(j) with k >= m is a proper subspace for some
+    window start m up to half the blocks, the series cannot be cyclic.
     """
-    n = len(bs)
-    upper = n // 2 if horizon is None else min(horizon, n - 1)
-    for m in range(upper + 1):
-        vecs = []
-        for _, p in bs.blocks[m:]:
-            vecs.extend(p)
-        span = span_of_matrix(vecs, bs.dim, tol)
-        if not span.is_full:
-            return Verdict(NOT_CYCLIC, "at-horizon", witness=m,
-                           detail={"dim_span": span.dim, "dim": bs.dim})
-    return Verdict(POSSIBLY_CYCLIC, "at-horizon")
+    rows = np.array([p for _, p in bs.blocks]).reshape(-1, bs.dim)
+    starts = [m * (bs.block_degree + 1) for m in range(len(bs) // 2 + 1)]
+    hit = first_proper_tail(rows, bs.dim, tol, starts)
+    if hit is None:
+        return Verdict(POSSIBLY_CYCLIC, "at-horizon")
+    return Verdict(NOT_CYCLIC, "at-horizon", witness=hit[0],
+                   detail={"dim_span": hit[1], "dim": bs.dim})

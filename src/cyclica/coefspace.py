@@ -7,7 +7,11 @@ The central object is the intersection of the spans of coefficient tails,
 which is full exactly when the (lacunary) series is cyclic for the backward
 shift.  X_* is an infinite-tail object, so it is computed exactly only under
 a declared :class:`TailModel` (transient coefficients + recurrent directions);
-raw truncations get an at-horizon estimate from a sliding window.
+raw truncations get an at-horizon estimate from the last half of the terms.
+
+The tails are nested, so one rule (``core.first_proper_tail``) serves every
+tail-span check: the last tail decides, and the witness is the first
+deficient tail, its coefficients ranked at unit length against ``tol_rank``.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .core import (
     Subspace,
     Tolerances,
     VectorSeries,
+    first_proper_tail,
     numerical_span,
     project_vector,
     span_of_matrix,
@@ -79,13 +84,6 @@ class TailModel:
         object.__setattr__(self, "transient", tra)
         object.__setattr__(self, "spectrum", spectrum)
 
-    def coefficient(self, k):
-        """The declared coefficient at position k (recurrent span not resolved)."""
-        for j, v in self.transient:
-            if j == k:
-                return v
-        return None
-
     def check_consistency(self, f: VectorSeries, tol: Tolerances = Tolerances()):
         """Stored coefficients must match the declared structure.
 
@@ -136,17 +134,15 @@ def tail_span(f, m: int, tol: Tolerances = Tolerances()) -> Subspace:
     return span_of_matrix(list(f.coeffs[m:]), f.dim, tol)
 
 
-def x_star(model, tol: Tolerances = Tolerances(), window=None) -> Subspace:
-    """X_* = span(recurrent) for a TailModel; sliding-window estimate otherwise.
+def x_star(model, tol: Tolerances = Tolerances()) -> Subspace:
+    """X_* = span(recurrent) for a TailModel; last-half estimate otherwise.
 
-    For a raw VectorSeries the estimate is the span of the last-half
-    coefficients (or the last ``window`` of them), an at-horizon quantity.
+    For a raw series the estimate is the span of the coefficients from
+    position len // 2 on, an at-horizon quantity.
     """
     if isinstance(model, TailModel):
         return numerical_span(model.recurrent, tol)
-    n = len(model)
-    w = window if window is not None else max(n - n // 2, 1)
-    return span_of_matrix(list(model.coeffs[max(n - w, 0) :]), model.dim, tol)
+    return span_of_matrix(list(model.coeffs[len(model) // 2 :]), model.dim, tol)
 
 
 def _split(f: VectorSeries, xs: Subspace, tol: Tolerances):
@@ -168,9 +164,7 @@ def decompose(f: VectorSeries, model, tol: Tolerances = Tolerances()) -> Cyclici
     exact = isinstance(model, TailModel)
     if exact:
         model.check_consistency(f, tol)
-        xs = numerical_span(model.recurrent, tol)
-    else:
-        xs = x_star(f, tol)
+    xs = x_star(model if exact else f, tol)
     resid = _split(f, xs, tol)
     p = VectorSeries(f.dim, f.exponents, resid, f.truncation_degree)
     nonzero = np.flatnonzero(np.linalg.norm(resid, axis=1) > 0)
@@ -192,18 +186,11 @@ def decompose(f: VectorSeries, model, tol: Tolerances = Tolerances()) -> Cyclici
 
 def cyclicity_single(f, tol: Tolerances = Tolerances(), model=None) -> Verdict:
     """Cyclic iff X_* is all of C^d (lacunary series, finite d)."""
-    if model is not None:
-        xs = numerical_span(model.recurrent, tol)
-        mode = "exact"
-        d = model.dim
-    else:
-        if isinstance(f, TailModel):
-            return cyclicity_single(None, tol, model=f)
-        xs = x_star(f, tol)
-        mode = "at-horizon"
-        d = f.dim
-    status = CYCLIC if xs.dim == d else NON_CYCLIC
-    return Verdict(status, mode, detail={"dim_x_star": xs.dim, "dim": d})
+    model = f if model is None else model
+    xs = x_star(model, tol)
+    mode = "exact" if isinstance(model, TailModel) else "at-horizon"
+    status = CYCLIC if xs.is_full else NON_CYCLIC
+    return Verdict(status, mode, detail={"dim_x_star": xs.dim, "dim": model.dim})
 
 
 def cyclicity_family(family, tol: Tolerances = Tolerances()) -> Verdict:
@@ -228,9 +215,14 @@ def cyclicity_family(family, tol: Tolerances = Tolerances()) -> Verdict:
 def necessary_condition(family, tol: Tolerances = Tolerances()) -> Verdict:
     """Lemma-level necessary check: a proper family tail span forbids cyclicity.
 
-    Returns NotCyclic with the first witness index m whose tail span
-    X_m = span{a_k : k >= m, all members} is a proper subspace; otherwise
-    PossiblyCyclic.  No lacunarity is assumed.
+    The tails X_m = span{a_k : k >= m, all members} are nested, so the last
+    one decides (m = last transient position + 1 for TailModels, whose
+    recurrent directions lie in every tail; else half the longest series).
+    Its span joins each member's own ``tail_span``, as ``cyclicity_family``
+    joins the members' X_*, so rescaling a member changes nothing.  A proper
+    last tail gives NotCyclic, witnessed by the first deficient m (ranked as
+    in ``core.first_proper_tail``); otherwise PossiblyCyclic.  No lacunarity
+    is assumed.
     """
     family = [family] if isinstance(family, (VectorSeries, TailModel)) else list(family)
     if not family:
@@ -240,21 +232,24 @@ def necessary_condition(family, tol: Tolerances = Tolerances()) -> Verdict:
         raise ValueError("mixed dimensions in family")
     exact = all(isinstance(m, TailModel) for m in family)
     if exact:
-        m_max = max((k for mem in family for k, _ in mem.transient), default=-1) + 1
-        candidates = range(m_max + 1)
+        last = max((k for mem in family for k, _ in mem.transient), default=-1) + 1
     else:
-        n = max(len(mem) if isinstance(mem, VectorSeries) else 0 for mem in family)
-        candidates = range(n // 2 + 1)
-    for m in candidates:
-        vecs = []
-        for mem in family:
-            vecs.extend(tail_span(mem, m, tol).basis.T)
-        union = span_of_matrix(vecs, d, tol)
-        if not union.is_full:
-            return Verdict(
-                NOT_CYCLIC,
-                "exact" if exact else "at-horizon",
-                witness=m,
-                detail={"dim_tail_span": union.dim, "dim": d},
-            )
-    return Verdict(POSSIBLY_CYCLIC, "exact" if exact else "at-horizon")
+        last = max(len(m) for m in family if isinstance(m, VectorSeries)) // 2
+    positions, rows, tail = [], [], []
+    for mem in family:
+        if isinstance(mem, TailModel):
+            positions += [np.inf] * len(mem.recurrent) + [k for k, _ in mem.transient]
+            rows += list(mem.recurrent) + [v for _, v in mem.transient]
+        else:
+            positions += range(len(mem))
+            rows += list(mem.coeffs)
+        tail += list(tail_span(mem, last, tol).basis.T)
+    order = np.argsort(positions, kind="stable")
+    starts = np.searchsorted(np.asarray(positions, dtype=float)[order], np.arange(last + 1))
+    hit = first_proper_tail(np.asarray(rows)[order], d, tol, starts,
+                            last=span_of_matrix(tail, d, tol))
+    mode = "exact" if exact else "at-horizon"
+    if hit is None:
+        return Verdict(POSSIBLY_CYCLIC, mode)
+    return Verdict(NOT_CYCLIC, mode, witness=hit[0],
+                   detail={"dim_tail_span": hit[1], "dim": d})

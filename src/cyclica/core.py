@@ -21,6 +21,7 @@ __all__ = [
     "VectorSeries",
     "Subspace",
     "backward_shift",
+    "first_proper_tail",
     "forward_shift",
     "inner_product",
     "norm",
@@ -281,6 +282,39 @@ def span_of_matrix(rows, dim, tol: Tolerances = Tolerances()) -> Subspace:
     if not rows:
         return Subspace(dim)
     return numerical_span(rows, tol)
+
+
+def first_proper_tail(rows, dim, tol: Tolerances, starts, last=None):
+    """The first of the nested windows ``rows[starts[i]:]`` not spanning C^dim.
+
+    ``starts`` is nondecreasing.  The last window is decided by ``last``, its
+    span as the caller computes it (a family joins its members' own spans),
+    by default :func:`span_of_matrix` of the window, as ``coefspace.x_star``
+    decides its window.  The others are ranked on unit-length rows (a span
+    ignores row lengths) with the fixed cutoff ``tol_rank``, far above the
+    rounding floor of every window.  By interlacing that rank never grows as
+    rows are dropped, so bisection finds the first deficient window with
+    O(log len(starts)) SVDs.
+
+    Returns None when the last window spans C^dim, else (index, rank).
+    """
+    rows = np.asarray(rows, dtype=complex).reshape(-1, dim)
+    if last is None:
+        last = span_of_matrix(rows[starts[-1]:], dim, tol)
+    if last.is_full:
+        return None
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    unit = rows / np.where(norms > 0, norms, 1.0)
+    lo, hi, hi_rank = 0, len(starts) - 1, last.dim
+    while lo < hi:
+        mid = (lo + hi) // 2
+        s = np.linalg.svd(unit[starts[mid]:], compute_uv=False)
+        rank = int(np.sum(s >= tol.tol_rank))
+        if rank < dim:
+            hi, hi_rank = mid, rank
+        else:
+            lo = mid + 1
+    return hi, hi_rank
 
 
 def project_vector(v, s: Subspace) -> np.ndarray:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tolerances, VectorSeries, backward_shift, span_of_matrix
-from .spectrum import IntegerSpectrum, bounded_block_check, spectrum_admits_SstarN
+from .core import Tolerances, VectorSeries, backward_shift, first_proper_tail
+from .spectrum import IntegerSpectrum, spectrum_admits_SstarN
 from .verdicts import CYCLIC, NON_CYCLIC, Verdict
 
 __all__ = [
@@ -73,33 +73,33 @@ def psi_unreshape(rs: ReshapedSeries) -> VectorSeries:
     return VectorSeries(d, exps, np.array(coeffs), max(trunc, max(exps)))
 
 
-def _window_span_verdict(exponents, vectors, full_dim, tol):
-    """Tail spans over sliding windows of a stacked coefficient enumeration.
+def _window_span_verdict(vectors, full_dim, tol):
+    """Tail spans over the windows of a stacked coefficient enumeration.
 
     Cyclic-at-horizon iff the span of {vectors[k] : k >= m} is all of
     C^full_dim for every window start m up to half the enumeration.
     """
-    order = np.argsort(exponents, kind="stable")
-    vecs = [vectors[i] for i in order]
-    n = len(vecs)
+    n = len(vectors)
     if n == 0:
         return Verdict(NON_CYCLIC, "at-horizon", witness=0,
                        detail={"reason": "empty enumeration"})
-    for m in range(n // 2 + 1):
-        span = span_of_matrix(vecs[m:], full_dim, tol)
-        if not span.is_full:
-            return Verdict(NON_CYCLIC, "at-horizon", witness=m,
-                           detail={"dim_tail_span": span.dim, "dim": full_dim})
-    return Verdict(CYCLIC, "at-horizon")
+    hit = first_proper_tail(vectors, full_dim, tol, range(n // 2 + 1))
+    if hit is None:
+        return Verdict(CYCLIC, "at-horizon")
+    return Verdict(NON_CYCLIC, "at-horizon", witness=hit[0],
+                   detail={"dim_tail_span": hit[1], "dim": full_dim})
 
 
-def _check_reshaped_lacunary(rs: ReshapedSeries, burn_in=None, d_min=1.2,
-                             max_cells=4):
+D_MIN = 1.2
+MAX_CELLS = 4
+
+
+def _check_reshaped_lacunary(rs: ReshapedSeries):
     """The reshaped block indices must be lacunary up to bounded clusters.
 
     Adjacent block indices (a block straddling a cell boundary) are merged
-    into clusters of at most ``max_cells`` cells; beyond a burn-in prefix
-    the cluster starts must grow with ratio at least ``d_min``.
+    into clusters of at most MAX_CELLS cells; beyond the first quarter of
+    them the cluster starts must grow with ratio at least D_MIN.
     """
     exps = sorted({int(q) for q in rs.series.exponents})
     if len(exps) < 3:
@@ -110,14 +110,14 @@ def _check_reshaped_lacunary(rs: ReshapedSeries, burn_in=None, d_min=1.2,
             clusters[-1][1] = q
         else:
             clusters.append([q, q])
-    cut = burn_in if burn_in is not None else len(clusters) // 4
-    if any(hi - lo + 1 > max_cells for lo, hi in clusters[cut:]):
+    cut = len(clusters) // 4
+    if any(hi - lo + 1 > MAX_CELLS for lo, hi in clusters[cut:]):
         raise ValueError(
             "reshaped spectrum has unbounded block runs; "
             "use the bounded-block machinery (blocks module) instead"
         )
     tail = [lo for lo, _ in clusters[cut:] if lo > 0]
-    if len(tail) >= 2 and any(b / a < d_min for a, b in zip(tail, tail[1:])):
+    if len(tail) >= 2 and any(b / a < D_MIN for a, b in zip(tail, tail[1:])):
         raise ValueError(
             "reshaped spectrum is not lacunary beyond the burn-in; "
             "use the bounded-block machinery (blocks module) instead"
@@ -125,8 +125,7 @@ def _check_reshaped_lacunary(rs: ReshapedSeries, burn_in=None, d_min=1.2,
 
 
 def sstarN_cyclicity(f: VectorSeries, N: int, tol: Tolerances = Tolerances(),
-                     model=None, spectrum=None, horizon: int = 64,
-                     burn_in=None) -> Verdict:
+                     model=None, spectrum=None, horizon: int = 64) -> Verdict:
     """Cyclicity of f for the N-th power of the backward shift.
 
     For a scalar series on a generator-backed spectrum (pass ``spectrum``),
@@ -144,10 +143,8 @@ def sstarN_cyclicity(f: VectorSeries, N: int, tol: Tolerances = Tolerances(),
         status = CYCLIC if bool(v) else NON_CYCLIC
         return Verdict(status, v.mode, witness=v.witness, detail=dict(v.detail))
     rs = psi_reshape(f, N)
-    _check_reshaped_lacunary(rs, burn_in)
-    return _window_span_verdict(
-        list(rs.series.exponents), list(rs.series.coeffs), f.dim * N, tol
-    )
+    _check_reshaped_lacunary(rs)
+    return _window_span_verdict(rs.series.coeffs, f.dim * N, tol)
 
 
 def sstarN_cyclicity_spectral(spectrum: IntegerSpectrum, N: int, horizon: int = 32,
@@ -176,7 +173,7 @@ def sstarN_cyclicity_spectral(spectrum: IntegerSpectrum, N: int, horizon: int = 
         v = blocks.setdefault(q_key, np.zeros(N, dtype=complex))
         v[r] += coeffs[k - 1]
     vecs = [blocks[q] for q in sorted(blocks)]
-    return _window_span_verdict(list(range(len(vecs))), vecs, N, tol)
+    return _window_span_verdict(vecs, N, tol)
 
 
 def _generic_rank(supports, N):
@@ -219,9 +216,8 @@ def residue_crosscheck(spectrum: IntegerSpectrum, N: int, horizon: int = 32,
         q_key = (spectrum.term(k) - r) // N
         supports.setdefault(q_key, set()).add(r)
     rows = [sorted(supports[q]) for q in sorted(supports)]
-    combinatorial = all(
-        _generic_rank(rows[m:], N) == N for m in range(len(rows) // 2 + 1)
-    )
+    # deleting rows never enlarges a maximum matching: the last window decides
+    combinatorial = _generic_rank(rows[len(rows) // 2:], N) == N
     return combinatorial == bool(v_stack)
 
 
@@ -234,8 +230,8 @@ def af_membership(spectrum: IntegerSpectrum, n_max: int, horizon: int = 64):
     return out
 
 
-def bounded_block_family_cyclicity(family, N: int, tol: Tolerances = Tolerances(),
-                                   d_min: float = 1.2) -> Verdict:
+def bounded_block_family_cyclicity(family, N: int,
+                                   tol: Tolerances = Tolerances()) -> Verdict:
     """Stacked family criterion: reshape every S*^i f (i < N) and take spans.
 
     The family is cyclic iff the union of tail spans of
@@ -256,16 +252,12 @@ def bounded_block_family_cyclicity(family, N: int, tol: Tolerances = Tolerances(
             reshaped.append(rs)
     # union enumeration over block indices; for each threshold block q, the
     # span of all stacked coefficients at blocks >= q must be full
-    all_blocks = sorted({int(q) for rs in reshaped for q in rs.series.exponents})
-    n = len(all_blocks)
-    for m in range(n // 2 + 1):
-        q_min = all_blocks[m]
-        vecs = []
-        for rs in reshaped:
-            keep = rs.series.exponents >= q_min
-            vecs.extend(rs.series.coeffs[keep])
-        span = span_of_matrix(vecs, d * N, tol)
-        if not span.is_full:
-            return Verdict(NON_CYCLIC, "at-horizon", witness=q_min,
-                           detail={"dim_tail_span": span.dim, "dim": d * N})
-    return Verdict(CYCLIC, "at-horizon")
+    keys = np.concatenate([rs.series.exponents for rs in reshaped])
+    order = np.argsort(keys, kind="stable")
+    rows = np.concatenate([rs.series.coeffs for rs in reshaped])[order]
+    all_blocks, starts = np.unique(keys[order], return_index=True)
+    hit = first_proper_tail(rows, d * N, tol, starts[: len(all_blocks) // 2 + 1])
+    if hit is None:
+        return Verdict(CYCLIC, "at-horizon")
+    return Verdict(NON_CYCLIC, "at-horizon", witness=int(all_blocks[hit[0]]),
+                   detail={"dim_tail_span": hit[1], "dim": d * N})

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coefspace import TailModel, x_star as _x_star
-from .core import Subspace, Tolerances, span_of_matrix
+from .core import Tolerances
 from .spectrum import (
     IntegerSpectrum,
     MultiSpectrum,
@@ -151,8 +151,8 @@ def polydisc_cyclicity(f: PolySeries, tol: Tolerances = Tolerances(),
 
     Requires the sparseness conditions to hold (at horizon); a definitive
     violation raises with a pointer to the orbit harness.  With a TailModel
-    over the enumeration index the verdict is exact; otherwise a sliding
-    window over the stored enumeration gives an at-horizon verdict.
+    over the enumeration index the verdict is exact; otherwise ``x_star`` of
+    the stored enumeration gives an at-horizon verdict.
     """
     if len(f) == 0:
         return Verdict(NON_CYCLIC, "exact", detail={"reason": "zero series"})
@@ -164,12 +164,8 @@ def polydisc_cyclicity(f: PolySeries, tol: Tolerances = Tolerances(),
         )
     if model is not None:
         model.check_consistency(f, tol)  # duck-typed: positions follow the enumeration
-        xs = _x_star(model, tol)
-        mode = "exact"
-    else:
-        n = len(f)
-        xs = span_of_matrix(list(f.coeffs[n // 2 :]), f.dim, tol)
-        mode = "at-horizon"
+    xs = _x_star(f if model is None else model, tol)
+    mode = "at-horizon" if model is None else "exact"
     status = CYCLIC if xs.dim == f.dim else NON_CYCLIC
     return Verdict(
         status, mode,

@@ -204,14 +204,13 @@ def spectrum_admits_SstarN(s: IntegerSpectrum, N: int, horizon: int = 64) -> Ver
 def _missing_residue_witness(s, N, horizon):
     """First tail start m (<= horizon/2) whose residues miss a class mod N."""
     K = s._horizon(horizon)
-    res = [s.residue(k, N) for k in range(1, K + 1)]
-    full = set(range(N))
+    # tails are nested: tail m misses exactly the classes last seen before m
+    last = {s.residue(k, N): k for k in range(1, K + 1)}
+    m = min(last.get(r, 0) for r in range(N)) + 1
     # only tails of length >= K/2 are meaningful evidence
-    for m in range(1, max(K // 2, 1) + 1):
-        seen = set(res[m - 1 : K])
-        if seen != full:
-            return m, full - seen
-    return None
+    if m > max(K // 2, 1):
+        return None
+    return m, {r for r in range(N) if last.get(r, 0) < m}
 
 
 def bounded_block_check(s: IntegerSpectrum, N: int, horizon: int, d_min: float) -> bool:

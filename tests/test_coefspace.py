@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyclica import (
     TailModel,
@@ -12,6 +14,8 @@ from cyclica import (
     tail_span,
     x_star,
 )
+
+from cyclica.multishift import sstarN_cyclicity
 
 from conftest import dyadic_scalar
 
@@ -173,3 +177,114 @@ def test_tailmodel_validation():
         TailModel(2, [np.zeros(2)])
     with pytest.raises(ValueError):
         TailModel(1, [np.ones(1)], [(2, np.ones(1)), (1, np.ones(1))])
+
+
+# -- one tail rule for every tail-span check ----------------------------------
+
+
+def _decaying_series(seed, d, n, base, dominant, witness=None):
+    """Generic C^d coefficients times base^-k at exponents 2^(k+1); with
+    ``dominant`` = j, a_j = 1e12 e_1; with a witness m0, every coefficient
+    from position m0 on lies on one line."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    if witness is not None:
+        c[witness:] = c[witness:, :1] * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    c *= (float(base) ** -np.arange(n))[:, None]
+    if dominant is not None:
+        c[dominant] = 1e12 * np.eye(d)[0]
+    return VectorSeries(d, [2 ** (k + 1) for k in range(n)], c)
+
+
+@given(seed=st.integers(0, 10**6), d=st.integers(1, 4), n=st.integers(1, 16),
+       base=st.integers(1, 64), dominant=st.none() | st.integers(0, 15))
+# C^2, 12 generic terms and a_0 = (1e12, 0): a per-window relative cutoff
+# calls it NotCyclic with witness 0 although the last tail is full
+@example(seed=5, d=2, n=12, base=1, dominant=0)
+@settings(max_examples=300, deadline=None)
+def test_tail_verdicts_agree(seed, d, n, base, dominant):
+    f = _decaying_series(seed, d, n, base, None if dominant is None else dominant % n)
+    single = cyclicity_single(f)
+    nec = necessary_condition(f)
+    power = sstarN_cyclicity(f, 1)
+    assert (nec.status == "PossiblyCyclic") == (single.status == "Cyclic")
+    assert power.status == single.status
+    assert nec.witness == power.witness
+
+
+@pytest.mark.parametrize("base", [1, 16, 64])
+@pytest.mark.parametrize("m0", [1, 2, 3])
+def test_witness_survives_fast_decay(base, m0):
+    # a cutoff pinned in absolute terms to the small last tail would sit
+    # below the rounding floor of the large early tails (witness 4, not 1,
+    # at base 64)
+    f = _decaying_series(m0, 2, 16, base, None, witness=m0)
+    v = necessary_condition(f)
+    assert v.status == "NotCyclic" and v.witness == m0
+    assert v.detail == {"dim_tail_span": 1, "dim": 2}
+
+
+@pytest.mark.parametrize("scaled", [0, 1])
+@pytest.mark.parametrize("factor", [1e-12, 1e12])
+def test_rescaling_a_member_changes_nothing(scaled, factor):
+    rng = np.random.default_rng(3)
+    plane = rng.standard_normal((3, 2))
+    members = []
+    for m0 in (3, 5):
+        c = rng.standard_normal((14, 3)) + 1j * rng.standard_normal((14, 3))
+        c[m0:] = c[m0:, :2] @ plane.T  # proper tails from m0 on
+        members.append(VectorSeries(3, [2**k for k in range(1, 15)], c))
+    before = necessary_condition(members)
+    assert before.status == "NotCyclic" and before.witness == 5
+    members[scaled] = VectorSeries(3, members[scaled].exponents,
+                                   factor * members[scaled].coeffs)
+    after = necessary_condition(members)
+    assert (after.status, after.witness, after.detail) == (
+        before.status, before.witness, before.detail)
+
+
+def test_member_scale_does_not_hide_a_recurrent_direction():
+    # B's recurrent e2 is 1e-12 of its own transient term, yet both members'
+    # tails (every tail of each) together span C^2
+    e1, e2 = np.eye(2)
+    a = TailModel(2, [e1])
+    b = TailModel(2, [e2], [(0, 1e12 * (e1 + e2))])
+    v = necessary_condition([a, b])
+    assert v.status == "PossiblyCyclic" and v.mode == "exact"
+    assert cyclicity_family([a, b]).status == "Cyclic"
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_members_decaying_at_different_rates(k):
+    e1, e2 = np.eye(2)
+    ex = [2 ** (j + 1) for j in range(24)]
+    a = VectorSeries(2, ex, np.tile(e1, (24, 1)))
+    b = VectorSeries(2, ex, (10.0 ** (-k * np.arange(24)))[:, None] * e2)
+    assert necessary_condition([a, b]).status == "PossiblyCyclic"
+    assert cyclicity_family([a, b]).status == "Cyclic"
+
+
+@given(seed=st.integers(0, 10**6), d=st.integers(1, 4), n=st.integers(2, 20),
+       members=st.lists(st.tuples(st.integers(1, 64), st.integers(-12, 12),
+                                  st.none() | st.integers(0, 19)), min_size=1, max_size=3))
+# a member decaying by 9^-k next to a constant-size member whose tail is a
+# line: jointly scaled, the decaying member's last half falls below the cutoff
+@example(seed=0, d=2, n=19, members=[(9, 1, None), (1, 0, 0)])
+@settings(max_examples=200, deadline=None)
+def test_family_verdict_agrees_with_cyclicity_family(seed, d, n, members):
+    """Equal-length raw members, each with its own decay base and scale and
+    possibly a proper tail from some position on: a full last family tail
+    is exactly a full union of the members' X_*."""
+    rng = np.random.default_rng(seed)
+    family = []
+    for base, scale, m0 in members:
+        c = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        if m0 is not None:
+            h = np.linalg.qr(rng.standard_normal((d, d)))[0][:, : d - 1]
+            c[m0 % n :] = c[m0 % n :] @ h @ h.T
+        c *= 10.0**scale * (float(base) ** -np.arange(n))[:, None]
+        family.append(VectorSeries(d, [2 ** (k + 1) for k in range(n)], c))
+    nec = necessary_condition(family)
+    assert (nec.status == "PossiblyCyclic") == (cyclicity_family(family).status == "Cyclic")
+    if nec.status == "NotCyclic":
+        assert 0 <= nec.witness <= n // 2 and nec.detail["dim_tail_span"] < d

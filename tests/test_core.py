@@ -15,6 +15,8 @@ from cyclica import (
     scalar_series,
 )
 
+from cyclica.core import first_proper_tail
+
 from conftest import random_series
 
 
@@ -153,3 +155,74 @@ def test_empty_span_has_dim_zero():
     s = numerical_span([np.zeros(3)])
     assert s.dim == 0
     assert isinstance(s, Subspace)
+
+
+# -- nested tail spans --------------------------------------------------------
+
+
+def _window_ranks(rows, dim, tol, starts):
+    """Every window's rank by a linear scan under first_proper_tail's rule:
+    span_of_matrix for the last window, unit rows and the cutoff tol_rank
+    for the others."""
+    ranks = []
+    for s in starts[:-1]:
+        unit = [r / np.linalg.norm(r) for r in rows[s:] if np.any(r != 0)]
+        sv = np.linalg.svd(np.array(unit), compute_uv=False) if unit else []
+        ranks.append(int(np.sum(np.asarray(sv) >= tol.tol_rank)))
+    last = rows[starts[-1]:]
+    return ranks + [numerical_span(list(last), tol).dim if len(last) else 0]
+
+
+def _nested_rows(rng, dim, n):
+    """Rows with norms over 28 decades, some zero, that drop to a random
+    subspace (possibly zero) from a random position on."""
+    rows = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    rows *= 10.0 ** rng.uniform(-14, 14, size=(n, 1)) * (rng.uniform(size=(n, 1)) > 0.1)
+    cut = int(rng.integers(0, n + 1))
+    basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0][:, : rng.integers(0, dim + 1)]
+    rows[cut:] = rows[cut:] @ basis @ basis.T
+    return rows
+
+
+@given(seed=st.integers(0, 10**6), dim=st.integers(1, 5), n=st.integers(0, 24))
+@settings(max_examples=300, deadline=None)
+def test_first_proper_tail_matches_linear_scan(seed, dim, n):
+    rng = np.random.default_rng(seed)
+    rows = _nested_rows(rng, dim, n)
+    starts = sorted(rng.integers(0, n + 1, size=int(rng.integers(1, 8))))
+    tol = Tolerances()
+    ranks = _window_ranks(rows, dim, tol, starts)
+    hit = first_proper_tail(rows, dim, tol, starts)
+    if ranks[-1] == dim:
+        assert hit is None
+        return
+    i = next(j for j, r in enumerate(ranks) if r < dim)
+    assert hit == (i, ranks[i])
+    # windows before the witness are full, the witness and later ones are not
+    assert all(r == dim for r in ranks[:i]) and all(r < dim for r in ranks[i:])
+
+
+def test_first_proper_tail_empty_rows():
+    assert first_proper_tail(np.zeros((0, 2)), 2, Tolerances(), [0]) == (0, 0)
+    assert first_proper_tail([], 3, Tolerances(), [0, 0]) == (0, 0)
+
+
+def test_first_proper_tail_zero_last_window():
+    e1, e2 = np.eye(2)
+    rows = [e1, e2, 0 * e1, 0 * e1]
+    assert first_proper_tail(rows, 2, Tolerances(), [0, 1, 2, 3]) == (1, 1)
+    assert first_proper_tail(rows, 2, Tolerances(), [0, 2, 3]) == (1, 0)
+    assert first_proper_tail(np.zeros((4, 2)), 2, Tolerances(), [0, 1, 2]) == (0, 0)
+
+
+def test_first_proper_tail_fewer_rows_than_dim(rng):
+    rows = rng.standard_normal((2, 3))
+    assert first_proper_tail(rows, 3, Tolerances(), [0, 1]) == (0, 2)
+
+
+def test_first_proper_tail_large_early_row_does_not_hide_a_full_tail(rng):
+    # a 1e12 leading row would swamp the others under a per-window cutoff;
+    # the last window is full, so every tail is
+    rows = rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2))
+    rows[0] = [1e12, 0.0]
+    assert first_proper_tail(rows, 2, Tolerances(), range(7)) is None

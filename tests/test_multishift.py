@@ -15,7 +15,7 @@ from cyclica import (
     scalar_series,
 )
 from cyclica.constructions import CrtSequenceSpec, DivisorClosedSet
-from cyclica.multishift import sstarN_cyclicity, sstarN_cyclicity_spectral
+from cyclica.multishift import _generic_rank, sstarN_cyclicity, sstarN_cyclicity_spectral
 
 from conftest import random_series
 
@@ -107,6 +107,26 @@ def test_residue_crosscheck_randomized(seed):
         s = IntegerSpectrum.crt(CrtSequenceSpec(DivisorClosedSet([int(rng.integers(2, 9))])))
     N = int(rng.integers(1, 7))
     assert residue_crosscheck(s, N, seed=seed)
+
+
+@given(N=st.integers(1, 6), seed=st.integers(0, 10**6), n_rows=st.integers(0, 20))
+@settings(max_examples=200, deadline=None)
+def test_last_window_matching_decides_all_windows(N, seed, n_rows):
+    # a maximum matching cannot grow when rows are deleted, so the last
+    # window's generic rank decides whether every window is full
+    rng = np.random.default_rng(seed)
+    rows = [sorted(rng.choice(N, size=int(rng.integers(1, N + 1)), replace=False))
+            for _ in range(n_rows)]
+    every_window = all(
+        _generic_rank(rows[m:], N) == N for m in range(len(rows) // 2 + 1)
+    )
+    assert every_window == (_generic_rank(rows[len(rows) // 2:], N) == N)
+
+
+def test_spectral_path_is_exported():
+    import cyclica
+
+    assert cyclica.sstarN_cyclicity_spectral is sstarN_cyclicity_spectral
 
 
 # -- A(f) ---------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +138,25 @@ def test_explicit_full_coverage_at_horizon():
     v = spectrum_admits_SstarN(s, 2, horizon=40)
     assert v.status == "Yes-at-horizon"
     assert bool(v)
+
+
+@given(seed=st.integers(0, 10**6), N=st.integers(2, 7), horizon=st.integers(1, 48))
+@settings(max_examples=200, deadline=None)
+def test_residue_witness_matches_tail_scan(seed, N, horizon):
+    rng = np.random.default_rng(seed)
+    values = np.cumsum(rng.integers(1, 2 * N, size=int(rng.integers(1, 48))))
+    s = IntegerSpectrum.explicit([int(v) for v in values])
+    v = spectrum_admits_SstarN(s, N, horizon)
+    # the scan over every tail start m <= K/2
+    K = min(horizon, len(values))
+    res = [int(n) % N for n in values[:K]]
+    for m in range(1, max(K // 2, 1) + 1):
+        missing = set(range(N)) - set(res[m - 1:])
+        if missing:
+            assert v.witness == m and v.detail["missing_residues"] == sorted(missing)
+            break
+    else:
+        assert v.status == "Yes-at-horizon"
 
 
 # -- bounded blocks -----------------------------------------------------------
