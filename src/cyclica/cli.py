@@ -177,6 +177,8 @@ def _cmd_spectrum(args, config):
 
 
 def _cmd_construct(args, config):
+    if args.report:
+        raise InputError("construct writes CSV, not a JSON report; use --out")
     K = args.count
     rows = []
     if args.generator == "factorial":

@@ -6,13 +6,14 @@ onto span{S*^alpha f : alpha within a shift budget} and reporting the
 residual curve.  ``_orbit_system`` assembles the sparse orbit matrix and the
 target vector in one vectorized pass; the disc is the one-variable case.
 
-Disc orbits factor the column-scaled Gram matrix once, by incremental
-Cholesky that skips a direction within sine ``tol_rank`` of the accepted
-span.  The factor yields the exactly nonincreasing residual curve, a
-condition estimate, and the endpoint coefficients, refined by LSMR on the
-orbit matrix it preconditions.  Polydisc orbits over large shift boxes are
-solved by LSMR on the orbit matrix; ``one_in_orbit_check`` thresholds the
-residual of the constant 1 at the full box.
+Disc orbits fold the rows that only one column touches into one diagonal
+entry per column, an exact change of row basis, and factor the compressed,
+column-scaled system once by Householder QR, deleting a direction within
+sine ``tol_rank`` of the kept span.  The one factor yields the nonincreasing
+residual curve, the endpoint coefficients and a condition estimate.
+Polydisc orbits over large shift boxes are solved by LSMR on the orbit
+matrix; ``one_in_orbit_check`` thresholds the residual of the constant 1 at
+the full box.
 """
 
 from __future__ import annotations
@@ -42,8 +43,10 @@ class OrbitReport:
     shifts_used: tuple
     residuals: np.ndarray  # nonincreasing, indexed by budget
     coefficients: np.ndarray  # best approximation at the largest budget
-    # disc: LAPACK trcon estimate, squared, of the condition number of the
-    # column-scaled Gram matrix over the accepted directions; polydisc: nan
+    # disc: LAPACK trcon estimate, squared, of the infinity-norm condition
+    # number of R, the QR factor of the column-scaled orbit matrix over the
+    # accepted directions (the 1-norm one of R^H, the Cholesky factor of its
+    # Gram matrix), which estimates the Gram condition number; polydisc: nan
     gram_condition: float
     truncation_degree: int
     target_norm: float
@@ -79,64 +82,48 @@ def _orbit_system(T, coeffs, Tg, gcoeffs, cols):
     return A, b
 
 
-def _cholesky_skipping(G, beta, cut):
-    """Incremental Cholesky of a unit-diagonal Gram matrix.
+def _geqrf(M):
+    """Householder QR of M by LAPACK geqrf with its optimal blocked
+    workspace, in place when M is Fortran-ordered; R is the upper triangle
+    of the result."""
+    geqrf, lwork = get_lapack_funcs(("geqrf", "geqrf_lwork"), (M,))
+    return geqrf(M, lwork=int(lwork(*M.shape)[0].real), overwrite_a=True)[0]
 
-    Direction n is accepted when its squared pivot, the squared sine to the
-    span of the accepted directions, exceeds ``cut``; skipped directions
-    change nothing.  Returns the lower factor L over the accepted directions,
-    y = L^-1 beta there, and their indices.
+
+def _qr_skipping(M, cut):
+    """QR of M = [unit columns | b], deleting each column within sine ``cut``
+    of the span of the columns kept before it.
+
+    With unit columns, |R_kk| is that sine.  A deleted column leaves an
+    upper Hessenberg block behind it, which is factored again.  Returns R
+    (upper triangle; the last kept column is b) and the kept column indices.
     """
-    L = np.zeros(G.shape, dtype=complex)
-    y = np.zeros(G.shape[0], dtype=complex)
-    acc = []
-    for n in range(G.shape[0]):
-        k = len(acc)
-        w = solve_triangular(L[:k, :k], G[acc, n], lower=True, check_finite=False)
-        d2 = float(G[n, n].real) - float(np.vdot(w, w).real)
-        if d2 > cut:
-            d = np.sqrt(d2)
-            L[k, :k] = w.conj()
-            L[k, k] = d
-            y[k] = (beta[n] - np.vdot(w, y[:k])) / d
-            acc.append(n)
-    k = len(acc)
-    return L[:k, :k], y[:k], np.asarray(acc, dtype=np.int64)
-
-
-def _refine(C, b, L, y, acc):
-    """Least squares of b on the unit columns of C by LSMR from L^H x = y.
-
-    Right-preconditioned by L on the accepted columns, so ||C x - b|| is
-    accurate to rounding, not to its square root as in the Gram system.
-    Returns x, LSMR's istop and itn.
-    """
-    def right(v, trans="C"):  # P^-1 v, or P^-H v with trans="N"
-        x = v.copy()
-        x[acc] = solve_triangular(L, v[acc], lower=True, trans=trans,
-                                  check_finite=False)
-        return x
-
-    CH = C.conj().T
-    op = scipy.sparse.linalg.LinearOperator(
-        C.shape, dtype=complex, matvec=lambda v: C @ right(v),
-        rmatvec=lambda u: right(CH @ u, "N"))
-    v0 = np.zeros(C.shape[1], dtype=complex)
-    v0[acc] = y
-    v, istop, itn = scipy.sparse.linalg.lsmr(
-        op, b, atol=1e-14, btol=1e-14, maxiter=4 * C.shape[1], x0=v0)[:3]
-    return right(v), istop, itn
+    R = _geqrf(M)
+    keep = np.arange(M.shape[1] - 1)
+    k = 0
+    while True:
+        small = np.flatnonzero(np.abs(R.diagonal()[k:len(keep)]) <= cut)
+        if not small.size:
+            return R, keep
+        k += small[0]
+        keep = np.delete(keep, k)
+        R = np.delete(R[: len(keep) + 2], k, axis=1)
+        R[k:, k:] = _geqrf(np.triu(R[k:, k:], -1))
 
 
 def orbit_project(f: VectorSeries, g: VectorSeries, n_max: int,
                   tol: Tolerances = Tolerances()) -> OrbitReport:
     """Project g onto span{S*^n f : 0 <= n <= n_max}, exactly on truncations.
 
-    One factorization of the column-scaled Gram matrix, skipping directions
-    within sine ``tol_rank`` of the accepted span, gives the residual curve
-    for budgets 0..n_max and the coefficients at n_max; the endpoint is
-    their residual on the orbit matrix.  ``detail`` holds
-    ``accepted_directions`` and the refining LSMR's ``lsmr_istop``, ``lsmr_itn``.
+    The rows of the orbit matrix that only one column touches are folded
+    into one diagonal entry per column, which changes neither the Gram
+    matrix nor any residual.  One Householder QR of the compressed,
+    column-scaled system [C/s | b], deleting directions within sine
+    ``tol_rank`` of the kept span, gives the residual curve for budgets
+    0..n_max as tail sums of |Q^H b|^2, the coefficients at n_max by back
+    substitution, and the condition estimate; ``residual_final`` replays
+    the coefficients on the orbit matrix.  ``detail`` holds
+    ``accepted_directions``.
     """
     if f.is_zero:
         raise ValueError("cannot project onto the orbit of the zero series")
@@ -146,33 +133,37 @@ def orbit_project(f: VectorSeries, g: VectorSeries, n_max: int,
         raise ValueError("n_max must be >= 0")
     A, b = _orbit_system(f.exponents[:, None], f.coeffs, g.exponents[:, None],
                          g.coeffs, np.arange(n_max + 1)[:, None])
-    AH = A.conj().T
-    G = (AH @ A).toarray()
-    beta = AH @ b
-    s = np.sqrt(G.diagonal().real)
+    own = (np.diff(A.indptr) == 1) & (b == 0)  # rows private to one column
+    first = A.indptr[:-1][own]
+    p2 = np.bincount(A.indices[first], np.abs(A.data[first]) ** 2,
+                     minlength=n_max + 1)
+    C = A[~own].tocoo()
+    s = np.sqrt(p2 + np.bincount(C.col, np.abs(C.data) ** 2, minlength=n_max + 1))
     live = np.flatnonzero(s > 0)  # S*^n f = 0 once n exceeds the degree
-    s = s[live]
-    G = G[np.ix_(live, live)]
-    G /= np.outer(s, s)
-    L, y, acc = _cholesky_skipping(G, beta[live] / s, cut=tol.tol_rank**2)
+    m = len(live)
+    # one spare zero row: R keeps its row m when g = 0 and no row is shared
+    M = np.zeros((C.shape[0] + m + 1, m + 1), dtype=complex, order="F")
+    M[C.row, np.searchsorted(live, C.col)] = C.data / s[C.col]
+    M[C.shape[0] + np.arange(m), np.arange(m)] = np.sqrt(p2[live]) / s[live]
+    M[: C.shape[0], m] = b[~own]
+    R, acc = _qr_skipping(M, tol.tol_rank)
+    m, acc = len(acc), live[acc]
+    c = R[:m, m]
     drop = np.zeros(n_max + 1)
-    drop[live[acc]] = np.abs(y) ** 2
-    g_norm2 = g.norm() ** 2
-    curve = np.sqrt(np.maximum(g_norm2 - np.cumsum(drop), 0.0))
-    x, istop, itn = _refine(A[:, live] @ scipy.sparse.diags(1.0 / s), b, L, y, acc)
+    drop[acc] = np.abs(c) ** 2
+    tail = np.append(np.cumsum(drop[:0:-1])[::-1], 0.0)  # sum over n > budget
     coeffs = np.zeros(n_max + 1, dtype=complex)
-    coeffs[live] = x / s
-    rcond = get_lapack_funcs("trcon", (L,))(L, norm="1", uplo="L")[0]
+    coeffs[acc] = solve_triangular(R[:m, :m], c, check_finite=False) / s[acc]
+    rcond = get_lapack_funcs("trcon", (R,))(R[:m, :m], norm="I", uplo="U")[0]
     return OrbitReport(
         shifts_used=tuple(range(n_max + 1)),
-        residuals=curve,
+        residuals=np.sqrt(np.abs(R[m, m]) ** 2 + tail),
         coefficients=coeffs,
         gram_condition=float(rcond ** -2) if rcond > 0 else float("inf"),
         truncation_degree=f.truncation_degree,
-        target_norm=float(np.sqrt(g_norm2)),
+        target_norm=g.norm(),
         residual_final=float(np.linalg.norm(A @ coeffs - b)),
-        detail={"accepted_directions": len(acc), "lsmr_istop": int(istop),
-                "lsmr_itn": int(itn)},
+        detail={"accepted_directions": m},
     )
 
 

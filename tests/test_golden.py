@@ -16,10 +16,19 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 
 # report name -> CLI arguments; input files are named relative to GOLDEN
 CASES = {
+    "analyze_raw": ["analyze", "--input", "power_cyclic.json"],
+    "analyze_tail_model": ["analyze", "--input", "tail_model.json"],
+    "blocks": ["blocks", "--input", "blocks.json",
+               "--model", "blocks_model.json"],
+    "factorize": ["factorize", "--poly", "poly.json"],
     "multishift_power_cyclic": ["multishift", "--input", "power_cyclic.json",
                                 "--power", "3"],
     "multishift_power_witness": ["multishift", "--input", "power_witness.json",
                                  "--power", "2"],
+    "polydisc": ["polydisc", "--input", "polydisc.json", "--check-c1c2",
+                 "--analyze"],
+    "spectrum": ["spectrum", "--input", "geometric2.json", "--lacunarity",
+                 "--diff-mult", "--residues", "5"],
     "unions_construct": ["unions", "construct",
                          "--spectra", "geometric2.json,geometric3.json"],
 }

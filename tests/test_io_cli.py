@@ -159,6 +159,15 @@ def test_construct_subcommand_csv(tmp_path, capsys):
     assert int(rows[1][1]) == 3
 
 
+def test_construct_rejects_report(tmp_path, capsys):
+    report = tmp_path / "seq.json"
+    code = dispatch(["construct", "factorial", "--count", "3",
+                     "--report", str(report)])
+    assert code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_multishift_subcommand(tmp_path, capsys):
     path = _dyadic_file(tmp_path)
     out = tmp_path / "m.json"
