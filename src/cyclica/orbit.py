@@ -6,14 +6,17 @@ onto span{S*^alpha f : alpha within a shift budget} and reporting the
 residual curve.  ``_orbit_system`` assembles the sparse orbit matrix and the
 target vector in one vectorized pass; the disc is the one-variable case.
 
-Disc orbits fold the rows that only one column touches into one diagonal
-entry per column, an exact change of row basis, and factor the compressed,
-column-scaled system once by Householder QR, deleting a direction within
-sine ``tol_rank`` of the kept span.  The one factor yields the nonincreasing
+Lacunary spectra have few exponent coincidences, so almost every row of the
+orbit matrix is touched by one column only.  ``_compress``, shared by disc
+and polydisc, folds those rows into one diagonal entry per column, an exact
+change of row basis.  Disc orbits factor the compressed, column-scaled
+system once by Householder QR, deleting a direction within sine
+``tol_rank`` of the kept span; the one factor yields the nonincreasing
 residual curve, the endpoint coefficients and a condition estimate.
-Polydisc orbits over large shift boxes are solved by LSMR on the orbit
-matrix; ``one_in_orbit_check`` thresholds the residual of the constant 1 at
-the full box.
+Polydisc orbits assemble and compress the full shift box once and solve
+each nested sub-box by LSMR on its subset of the compressed columns;
+``one_in_orbit_check`` thresholds the residual of the constant 1 at the
+full box.
 """
 
 from __future__ import annotations
@@ -82,6 +85,22 @@ def _orbit_system(T, coeffs, Tg, gcoeffs, cols):
     return A, b
 
 
+def _compress(A, b):
+    """Exact row compression of the orbit system A x ~ b (A in CSR).
+
+    The rows that one column alone touches and b does not are folded into
+    one diagonal entry per column, so that for every x
+    ||A x - b||^2 = ||C x - b_C||^2 + sum_j p2_j |x_j|^2.  Returns the shared
+    rows C (COO), the squared private norms p2 per column and b_C, b on the
+    shared rows.
+    """
+    own = (np.diff(A.indptr) == 1) & (b == 0)  # rows private to one column
+    first = A.indptr[:-1][own]
+    p2 = np.bincount(A.indices[first], np.abs(A.data[first]) ** 2,
+                     minlength=A.shape[1])
+    return A[~own].tocoo(), p2, b[~own]
+
+
 def _geqrf(M):
     """Householder QR of M by LAPACK geqrf with its optimal blocked
     workspace, in place when M is Fortran-ordered; R is the upper triangle
@@ -133,11 +152,7 @@ def orbit_project(f: VectorSeries, g: VectorSeries, n_max: int,
         raise ValueError("n_max must be >= 0")
     A, b = _orbit_system(f.exponents[:, None], f.coeffs, g.exponents[:, None],
                          g.coeffs, np.arange(n_max + 1)[:, None])
-    own = (np.diff(A.indptr) == 1) & (b == 0)  # rows private to one column
-    first = A.indptr[:-1][own]
-    p2 = np.bincount(A.indices[first], np.abs(A.data[first]) ** 2,
-                     minlength=n_max + 1)
-    C = A[~own].tocoo()
+    C, p2, bc = _compress(A, b)
     s = np.sqrt(p2 + np.bincount(C.col, np.abs(C.data) ** 2, minlength=n_max + 1))
     live = np.flatnonzero(s > 0)  # S*^n f = 0 once n exceeds the degree
     m = len(live)
@@ -145,7 +160,7 @@ def orbit_project(f: VectorSeries, g: VectorSeries, n_max: int,
     M = np.zeros((C.shape[0] + m + 1, m + 1), dtype=complex, order="F")
     M[C.row, np.searchsorted(live, C.col)] = C.data / s[C.col]
     M[C.shape[0] + np.arange(m), np.arange(m)] = np.sqrt(p2[live]) / s[live]
-    M[: C.shape[0], m] = b[~own]
+    M[: C.shape[0], m] = bc
     R, acc = _qr_skipping(M, tol.tol_rank)
     m, acc = len(acc), live[acc]
     c = R[:m, m]
@@ -174,24 +189,6 @@ def _box_columns(box):
     return np.stack([g.ravel() for g in grid], axis=1)
 
 
-def _polydisc_lstsq(f: PolySeries, g: PolySeries, box):
-    """Sparse least squares over the shift box, columns in box order.
-
-    Returns (residual, x, ncols, info); ``info`` holds LSMR's stop reason,
-    iteration count, residual-norm estimate and condition estimate of A.
-    """
-    cols = _box_columns(box)
-    T = np.asarray(f.multi_exponents, dtype=np.int64)
-    Tg = np.asarray(g.multi_exponents, dtype=np.int64).reshape(len(g), f.poly_dim)
-    A, b = _orbit_system(T, f.coeffs, Tg, g.coeffs, cols)
-    x, istop, itn, normr, _, _, conda = scipy.sparse.linalg.lsmr(
-        A, b, atol=1e-12, btol=1e-12, maxiter=8 * sum(A.shape))[:7]
-    resid = float(np.linalg.norm(A @ x - b))
-    info = {"lsmr_istop": int(istop), "lsmr_itn": int(itn),
-            "lsmr_normr": float(normr), "lsmr_conda": float(conda)}
-    return resid, x, cols.shape[0], info
-
-
 # fractions of the box at which the residual curve is reported
 _CHAIN = (0.125, 0.25, 0.5, 0.75, 1.0)
 
@@ -200,37 +197,55 @@ def orbit_project_polydisc(f: PolySeries, g: PolySeries, box) -> OrbitReport:
     """Least squares of g against {S*^alpha f : alpha <= box componentwise}.
 
     The residual is reported along a nested chain of sub-boxes (the fractions
-    ``_CHAIN`` of the full box), so the curve is nonincreasing by
-    construction.  ``detail`` carries LSMR's stop reason, iteration count,
-    residual estimate and condition estimate of the orbit matrix for the
-    full-box solve (``lsmr_istop``, ``lsmr_itn``, ``lsmr_normr``,
-    ``lsmr_conda``).
+    ``_CHAIN`` of the full box), clamped to be nonincreasing.  The orbit
+    system is assembled and compressed once, at the full box.  A column that
+    touches no shared row touches only rows private to it, in every sub-box,
+    so its optimal coefficient is 0; the others are stacked over the
+    diagonal of their private norms, and each sub-box is solved by LSMR on
+    its subset of these columns, its residual computed on that subset.
+    ``residual_final`` replays ``coefficients`` on the uncompressed
+    full-box matrix.  ``detail`` carries LSMR's stop reason, iteration
+    count, residual estimate and condition estimate of the compressed
+    matrix over the shared columns for the full-box solve (``lsmr_istop``,
+    ``lsmr_itn``, ``lsmr_normr``, ``lsmr_conda``).
     """
     if not f.terms:
         raise ValueError("cannot project onto the orbit of the zero series")
     if f.dim != g.dim or f.poly_dim != g.poly_dim:
         raise ValueError("dimension mismatch between series")
     box = tuple(int(b) for b in box)
-    if any(b < 0 for b in box):
-        raise ValueError("box bounds must be nonnegative")
+    if len(box) != f.poly_dim or any(b < 0 for b in box):
+        raise ValueError(f"box needs {f.poly_dim} nonnegative bounds, got {box}")
     boxes = tuple(tuple(int(np.floor(b * frac)) for b in box) for frac in _CHAIN)
+    cols = _box_columns(box)
+    T = np.asarray(f.multi_exponents, dtype=np.int64)
+    Tg = np.asarray(g.multi_exponents, dtype=np.int64).reshape(len(g), f.poly_dim)
+    A, b = _orbit_system(T, f.coeffs, Tg, g.coeffs, cols)
+    C, p2, bc = _compress(A, b)
+    live = np.unique(C.col)  # any other column's optimal coefficient is 0
+    K = scipy.sparse.vstack([C.tocsc()[:, live],
+                             scipy.sparse.diags(np.sqrt(p2[live]))], format="csc")
+    rhs = np.concatenate([bc, np.zeros(len(live))])
     residuals = []
-    for i, sub in enumerate(boxes):
-        if i and sub == boxes[i - 1]:
-            residuals.append(residuals[-1])
-            continue
-        resid, x, ncols, info = _polydisc_lstsq(f, g, sub)
+    for sub in boxes:
+        Ks = K[:, np.all(cols[live] <= sub, axis=1)]
+        x, istop, itn, normr, _, _, conda = scipy.sparse.linalg.lsmr(
+            Ks, rhs, atol=1e-12, btol=1e-12, maxiter=8 * sum(Ks.shape))[:7]
         # nested boxes: solver noise must not break the monotonicity
-        residuals.append(min([resid] + residuals[-1:]))
+        residuals.append(min([float(np.linalg.norm(Ks @ x - rhs))] + residuals[-1:]))
+    coeffs = np.zeros(len(cols), dtype=complex)
+    coeffs[live] = x
     return OrbitReport(
         shifts_used=boxes,
         residuals=np.asarray(residuals),
-        coefficients=x,
+        coefficients=coeffs,
         gram_condition=float("nan"),
         truncation_degree=max(max(t) for t in f.multi_exponents),
         target_norm=g.norm(),
-        residual_final=float(residuals[-1]),
-        detail={"columns_at_full_box": ncols, "chain": _CHAIN, **info},
+        residual_final=float(np.linalg.norm(A @ coeffs - b)),
+        detail={"columns_at_full_box": len(cols), "chain": _CHAIN,
+                "lsmr_istop": int(istop), "lsmr_itn": int(itn),
+                "lsmr_normr": float(normr), "lsmr_conda": float(conda)},
     )
 
 

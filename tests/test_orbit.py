@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import get_lapack_funcs
@@ -19,7 +18,7 @@ from cyclica import (
     scalar_series,
     tail_diagnostics,
 )
-from cyclica.orbit import _orbit_system, _qr_skipping
+from cyclica.orbit import _box_columns, _compress, _orbit_system, _qr_skipping
 
 from conftest import dyadic_scalar
 
@@ -402,29 +401,98 @@ def _loop_poly_system(f, g, box):
     return A, b
 
 
+def _poly_system(f, g, box):
+    """The orbit system `_orbit_system` assembles over the shift box."""
+    T = np.asarray(f.multi_exponents, dtype=np.int64)
+    Tg = np.asarray(g.multi_exponents, dtype=np.int64).reshape(len(g), f.poly_dim)
+    return _orbit_system(T, f.coeffs, Tg, g.coeffs, _box_columns(box))
+
+
 @pytest.mark.parametrize("case", sorted(POLY_ORACLE_CASES))
-def test_polydisc_solution_matches_loop_assembly(case):
-    # the vectorized assembly builds the same system entry for entry, so
-    # LSMR returns the same solution bit for bit
+def test_orbit_system_matches_loop_assembly(case):
     f, g, box = POLY_ORACLE_CASES[case]
-    A, b = _loop_poly_system(f, g, box)
-    x = scipy.sparse.linalg.lsmr(A, b, atol=1e-12, btol=1e-12,
-                                 maxiter=8 * sum(A.shape))[0]
-    rep = orbit_project_polydisc(f, g, box)
-    assert np.array_equal(rep.coefficients, x)
+    A_ref, b_ref = _loop_poly_system(f, g, box)
+    A, b = _poly_system(f, g, box)
+    assert A.shape == A_ref.shape
+    assert np.array_equal(A.toarray(), A_ref.toarray())
+    assert np.array_equal(b, b_ref)
+
+
+def _disc_compress_case():
+    # g's top term z^(2^6 - 1) lies on a row that only the column n = 1
+    # touches, so folding g's rows would lose it
+    f = dyadic_scalar(6)
+    g = scalar_series([0, 3, 2**6 - 1], [1.0, -0.5j, 0.25])
+    return _orbit_system(f.exponents[:, None], f.coeffs, g.exponents[:, None],
+                         g.coeffs, np.arange(41)[:, None])
+
+
+@pytest.mark.parametrize("case", sorted(POLY_ORACLE_CASES) + ["disc"])
+def test_compress_keeps_gram_and_projection(case):
+    if case == "disc":
+        A, b = _disc_compress_case()
+        private = np.diff(A.indptr) == 1
+        assert np.any(private & (b != 0)), "g must touch a private row"
+    else:
+        A, b = _poly_system(*POLY_ORACLE_CASES[case])
+    C, p2, bc = _compress(A, b)
+    assert C.shape == (len(bc), A.shape[1])
+    gram = (C.conj().T @ C).toarray() + np.diag(p2)
+    gram_ref = (A.conj().T @ A).toarray()
+    scale = np.abs(gram_ref).max()
+    assert np.allclose(gram, gram_ref, rtol=0, atol=1e-14 * scale)
+    atb = C.conj().T @ bc
+    assert np.allclose(atb, A.conj().T @ b, rtol=0,
+                       atol=1e-14 * np.sqrt(scale) * np.linalg.norm(b))
 
 
 @pytest.mark.parametrize("case", sorted(POLY_ORACLE_CASES))
 def test_polydisc_residual_matches_dense_lstsq(case):
     f, g, box = POLY_ORACLE_CASES[case]
-    A, b = _dense_poly_orbit(f, g, box)
-    x = np.linalg.lstsq(A, b, rcond=None)[0]
-    oracle = np.linalg.norm(A @ x - b)
+    gn = g.norm()
     rep = orbit_project_polydisc(f, g, box)
     assert rep.detail["lsmr_istop"] in (1, 2), rep.detail
     assert rep.detail["lsmr_itn"] > 0
-    assert abs(rep.residual_final - oracle) <= 1e-8 * g.norm(), (
-        rep.residual_final, oracle)
+    A, b = _dense_poly_orbit(f, g, box)
+    replay = np.linalg.norm(A @ rep.coefficients - b)
+    assert abs(rep.residual_final - replay) <= 1e-12 * gn, (
+        rep.residual_final, replay)
+    for sub, resid in zip(rep.shifts_used, rep.residuals):
+        A, b = _dense_poly_orbit(f, g, sub)
+        x = np.linalg.lstsq(A, b, rcond=None)[0]
+        oracle = np.linalg.norm(A @ x - b)
+        assert abs(resid - oracle) <= 1e-8 * gn, (sub, resid, oracle)
+
+
+def test_polydisc_orbit_sharing_no_row_with_target():
+    # S*^alpha z^(2,3) = z^((2,3) - alpha): no two columns meet, and g lies
+    # on rows no column reaches, so every column drops out
+    f = PolySeries(2, 1, [((2, 3), [0.5])])
+    g = PolySeries(2, 1, [((5, 5), [1.0]), ((6, 0), [0.5j])])
+    rep = orbit_project_polydisc(f, g, (3, 4))
+    assert not rep.coefficients.any()
+    assert np.array_equal(rep.residuals, np.full(5, g.norm()))
+    assert rep.residual_final == g.norm()
+
+
+@pytest.mark.parametrize("f", [PolySeries(2, 1, [((2, 3), [0.5])]),
+                               _poly_lacunary(K=3, decay=0.5)])
+def test_polydisc_zero_target(f):
+    rep = orbit_project_polydisc(f, PolySeries(2, 1, []), (8, 9))
+    assert not rep.coefficients.any()
+    assert not rep.residuals.any()
+    assert rep.residual_final == 0.0
+
+
+@pytest.mark.parametrize("box", [(32,), (8, 9, 3), (8, -1)])
+def test_polydisc_box_must_bound_every_variable(box):
+    # a 1-bound box would broadcast to the diagonal shifts (a, a)
+    f = _poly_lacunary(K=3)
+    one = PolySeries(2, 1, [((0, 0), [1.0])])
+    with pytest.raises(ValueError, match="2 nonnegative bounds"):
+        orbit_project_polydisc(f, one, box)
+    with pytest.raises(ValueError, match="2 nonnegative bounds"):
+        one_in_orbit_check(f, box)
 
 
 def test_polydisc_detail_reports_lsmr_estimates():
