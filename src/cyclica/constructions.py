@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -113,11 +113,6 @@ class DivisorClosedSet:
         return sorted(self.closure)
 
 
-def _crt_pair(r1, m1, r2, m2):
-    # m1, m2 coprime
-    return (r1 + m1 * ((r2 - r1) * pow(m1, -1, m2) % m2)) % (m1 * m2)
-
-
 @dataclass(frozen=True)
 class CrtSequenceSpec:
     """Per-index CRT data for the sequence n_k = (k+1)! + r_k.
@@ -129,7 +124,9 @@ class CrtSequenceSpec:
         B_k = {p_i : i <= k, alpha_{p_i} = 0}
 
     and r_k is the canonical residue with r_k = k (mod a_k) and
-    r_k = 0 (mod b) for every b in B_k.
+    r_k = 0 (mod b) for every b in B_k.  The primes of a_k and of B_k are
+    disjoint, so with M = prod B_k one pairing gives
+    r_k = M * (k * M^-1 mod a_k).
     """
 
     divisor_set: DivisorClosedSet
@@ -140,14 +137,20 @@ class CrtSequenceSpec:
             raise ValueError("prime_count must be >= 1")
 
     def alpha(self, p: int) -> int:
+        # closure members divide the generators, so the generators suffice
         best = 0
-        for a in self.divisor_set.closure:
+        for a in self.divisor_set.generators:
             e = 0
             while a % p == 0:
                 a //= p
                 e += 1
             best = max(best, e)
         return best
+
+    @cached_property
+    def _exponents(self) -> tuple:
+        """(p, alpha_p) for each prime of the table, in table order."""
+        return tuple((p, self.alpha(p)) for p in primes(self.prime_count))
 
     def _check_k(self, k):
         if k < 1:
@@ -160,24 +163,15 @@ class CrtSequenceSpec:
 
     def a(self, k: int) -> int:
         self._check_k(k)
-        table = primes(self.prime_count)
-        out = 1
-        for i in range(k):
-            out *= table[i] ** min(k, self.alpha(table[i]))
-        return out
+        return math.prod(p ** min(k, e) for p, e in self._exponents[:k])
 
     def b(self, k: int) -> tuple:
         self._check_k(k)
-        table = primes(self.prime_count)
-        return tuple(p for p in table[:k] if self.alpha(p) == 0)
+        return tuple(p for p, e in self._exponents[:k] if e == 0)
 
     def r(self, k: int) -> int:
-        a_k = self.a(k)
-        res, mod = k % a_k, a_k
-        for b in self.b(k):
-            assert math.gcd(mod, b) == 1, "CRT moduli must be coprime by construction"
-            res, mod = _crt_pair(res, mod, 0, b), mod * b
-        return res
+        a_k, m = self.a(k), math.prod(self.b(k))
+        return m * (k * pow(m, -1, a_k) % a_k)
 
 
 def crt_sequence_value(spec: CrtSequenceSpec, k: int) -> int:

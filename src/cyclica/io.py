@@ -168,8 +168,8 @@ def _jsonable(obj):
         return format_float(obj)
     if isinstance(obj, (np.complexfloating, complex)):
         return [format_float(obj.real), format_float(obj.imag)]
-    if isinstance(obj, (np.integer, int, str, bool)) or obj is None:
-        return int(obj) if isinstance(obj, np.integer) else obj
+    if isinstance(obj, (np.integer, np.bool_, int, str, bool)) or obj is None:
+        return obj.item() if isinstance(obj, np.generic) else obj
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     if hasattr(obj, "to_dict"):

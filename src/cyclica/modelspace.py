@@ -10,7 +10,11 @@ vectors -> Theta -> cyclic generator).
 
 All subspace work happens in the (N+1)*d-dimensional coefficient space of
 polynomials of degree at most N; polynomials are stacked with coefficient j
-occupying entries j*d .. (j+1)*d - 1.
+occupying entries j*d .. (j+1)*d - 1.  Two index-built matrices carry it:
+the block-Hankel orbit matrix [S*^n p : 0 <= n <= N] (block j of column n is
+the coefficient p^(j+n)) and the block-Toeplitz matrix of the truncations of
+Theta z^j v (block t of column j*d + v is column v of Theta^(t-j)), whose
+columns span Theta H^2 on these degrees.
 """
 
 from __future__ import annotations
@@ -132,22 +136,36 @@ class PotapovProduct:
         return len(self.factors)
 
 
-def _stack(series: VectorSeries, N: int) -> np.ndarray:
-    v = np.zeros((N + 1) * series.dim, dtype=complex)
-    for e, a in zip(series.exponents, series.coeffs):
-        if e > N:
-            raise ValueError("polynomial degree exceeds the stacking degree")
-        v[int(e) * series.dim : (int(e) + 1) * series.dim] = a
-    return v
+def _orbit_matrix(p: VectorSeries, N: int) -> np.ndarray:
+    """Stacked orbit [S*^n p : 0 <= n <= N]; block j of column n is p^(j+n)."""
+    if p.exponents.size and p.exponents[-1] > N:
+        raise ValueError("polynomial degree exceeds the stacking degree")
+    c = np.zeros((2 * N + 2, p.dim), dtype=complex)  # rows 0..2N, empty at N = -1
+    c[p.exponents] = p.coeffs
+    j = np.arange(N + 1)
+    return c[j[:, None] + j].transpose(0, 2, 1).reshape((N + 1) * p.dim, N + 1)
 
 
-def _orth(cols, tol_rank):
+def _theta_columns(T: np.ndarray, N: int) -> np.ndarray:
+    """Degree-(<= N) truncations of Theta z^j v as columns j*d + v.
+
+    Block t of column j*d + v is column v of T[t - j] (zero outside the
+    stored coefficients), so the matrix is block-Toeplitz.
+    """
+    d = T.shape[1]
+    padded = np.zeros((len(T) + N + 1, d, d), dtype=complex)
+    padded[: len(T)] = T  # negative t - j index the zero tail
+    t = np.arange(N + 1)
+    blocks = padded[t[:, None] - t]  # [t, j] -> T[t - j]
+    return blocks.transpose(0, 2, 1, 3).reshape((N + 1) * d, (N + 1) * d)
+
+
+def _orth(m, tol_rank):
     """Orthonormal basis of the column span with a relative SVD cutoff."""
-    m = np.column_stack(cols) if len(cols) else np.zeros((0, 0))
     if m.size == 0:
         return m
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0:
+    if s[0] == 0:
         return u[:, :0]
     return u[:, s >= tol_rank * s[0]]
 
@@ -165,21 +183,13 @@ def factorize_Ep(p: VectorSeries, tol: Tolerances = Tolerances()) -> PotapovProd
         raise DegenerateInputError("zero polynomial")
     d = p.dim
     N = int(p.exponents[-1])
-    # orbit stacks
-    from .core import backward_shift
-
-    cols = []
-    q = p
-    for _ in range(N + 1):
-        cols.append(_stack(q, N))
-        q = backward_shift(q, 1)
-    s = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+    u, s, _ = np.linalg.svd(_orbit_matrix(p, N), full_matrices=False)
     if s[-1] < tol.tol_rank * s[0]:
         raise DegenerateInputError(
             f"orbit of the polynomial is numerically dependent "
             f"(relative smallest singular value {s[-1] / s[0]:.3e})"
         )
-    B = _orth(cols, tol.tol_rank)
+    B = u[:, s >= tol.tol_rank * s[0]]  # every column, as a C-ordered copy
     factors = []
     for _ in range(N + 1):
         r = B.shape[1]
@@ -211,19 +221,13 @@ def factorize_Ep(p: VectorSeries, tol: Tolerances = Tolerances()) -> PotapovProd
         if r == 1:
             break
         # deflate: complement of the constant inside M, then
-        # g |-> (1 - P)g + S*(P g) coefficientwise
-        comp = B @ _orth_complement(cvec)
-        P = np.outer(e, e.conj())
-        mapped = np.zeros_like(comp)
-        for c in range(comp.shape[1]):
-            g = comp[:, c].reshape(N + 1, d)
-            out = np.zeros_like(g)
-            for j in range(N + 1):
-                out[j] = g[j] - P @ g[j]
-                if j + 1 <= N:
-                    out[j] += P @ g[j + 1]
-            mapped[:, c] = out.ravel()
-        B = _orth(list(mapped.T), tol.tol_rank)
+        # g |-> (1 - P)g + S*(P g) coefficientwise on all columns at once;
+        # stacked matrix-vector products P @ g_j keep the per-coefficient bits
+        G = (B @ _orth_complement(cvec)).T.reshape(r - 1, N + 1, d)
+        PG = (np.outer(e, e.conj()) @ G[..., None])[..., 0]
+        G = G - PG
+        G[:, :-1] += PG[:, 1:]
+        B = _orth(G.reshape(r - 1, -1).T, tol.tol_rank)
         if B.shape[1] != r - 1:
             raise NotCyclicGeneratorError(
                 f"deflation changed the dimension from {r} to {B.shape[1]} "
@@ -262,19 +266,8 @@ def model_space_basis(pp: PotapovProduct, tol: Tolerances = Tolerances()):
     n = pp.n_factors
     if n == 0:
         return np.zeros((d, 0), dtype=complex)
-    N = n - 1
-    T = pp.assembled.coeffs  # (deg+1, d, d)
-    constraints = []
-    for j in range(N + 1):
-        for v in range(d):
-            w = np.zeros((N + 1) * d, dtype=complex)
-            for t in range(j, N + 1):
-                m = t - j
-                if m < T.shape[0]:
-                    w[t * d : (t + 1) * d] = T[m][:, v]
-            constraints.append(w)
-    C = np.column_stack(constraints)
-    u, s, _ = np.linalg.svd(C, full_matrices=True)
+    u, s, _ = np.linalg.svd(_theta_columns(pp.assembled.coeffs, n - 1),
+                            full_matrices=True)
     # absolute scale: the constraint columns are truncations of the
     # boundary-unitary Theta, so genuine constraints have O(1) norm
     rank = int(np.sum(s >= tol.tol_rank * max(float(s[0]), 1.0))) if s.size else 0
@@ -344,14 +337,7 @@ def verify_potapov(pp: PotapovProduct, trials: int = 32, seed: int = 0,
         report["nesting_ok"] = True
 
     if generator is not None:
-        from .core import backward_shift
-
-        N = n - 1
-        orbit = []
-        q = generator
-        for _ in range(n):
-            orbit.append(_stack(q, N))
-            q = backward_shift(q, 1)
+        orbit = _orbit_matrix(generator, n - 1)
         K = model_space_basis(pp, tol)
         O = _orth(orbit, tol.tol_rank)
         # mutual projection defect between K_Theta and the orbit span
@@ -359,17 +345,11 @@ def verify_potapov(pp: PotapovProduct, trials: int = 32, seed: int = 0,
         d2 = float(np.linalg.norm(K - O @ (O.conj().T @ K), 2)) if K.size else 0.0
         report["model_space_defect"] = max(d1, d2)
         report["model_space_ok"] = report["model_space_defect"] < 1e-7
-        # orthogonality of the orbit to Theta H^2 on the stored degrees
-        T = theta.coeffs
-        maxdot = 0.0
-        for j in range(N + 1):
-            for v in range(d):
-                w = np.zeros((N + 1) * d, dtype=complex)
-                for t in range(j, N + 1):
-                    if t - j < T.shape[0]:
-                        w[t * d : (t + 1) * d] = T[t - j][:, v]
-                for o in orbit:
-                    maxdot = max(maxdot, abs(np.vdot(w, o)))
+        # orthogonality of the orbit to Theta H^2 on the stored degrees; one
+        # vdot per pair of contiguous columns, as a GEMM would change bits
+        W = _theta_columns(theta.coeffs, n - 1).T.copy()
+        cols = orbit.T.copy()
+        maxdot = float(max((abs(np.vdot(w, o)) for w in W for o in cols), default=0.0))
         report["orbit_orthogonality_defect"] = maxdot
         report["orbit_orthogonality_ok"] = maxdot < 1e-7
 
@@ -395,8 +375,7 @@ def synthesize_from_vectors(vectors, seed: int = 0,
     d = len(np.atleast_1d(vectors[0]))
     pp = PotapovProduct(d, vectors)
     n = pp.n_factors
-    s0 = np.linalg.svd(pp.assembled.coeffs[0], compute_uv=False)
-    nullity = int(np.sum(s0 < tol.tol_rank * max(float(s0[0]), 1.0))) if s0.size else d
+    nullity = kernel_dim_theta0star(pp.assembled, tol)
     if nullity != 1:
         raise ValueError(
             f"factor vectors violate the nesting condition: Theta(0) has "
@@ -407,28 +386,13 @@ def synthesize_from_vectors(vectors, seed: int = 0,
         raise ValueError(
             f"model space has dimension {K.shape[1]}, expected {n}"
         )
-    N = n - 1
     rng = np.random.default_rng(seed)
-    from .core import backward_shift
-
     for _ in range(16):
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        stack = K @ c
-        exps, coeffs = [], []
-        for j in range(N + 1):
-            a = stack[j * d : (j + 1) * d]
-            if np.linalg.norm(a) > 0:
-                exps.append(j)
-                coeffs.append(a)
-        p = VectorSeries(d, exps, np.array(coeffs))
-        if p.is_zero or int(p.exponents[-1]) != N:
+        p = VectorSeries(d, range(n), (K @ c).reshape(n, d))  # drops zero blocks
+        if p.is_zero or int(p.exponents[-1]) != n - 1:
             continue
-        orbit = []
-        q = p
-        for _ in range(n):
-            orbit.append(_stack(q, N))
-            q = backward_shift(q, 1)
-        s = np.linalg.svd(np.column_stack(orbit), compute_uv=False)
+        s = np.linalg.svd(_orbit_matrix(p, n - 1), compute_uv=False)
         if s[-1] >= tol.tol_rank * s[0]:
             return pp, p
     raise RuntimeError("no cyclic generator found after 16 seeded draws")

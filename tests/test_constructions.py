@@ -92,6 +92,31 @@ def test_crt_value_consistent_with_residue():
             assert v % N == crt_sequence_residue(spec, k, N)
 
 
+def _iterative_crt_r(spec, k):
+    """r_k by pairing k (mod a_k) with 0 (mod b) once per prime b in B_k."""
+    res, mod = k % spec.a(k), spec.a(k)
+    for b in spec.b(k):
+        assert math.gcd(mod, b) == 1
+        res = (res + mod * ((0 - res) * pow(mod, -1, b) % b)) % (mod * b)
+        mod *= b
+    return res
+
+
+@pytest.mark.parametrize("gens", [[1], [2, 3], [4, 6], [12], [8, 9, 25], [30, 49]])
+def test_crt_r_matches_iterative_pairing(gens):
+    spec = CrtSequenceSpec(DivisorClosedSet(gens))
+    for k in range(1, 65):
+        assert spec.r(k) == _iterative_crt_r(spec, k), k
+
+
+def test_crt_alpha_oracle():
+    # alpha_p is the largest power of p dividing a closure member
+    spec = CrtSequenceSpec(DivisorClosedSet([8, 9, 25, 30]))
+    assert [spec.alpha(p) for p in (2, 3, 5, 7, 11)] == [3, 2, 2, 0, 0]
+    assert spec.a(3) == 2**3 * 3**2 * 5**2
+    assert spec.b(5) == (7, 11)
+
+
 def test_crt_values_strictly_increasing():
     spec = CrtSequenceSpec(DivisorClosedSet([4, 6]))
     vals = [crt_sequence_value(spec, k) for k in range(1, 12)]

@@ -14,10 +14,13 @@ from cyclica.cli import dispatch
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 CSV = "<csv>"  # stands for the path of the CSV file a case writes
+OUT = "<out>"  # stands for the path of the JSON file a case writes by --out
+SUFFIX = {CSV: ".csv", OUT: ".out.json"}
 
 # case name -> CLI arguments; input files are named relative to GOLDEN.  A
 # case writes <name>.report.json, except construct, which writes CSV only,
-# and <name>.csv where its arguments name CSV.
+# plus <name>.csv where its arguments name CSV and <name>.out.json where
+# they name OUT.
 CASES = {
     "analyze_raw": ["analyze", "--input", "power_cyclic.json"],
     "analyze_tail_model": ["analyze", "--input", "tail_model.json"],
@@ -30,6 +33,7 @@ CASES = {
     "blocks": ["blocks", "--input", "blocks.json",
                "--model", "blocks_model.json"],
     "factorize": ["factorize", "--poly", "poly.json"],
+    "factorize_c4": ["factorize", "--poly", "poly_c4.json", "--out", OUT],
     "multishift_power_cyclic": ["multishift", "--input", "power_cyclic.json",
                                 "--power", "3"],
     "multishift_power_witness": ["multishift", "--input", "power_witness.json",
@@ -55,8 +59,9 @@ def _run(name, out):
     """Run case ``name`` with its outputs in directory ``out``; return the
     names of the files it writes."""
     args = CASES[name]
-    files = [f"{name}.csv"] if CSV in args else []
-    argv = [str(out / files[0]) if a == CSV else _resolve(a) for a in args]
+    files = [f"{name}{SUFFIX[a]}" for a in args if a in SUFFIX]
+    argv = [str(out / f"{name}{SUFFIX[a]}") if a in SUFFIX else _resolve(a)
+            for a in args]
     if args[0] != "construct":
         files.append(f"{name}.report.json")
         argv += ["--report", str(out / files[-1])]

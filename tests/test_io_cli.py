@@ -89,6 +89,12 @@ def test_dump_report_deterministic_floats():
     assert data["z"] == [1.0, 2.0]
 
 
+def test_dump_report_numpy_scalars_are_json_scalars():
+    # numpy booleans and integers become JSON literals, not their str()
+    text = dump_report({"x": np.True_, "n": np.int64(3)})
+    assert text == '{\n  "n": 3,\n  "x": true\n}'
+
+
 # -- CLI ----------------------------------------------------------------------
 
 
@@ -154,7 +160,8 @@ def test_construct_subcommand_csv(tmp_path, capsys):
     out = tmp_path / "seq.csv"
     code = dispatch(["construct", "factorial", "--count", "6", "--out", str(out)])
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     assert len(rows) == 7  # header + 6 terms
     assert int(rows[1][1]) == 3
 
@@ -185,7 +192,8 @@ def test_orbit_subcommand_csv_rows(tmp_path, capsys):
     code = dispatch(["orbit", "--input", f, "--target", g,
                      "--max-shift", "64", "--csv", str(out)])
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     assert len(rows) == 66  # header + budgets 0..64
     residuals = [float(r[1]) for r in rows[1:]]
     assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))

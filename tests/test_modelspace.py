@@ -10,9 +10,12 @@ from cyclica import (
     synthesize_from_vectors,
     verify_potapov,
 )
+from cyclica.core import backward_shift
 from cyclica.modelspace import (
     DegenerateInputError,
     NotCyclicGeneratorError,
+    _orbit_matrix,
+    _theta_columns,
     model_space_basis,
 )
 
@@ -142,3 +145,66 @@ def test_synthesize_rejects_nondegenerate_theta0():
     # orthogonal factor vectors: Theta(0) = (1-P1)(1-P2) has a 2-dim kernel
     with pytest.raises(ValueError, match="nesting"):
         synthesize_from_vectors([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+
+
+# -- index-built matrices against explicit loops --------------------------------
+
+
+def _loop_orbit(p, N):
+    """[S*^n p : 0 <= n <= N] by repeated backward shifts and stacking."""
+    cols, q = [], p
+    for _ in range(N + 1):
+        v = np.zeros((N + 1) * p.dim, dtype=complex)
+        for e, a in zip(q.exponents, q.coeffs):
+            v[e * p.dim : (e + 1) * p.dim] = a
+        cols.append(v)
+        q = backward_shift(q, 1)
+    return np.column_stack(cols)
+
+
+def _loop_theta_columns(T, N):
+    """Truncations of Theta z^j v, one column j*d + v at a time."""
+    d = T.shape[1]
+    cols = []
+    for j in range(N + 1):
+        for v in range(d):
+            w = np.zeros((N + 1) * d, dtype=complex)
+            for t in range(j, min(N + 1, j + T.shape[0])):
+                w[t * d : (t + 1) * d] = T[t - j][:, v]
+            cols.append(w)
+    return np.column_stack(cols)
+
+
+DN = [(1, 0), (1, 3), (2, 1), (2, 4), (3, 2), (3, 6), (4, 5)]
+
+
+@pytest.mark.parametrize("d,N", DN)
+def test_orbit_matrix_matches_backward_shift_stacking(d, N, rng):
+    for exps in (range(N + 1), range(1, N + 1), range(0, N + 1, 2)):
+        exps = list(exps)
+        p = VectorSeries(d, exps, rng.standard_normal((len(exps), d))
+                         + 1j * rng.standard_normal((len(exps), d)))
+        assert np.array_equal(_orbit_matrix(p, N), _loop_orbit(p, N))
+        # a larger stacking degree pads every column with zero blocks
+        assert np.array_equal(_orbit_matrix(p, N + 2), _loop_orbit(p, N + 2))
+    with pytest.raises(ValueError, match="stacking degree"):
+        _orbit_matrix(VectorSeries(d, [N + 1], np.ones((1, d))), N)
+
+
+@pytest.mark.parametrize("d,N", DN)
+def test_theta_columns_match_loop(d, N, rng):
+    # Theta shorter than, as long as and longer than the truncation degree
+    for M in (0, N, N + 3):
+        T = rng.standard_normal((M + 1, d, d)) + 1j * rng.standard_normal((M + 1, d, d))
+        assert np.array_equal(_theta_columns(T, N), _loop_theta_columns(T, N))
+
+
+def test_verify_rejects_generator_of_empty_product():
+    # Theta = I has K_Theta = {0}; a nonzero constant cannot generate it
+    pp = PotapovProduct(2, [])
+    with pytest.raises(ValueError, match="stacking degree"):
+        verify_potapov(pp, generator=VectorSeries(2, [0], np.array([[1.0, 2.0]])))
+    # the degree check is the same one that rejects a too-long generator
+    pp1 = PotapovProduct(2, [np.array([1.0, 0.0])])
+    with pytest.raises(ValueError, match="stacking degree"):
+        verify_potapov(pp1, generator=VectorSeries(2, [1], np.array([[1.0, 2.0]])))
