@@ -4,7 +4,9 @@ Subcommands: analyze, spectrum, construct, multishift, unions, blocks,
 factorize, orbit, polydisc.  All randomness is seeded (flag --seed, env var
 CYCLICA_SEED takes precedence); reports are deterministic JSON with the
 configuration echoed.  Exit codes: 0 success, 1 when --strict is set and the
-verdict is non-cyclic, 2 on input errors.
+verdict is non-cyclic, 2 on input errors: a malformed file or an
+out-of-range flag, reported as one ``error:`` line.  File formats are read by
+:mod:`cyclica.io`.
 """
 
 from __future__ import annotations
@@ -12,11 +14,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from . import __version__
+from .blocks import blocks_cyclicity
 from .coefspace import cyclicity_single, decompose
 from .constructions import (
     CrcPointSet,
@@ -29,11 +33,18 @@ from .constructions import (
     factorial_sequence,
 )
 from .core import Tolerances, VectorSeries
-from .io import InputError, dump_report, load_series, series_to_dict, write_csv
+from .io import (
+    InputError,
+    dump_report,
+    load_blocks,
+    load_series,
+    load_spectrum,
+    series_to_dict,
+    write_csv,
+)
 from .multishift import af_membership, sstarN_cyclicity
 from .polydisc import check_c1_c2, polydisc_cyclicity
 from .spectrum import (
-    IntegerSpectrum,
     difference_multiplicity,
     lacunarity_ratio,
     residues_hit,
@@ -56,19 +67,7 @@ class RunConfig:
             raise InputError("horizon must be at least 8")
 
     def echo(self):
-        t = self.tolerances
-        return {
-            "version": __version__,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "strict": self.strict,
-            "tolerances": {
-                "tol_rank": t.tol_rank,
-                "tol_orth": t.tol_orth,
-                "tol_unitary": t.tol_unitary,
-                "tol_residual": t.tol_residual,
-            },
-        }
+        return {"version": __version__, **asdict(self)}
 
 
 def _config(args) -> RunConfig:
@@ -79,46 +78,8 @@ def _config(args) -> RunConfig:
             seed = int(env)
         except ValueError:
             raise InputError(f"CYCLICA_SEED must be an integer, got {env!r}")
-    try:
-        tol = Tolerances(
-            tol_rank=args.tol_rank, tol_orth=args.tol_orth,
-            tol_unitary=args.tol_unitary, tol_residual=args.tol_residual,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc))
+    tol = Tolerances(**{f.name: getattr(args, f.name) for f in fields(Tolerances)})
     return RunConfig(tol, seed, args.horizon, getattr(args, "strict", False))
-
-
-def _load_spectrum(path) -> IntegerSpectrum:
-    import json
-
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise InputError(f"no such file: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if "terms" in data:  # a series file: use its exponents
-        series, _ = load_series(path)
-        if isinstance(series, VectorSeries):
-            return IntegerSpectrum.explicit([int(e) for e in series.exponents])
-        raise InputError("polydisc series have no 1-D spectrum; pass a spectrum file")
-    kind = data.get("kind")
-    try:
-        if kind == "explicit":
-            return IntegerSpectrum.explicit(data["values"])
-        if kind == "geometric":
-            return IntegerSpectrum.geometric(data["base"])
-        if kind == "factorial_plus_k":
-            return IntegerSpectrum.factorial_plus_k()
-        if kind == "crt":
-            return IntegerSpectrum.crt(
-                CrtSequenceSpec(DivisorClosedSet(data["generators"]))
-            )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"bad spectrum file: {exc}") from exc
-    raise InputError(f"unknown spectrum kind {kind!r}")
 
 
 def _emit(report, args, config):
@@ -128,9 +89,7 @@ def _emit(report, args, config):
 
 
 def _verdict_exit(verdict, config) -> int:
-    if config.strict and verdict.status in NONCYCLIC_STATUSES:
-        return 1
-    return 0
+    return 1 if config.strict and verdict.status in NONCYCLIC_STATUSES else 0
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -161,7 +120,7 @@ def _cmd_analyze(args, config):
 
 
 def _cmd_spectrum(args, config):
-    s = _load_spectrum(args.input)
+    s = load_spectrum(args.input)
     out = {"kind": s.kind}
     K = config.horizon
     if args.lacunarity:
@@ -179,42 +138,33 @@ def _cmd_spectrum(args, config):
 def _cmd_construct(args, config):
     if args.report:
         raise InputError("construct writes CSV, not a JSON report; use --out")
-    K = args.count
-    rows = []
-    if args.generator == "factorial":
-        for k in range(1, K + 1):
-            if args.mod is not None:
-                rows.append((k, factorial_residue(k, args.mod)))
-            else:
-                try:
-                    rows.append((k, factorial_sequence(k)))
-                except OverflowError as exc:
-                    raise InputError(str(exc))
-        header = ("index", "residue" if args.mod is not None else "value")
-    elif args.generator == "crt":
-        if not args.set:
-            raise InputError("construct crt requires --set")
-        try:
-            gens = [int(x) for x in args.set.split(",")]
-        except ValueError:
-            raise InputError(f"--set must be comma-separated integers, got {args.set!r}")
-        spec = CrtSequenceSpec(DivisorClosedSet(gens))
-        for k in range(1, K + 1):
-            if args.mod is not None:
-                rows.append((k, crt_sequence_residue(spec, k, args.mod)))
-            else:
-                rows.append((k, crt_sequence_value(spec, k)))
-        header = ("index", "residue" if args.mod is not None else "value")
-    else:  # crc
+    ks = range(1, args.count + 1)
+    if args.generator == "crc":
         if args.dim is None:
             raise InputError("construct crc requires --dim")
         points = CrcPointSet(list(np.eye(args.dim)))
         header = ("index",) + tuple(f"coeff_{j}" for j in range(args.dim))
-        for k in range(1, K + 1):
-            a = crc_sequence(points, k)
-            rows.append((k,) + tuple(
-                f"{c.real:.17g}{c.imag:+.17g}j" for c in a
-            ))
+        rows = [(k,) + tuple(f"{c.real:.17g}{c.imag:+.17g}j"
+                             for c in crc_sequence(points, k)) for k in ks]
+    else:
+        if args.generator == "factorial":
+            value, residue = factorial_sequence, factorial_residue
+        else:
+            if not args.set:
+                raise InputError("construct crt requires --set")
+            try:
+                gens = [int(x) for x in args.set.split(",")]
+            except ValueError:
+                raise InputError(f"--set must be comma-separated integers, got {args.set!r}")
+            spec = CrtSequenceSpec(DivisorClosedSet(gens))
+            value = partial(crt_sequence_value, spec)
+            residue = partial(crt_sequence_residue, spec)
+        header = ("index", "value" if args.mod is None else "residue")
+        try:
+            rows = [(k, value(k) if args.mod is None else residue(k, args.mod))
+                    for k in ks]
+        except OverflowError as exc:
+            raise InputError(str(exc)) from exc
     if args.out:
         write_csv(args.out, header, rows)
     else:
@@ -227,7 +177,7 @@ def _cmd_construct(args, config):
 def _cmd_multishift(args, config):
     tol = config.tolerances
     if args.af:
-        s = _load_spectrum(args.input)
+        s = load_spectrum(args.input)
         members = sorted(af_membership(s, args.nmax, config.horizon))
         _emit({"af_membership": members, "nmax": args.nmax}, args, config)
         return 0
@@ -245,7 +195,9 @@ def _cmd_unions(args, config):
 
     tol = config.tolerances
     if args.action == "construct":
-        spectra = [_load_spectrum(p) for p in args.spectra.split(",")]
+        if not args.spectra:
+            raise InputError("unions construct requires --spectra")
+        spectra = [load_spectrum(p) for p in args.spectra.split(",")]
         stacked, comps, verdict = construct_prescribed_spectra(
             spectra, seed=config.seed, horizon=min(config.horizon, 16), tol=tol
         )
@@ -257,6 +209,8 @@ def _cmd_unions(args, config):
         _emit(out, args, config)
         return _verdict_exit(verdict, config)
     # check: a stacked family series with a tail model
+    if not args.input:
+        raise InputError("unions check requires --input")
     series, model = load_series(args.input)
     verdict = cyclicity_single(series, tol, model=model)
     _emit({"verdict": verdict.to_dict()}, args, config)
@@ -264,51 +218,20 @@ def _cmd_unions(args, config):
 
 
 def _cmd_blocks(args, config):
-    import json
-
-    from .blocks import BlockSeries, PolyDirectionModel, blocks_cyclicity
-
-    try:
-        with open(args.input) as fh:
-            data = json.load(fh)
-        bs = BlockSeries(
-            data["dim"], data["block_degree"],
-            [(b["n"], np.array([[complex(re, im) for re, im in row]
-                                for row in b["poly"]]))
-             for b in data["blocks"]],
-        )
-        with open(args.model) as fh:
-            mdata = json.load(fh)
-        model = PolyDirectionModel(
-            [np.array([[complex(re, im) for re, im in row] for row in p])
-             for p in mdata["recurrent_polys"]],
-            mdata.get("transient_indices", ()),
-        )
-    except FileNotFoundError as exc:
-        raise InputError(str(exc)) from exc
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise InputError(f"bad blocks input: {exc}") from exc
+    bs, model = load_blocks(args.input, args.model)
     verdict = blocks_cyclicity(bs, model, config.tolerances, seed=config.seed)
     _emit({"verdict": verdict.to_dict()}, args, config)
     return _verdict_exit(verdict, config)
 
 
 def _cmd_factorize(args, config):
-    from .modelspace import (
-        DegenerateInputError,
-        NotCyclicGeneratorError,
-        factorize_Ep,
-        verify_potapov,
-    )
+    from .modelspace import factorize_Ep, verify_potapov
 
     series, _ = load_series(args.poly)
     if not isinstance(series, VectorSeries):
         raise InputError("factorize expects a disc polynomial")
     tol = config.tolerances
-    try:
-        pp = factorize_Ep(series, tol)
-    except (DegenerateInputError, NotCyclicGeneratorError) as exc:
-        raise InputError(str(exc)) from exc
+    pp = factorize_Ep(series, tol)
     report = verify_potapov(pp, seed=config.seed, tol=tol, generator=series)
     out = {
         "dim": pp.dim,
@@ -378,10 +301,9 @@ def _build_parser():
     def common(sp, strict=True):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--horizon", type=int, default=64)
-        sp.add_argument("--tol-rank", type=float, default=1e-9)
-        sp.add_argument("--tol-orth", type=float, default=1e-10)
-        sp.add_argument("--tol-unitary", type=float, default=1e-8)
-        sp.add_argument("--tol-residual", type=float, default=1e-6)
+        for f in fields(Tolerances):
+            sp.add_argument("--" + f.name.replace("_", "-"), type=float,
+                            default=f.default)
         sp.add_argument("--report", default=None, help="write the JSON report here")
         if strict:
             sp.add_argument("--strict", action="store_true",
@@ -463,9 +385,8 @@ def dispatch(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config(args)
-        return args.func(args, config)
-    except InputError as exc:
+        return args.func(args, _config(args))
+    except ValueError as exc:  # InputError and every library argument check
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -207,9 +207,9 @@ class CrcPointSet:
 
     def __init__(self, basis, lam=_default_lambda):
         b = tuple(np.asarray(x, dtype=complex) for x in basis)
-        d = b[0].shape[0]
-        if any(x.shape != (d,) for x in b) or len(b) != d:
-            raise ValueError("basis must consist of d vectors of length d")
+        d = len(b)
+        if d == 0 or any(x.shape != (d,) for x in b):
+            raise ValueError("basis must consist of d >= 1 vectors of length d")
         if np.linalg.matrix_rank(np.column_stack(b)) < d:
             raise ValueError("basis must span C^d")
         object.__setattr__(self, "basis", b)

@@ -80,7 +80,7 @@ class VectorSeries:
 
     __slots__ = ("dim", "exponents", "coeffs", "truncation_degree")
 
-    def __init__(self, dim, exponents, coeffs, truncation_degree=None, _zero_tol=0.0):
+    def __init__(self, dim, exponents, coeffs, truncation_degree=None):
         dim = int(dim)
         if dim < 1:
             raise ValueError("dim must be >= 1")
@@ -105,7 +105,7 @@ class VectorSeries:
             exps, cfs = uniq, merged
         if not np.all(np.isfinite(cfs.real) & np.isfinite(cfs.imag)):
             raise ValueError("coefficients must be finite")
-        keep = np.linalg.norm(cfs, axis=1) > _zero_tol
+        keep = np.linalg.norm(cfs, axis=1) > 0
         exps, cfs = exps[keep], cfs[keep]
         if truncation_degree is None:
             truncation_degree = int(exps[-1]) if exps.size else 0

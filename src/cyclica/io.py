@@ -1,4 +1,4 @@
-"""File formats: JSON series (disc and polydisc), tail models, reports, CSV.
+"""File formats: every file the CLI reads, plus reports and CSV.
 
 The series format:
 
@@ -8,8 +8,25 @@ The series format:
                     "transient": [{"index": k, "coeff": coeff}, ...]}}
 
 Exponent lists must be strictly increasing (disc) or duplicate-free
-(polydisc).  All floating-point output uses 17 significant digits so that
-reports are byte-identical across runs.
+(polydisc).
+
+A spectrum file is either a disc series file (its exponents are the
+spectrum) or one of
+
+    {"kind": "explicit", "values": [n_1, n_2, ...]}
+    {"kind": "geometric", "base": b}
+    {"kind": "factorial_plus_k"}
+    {"kind": "crt", "generators": [g, ...]}
+
+A blocks file and its model file:
+
+    {"dim": d, "block_degree": N,
+     "blocks": [{"n": n_k, "poly": [coeff, ...]}, ...]}
+    {"recurrent_polys": [[coeff, ...], ...], "transient_indices": [k, ...]}
+
+where each polynomial lists its N + 1 coefficients, constant term first.
+A malformed file raises :class:`InputError`.  All floating-point output
+uses 17 significant digits so that reports are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -19,13 +36,18 @@ import json
 
 import numpy as np
 
+from .blocks import BlockSeries, PolyDirectionModel
 from .coefspace import TailModel
+from .constructions import CrtSequenceSpec, DivisorClosedSet
 from .core import VectorSeries
 from .polydisc import PolySeries
+from .spectrum import IntegerSpectrum
 
 __all__ = [
     "InputError",
     "load_series",
+    "load_spectrum",
+    "load_blocks",
     "series_to_dict",
     "series_from_dict",
     "dump_report",
@@ -97,8 +119,8 @@ def series_from_dict(data: dict):
     if kind not in ("disc", "polydisc"):
         raise InputError(f"'kind' must be 'disc' or 'polydisc', got {kind!r}")
     terms = data["terms"]
-    if not isinstance(terms, list):
-        raise InputError("'terms' must be a list")
+    if not isinstance(terms, list) or not all(isinstance(t, dict) for t in terms):
+        raise InputError("'terms' must be a list of objects")
     if kind == "polydisc":
         poly_dim = data.get("poly_dim")
         if not isinstance(poly_dim, int) or poly_dim < 1:
@@ -136,27 +158,81 @@ def series_from_dict(data: dict):
         tm = data["tail_model"]
         if not isinstance(tm, dict) or "recurrent" not in tm:
             raise InputError("'tail_model' must be an object with a 'recurrent' list")
-        rec = [_coeff_from_pairs(v, dim, "tail_model.recurrent") for v in tm["recurrent"]]
-        tra = [
-            (t["index"], _coeff_from_pairs(t["coeff"], dim, "tail_model.transient"))
-            for t in tm.get("transient", [])
-        ]
         try:
+            rec = [_coeff_from_pairs(v, dim, "tail_model.recurrent") for v in tm["recurrent"]]
+            tra = [
+                (t["index"], _coeff_from_pairs(t["coeff"], dim, "tail_model.transient"))
+                for t in tm.get("transient", [])
+            ]
             model = TailModel(dim, rec, tra)
         except (ValueError, KeyError, TypeError) as exc:
             raise InputError(f"bad tail_model: {exc}") from exc
     return series, model
 
 
-def load_series(path):
+def _read_json(path):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return series_from_dict(data)
+
+
+def load_series(path):
+    return series_from_dict(_read_json(path))
+
+
+def load_spectrum(path) -> IntegerSpectrum:
+    """A spectrum file, or the exponents of a disc series file."""
+    data = _read_json(path)
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: spectrum file must contain a JSON object")
+    if "terms" in data:
+        series, _ = series_from_dict(data)
+        if not isinstance(series, VectorSeries):
+            raise InputError("polydisc series have no 1-D spectrum; pass a spectrum file")
+        return IntegerSpectrum.explicit([int(e) for e in series.exponents])
+    kind = data.get("kind")
+    try:
+        if kind == "explicit":
+            return IntegerSpectrum.explicit(data["values"])
+        if kind == "geometric":
+            return IntegerSpectrum.geometric(data["base"])
+        if kind == "factorial_plus_k":
+            return IntegerSpectrum.factorial_plus_k()
+        if kind == "crt":
+            return IntegerSpectrum.crt(
+                CrtSequenceSpec(DivisorClosedSet(data["generators"]))
+            )
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InputError(f"bad spectrum file: {exc}") from exc
+    raise InputError(f"unknown spectrum kind {kind!r}")
+
+
+def _poly_from_rows(rows, dim, where):
+    return np.array([_coeff_from_pairs(row, dim, f"{where}[{j}]")
+                     for j, row in enumerate(rows)]).reshape(-1, dim)
+
+
+def load_blocks(path, model_path):
+    """Parse a blocks file and its model file; returns (BlockSeries, model)."""
+    data, mdata = _read_json(path), _read_json(model_path)
+    try:
+        dim = data["dim"]
+        bs = BlockSeries(dim, data["block_degree"], [
+            (b["n"], _poly_from_rows(b["poly"], dim, f"blocks[{i}].poly"))
+            for i, b in enumerate(data["blocks"])
+        ])
+        model = PolyDirectionModel(
+            [_poly_from_rows(p, dim, f"recurrent_polys[{i}]")
+             for i, p in enumerate(mdata["recurrent_polys"])],
+            mdata.get("transient_indices", ()),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad blocks input: {exc}") from exc
+    return bs, model
 
 
 def _jsonable(obj):

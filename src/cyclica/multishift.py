@@ -156,24 +156,38 @@ def sstarN_cyclicity_spectral(spectrum: IntegerSpectrum, N: int, horizon: int = 
     via streaming arithmetic, so factorial-scale exponents are never
     materialized.  Coefficients default to seeded nonzero random values.
     """
+    return _stacked_verdict(_block_residues(spectrum, N, horizon), N, coeffs,
+                            seed, tol)
+
+
+def _block_residues(spectrum: IntegerSpectrum, N: int, horizon: int):
+    """[(floor(n_k/N), n_k mod N) for k = 1..K], K the horizon cut to the
+    spectrum's length."""
     if N < 1:
         raise ValueError("N must be >= 1")
     K = horizon if not spectrum.is_finite else min(horizon, len(spectrum))
+    pairs = []
+    for k in range(1, K + 1):
+        r = spectrum.residue(k, N)
+        # exact block key; arbitrary-precision integers keep this cheap at
+        # the horizons in use, and residues stay streamed
+        pairs.append(((spectrum.term(k) - r) // N, r))
+    return pairs
+
+
+def _stacked_verdict(pairs, N, coeffs, seed, tol):
+    """Windowed span verdict of the stacked vectors: coefficient k lands in
+    slot r of block q for pairs[k] = (q, r)."""
     if coeffs is None:
         rng = np.random.default_rng(seed)
+        K = len(pairs)
         coeffs = rng.uniform(0.5, 1.5, size=K) * np.exp(
             2j * np.pi * rng.uniform(size=K)
         )
     blocks = {}
-    for k in range(1, K + 1):
-        r = spectrum.residue(k, N)
-        # exact block key floor(n_k/N); arbitrary-precision integers keep
-        # this cheap at the horizons in use, and residues stay streamed
-        q_key = (spectrum.term(k) - r) // N
-        v = blocks.setdefault(q_key, np.zeros(N, dtype=complex))
-        v[r] += coeffs[k - 1]
-    vecs = [blocks[q] for q in sorted(blocks)]
-    return _window_span_verdict(vecs, N, tol)
+    for k, (q, r) in enumerate(pairs):
+        blocks.setdefault(q, np.zeros(N, dtype=complex))[r] += coeffs[k]
+    return _window_span_verdict([blocks[q] for q in sorted(blocks)], N, tol)
 
 
 def _generic_rank(supports, N):
@@ -208,13 +222,11 @@ def residue_crosscheck(spectrum: IntegerSpectrum, N: int, horizon: int = 32,
     distinct blocks), the numerical side the windowed SVD span of the
     stacked coefficient vectors.
     """
-    v_stack = sstarN_cyclicity_spectral(spectrum, N, horizon, coeffs, seed, tol)
-    K = horizon if not spectrum.is_finite else min(horizon, len(spectrum))
+    pairs = _block_residues(spectrum, N, horizon)
+    v_stack = _stacked_verdict(pairs, N, coeffs, seed, tol)
     supports = {}
-    for k in range(1, K + 1):
-        r = spectrum.residue(k, N)
-        q_key = (spectrum.term(k) - r) // N
-        supports.setdefault(q_key, set()).add(r)
+    for q, r in pairs:
+        supports.setdefault(q, set()).add(r)
     rows = [sorted(supports[q]) for q in sorted(supports)]
     # deleting rows never enlarges a maximum matching: the last window decides
     combinatorial = _generic_rank(rows[len(rows) // 2:], N) == N

@@ -140,6 +140,12 @@ def test_crc_validate_prefix():
     pts.validate_prefix(12)
 
 
+@pytest.mark.parametrize("basis", [[], [np.ones(2)], np.ones((2, 3))])
+def test_crc_rejects_malformed_basis(basis):
+    with pytest.raises(ValueError, match="d >= 1 vectors of length d"):
+        CrcPointSet(basis)
+
+
 # -- Abakumov weights ---------------------------------------------------------
 
 

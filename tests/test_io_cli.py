@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +11,15 @@ from cyclica.io import (
     InputError,
     dump_report,
     format_float,
+    load_blocks,
     load_series,
+    load_spectrum,
     series_from_dict,
     series_to_dict,
 )
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def _write(path, obj):
@@ -78,6 +84,65 @@ def test_malformed_series_rejected(mutant):
 def test_load_series_missing_file(tmp_path):
     with pytest.raises(InputError, match="no such file"):
         load_series(str(tmp_path / "absent.json"))
+
+
+@pytest.mark.parametrize(
+    "data, kind, terms",
+    [
+        ({"kind": "explicit", "values": [1, 3, 9]}, "explicit", [1, 3, 9]),
+        ({"kind": "geometric", "base": 3}, "geometric", [3, 9, 27]),
+        ({"kind": "factorial_plus_k"}, "factorial_plus_k", [3, 8, 27]),
+        ({"kind": "crt", "generators": [2, 3]}, "crt", None),
+    ],
+)
+def test_load_spectrum_kinds(tmp_path, data, kind, terms):
+    s = load_spectrum(_write(tmp_path / "s.json", data))
+    assert s.kind == kind
+    if terms is not None:
+        assert [s.term(k) for k in (1, 2, 3)] == terms
+    else:
+        assert s.crt_spec.divisor_set.closure == {1, 2, 3}
+
+
+def test_load_spectrum_from_disc_series(tmp_path):
+    s = load_spectrum(_dyadic_file(tmp_path, K=4))
+    assert s.kind == "explicit"
+    assert list(s.values) == [2, 4, 8, 16]
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        ([1, 2], "must contain a JSON object"),
+        ({"kind": "geometric"}, "bad spectrum file"),
+        ({"kind": "lacunary"}, "unknown spectrum kind"),
+        ({"dim": 1, "kind": "polydisc", "poly_dim": 2, "terms": []}, "no 1-D spectrum"),
+    ],
+)
+def test_load_spectrum_rejects(tmp_path, data, match):
+    with pytest.raises(InputError, match=match):
+        load_spectrum(_write(tmp_path / "s.json", data))
+
+
+def test_load_blocks_golden():
+    bs, model = load_blocks(GOLDEN / "blocks.json", GOLDEN / "blocks_model.json")
+    data = json.loads((GOLDEN / "blocks.json").read_text())
+    assert (bs.dim, bs.block_degree) == (2, 1)
+    assert [n for n, _ in bs.blocks] == [b["n"] for b in data["blocks"]]
+    n, p = bs.blocks[0]
+    assert n == 3
+    assert np.array_equal(p, [[1.0, 2.0], [0.0, 1.0]])
+    assert [q.shape for q in model.recurrent_polys] == [(2, 2), (2, 2)]
+    assert np.array_equal(model.recurrent_polys[1], [[0.0, 1.0], [0.0, 0.0]])
+    assert model.transient_indices == ()
+
+
+def test_load_blocks_rejects_short_row(tmp_path):
+    blocks = _write(tmp_path / "b.json", {"dim": 2, "block_degree": 0,
+                                          "blocks": [{"n": 1, "poly": [[[1, 0]]]}]})
+    model = str(GOLDEN / "blocks_model.json")
+    with pytest.raises(InputError, match=r"blocks\[0\]\.poly\[0\]"):
+        load_blocks(blocks, model)
 
 
 def test_dump_report_deterministic_floats():
@@ -214,3 +279,42 @@ def test_polydisc_subcommand(tmp_path, capsys):
 def test_unknown_subcommand_fails(capsys):
     with pytest.raises(SystemExit):
         dispatch(["frobnicate"])
+
+
+_SERIES = {"dim": 1, "terms": [{"exp": 1, "coeff": [[1, 0]]}]}
+REJECTED = {
+    "max_shift_negative": ["orbit", "--input", "{series}", "--target", "{series}",
+                           "--max-shift", "-1"],
+    "power_zero": ["multishift", "--input", "{series}", "--power", "0"],
+    "mod_zero": ["construct", "factorial", "--count", "3", "--mod", "0"],
+    "residues_zero": ["spectrum", "--input", "{series}", "--residues", "0"],
+    "crt_count_past_prime_table": ["construct", "crt", "--count", "300",
+                                   "--set", "2,3"],
+    "crc_dim_zero": ["construct", "crc", "--count", "3", "--dim", "0"],
+    "term_not_object": ["analyze", "--input", "{term_not_object}"],
+    "transient_without_index": ["analyze", "--input", "{transient_without_index}"],
+    "spectrum_file_list": ["spectrum", "--input", "{json_list}"],
+    "unions_check_without_input": ["unions", "check"],
+    "unions_construct_without_spectra": ["unions", "construct"],
+    "tolerance_out_of_range": ["analyze", "--input", "{series}", "--tol-rank", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_rejected_input_exits_2(name, tmp_path, capsys):
+    files = {
+        "series": _SERIES,
+        "term_not_object": {"dim": 1, "terms": [3]},
+        "transient_without_index": {
+            **_SERIES,
+            "tail_model": {"recurrent": [[[1, 0]]], "transient": [{"coeff": [[1, 0]]}]},
+        },
+        "json_list": [1, 2],
+    }
+    paths = {k: _write(tmp_path / f"{k}.json", v) for k, v in files.items()}
+    argv = [a.format(**paths) for a in REJECTED[name]]
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
