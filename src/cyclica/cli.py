@@ -4,8 +4,9 @@ Subcommands: analyze, spectrum, construct, multishift, unions, blocks,
 factorize, orbit, polydisc.  All randomness is seeded (flag --seed, env var
 CYCLICA_SEED takes precedence); reports are deterministic JSON with the
 configuration echoed.  Exit codes: 0 success, 1 when --strict is set and the
-verdict is non-cyclic, 2 on input errors: a malformed file or an
-out-of-range flag, reported as one ``error:`` line.  File formats are read by
+verdict is non-cyclic, 2 on input errors: a malformed file, an
+out-of-range flag or an output path that cannot be written, reported as one
+``error:`` line.  File formats are read by
 :mod:`cyclica.io`.
 """
 
@@ -138,6 +139,8 @@ def _cmd_spectrum(args, config):
 def _cmd_construct(args, config):
     if args.report:
         raise InputError("construct writes CSV, not a JSON report; use --out")
+    if args.count < 1:
+        raise InputError("--count must be at least 1")
     ks = range(1, args.count + 1)
     if args.generator == "crc":
         if args.dim is None:
@@ -177,6 +180,8 @@ def _cmd_construct(args, config):
 def _cmd_multishift(args, config):
     tol = config.tolerances
     if args.af:
+        if args.nmax < 1:
+            raise InputError("--nmax must be at least 1")
         s = load_spectrum(args.input)
         members = sorted(af_membership(s, args.nmax, config.horizon))
         _emit({"af_membership": members, "nmax": args.nmax}, args, config)
@@ -386,7 +391,9 @@ def dispatch(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, _config(args))
-    except ValueError as exc:  # InputError and every library argument check
+    # InputError, every library argument check, and a report or CSV path
+    # that cannot be written
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -105,7 +105,7 @@ class VectorSeries:
             exps, cfs = uniq, merged
         if not np.all(np.isfinite(cfs.real) & np.isfinite(cfs.imag)):
             raise ValueError("coefficients must be finite")
-        keep = np.linalg.norm(cfs, axis=1) > 0
+        keep = np.any(cfs != 0, axis=1)  # a norm can underflow to 0
         exps, cfs = exps[keep], cfs[keep]
         if truncation_degree is None:
             truncation_degree = int(exps[-1]) if exps.size else 0

@@ -3,24 +3,28 @@
 The orbit of f under the backward shift spans the whole space exactly when f
 is cyclic; numerically we certify this at truncation by projecting a target g
 onto span{S*^alpha f : alpha within a shift budget} and reporting the
-residual curve.  ``_orbit_system`` assembles the sparse orbit matrix and the
-target vector in one vectorized pass; the disc is the one-variable case.
+residual curve; the disc is the one-variable case.
 
 Lacunary spectra have few exponent coincidences, so almost every row of the
-orbit matrix is touched by one column only.  ``_compress``, shared by disc
-and polydisc, folds those rows into one diagonal entry per column, an exact
+orbit matrix is touched by one column only.  ``_compressed_system``, shared
+by disc and polydisc, builds the exactly compressed system straight from
+the exponent differences, without forming the orbit matrix: the rows that
+two columns or g share, found by one difference array over the shift box,
+and one diagonal entry per column for the rows private to it, an exact
 change of row basis.  Disc orbits factor the compressed, column-scaled
 system once by Householder QR, deleting a direction within sine
 ``tol_rank`` of the kept span; the one factor yields the nonincreasing
 residual curve, the endpoint coefficients and a condition estimate.
-Polydisc orbits assemble and compress the full shift box once and solve
-each nested sub-box by LSMR on its subset of the compressed columns;
+Polydisc orbits compress the full shift box once and solve each nested
+sub-box by LSMR on its subset of the compressed columns;
 ``one_in_orbit_check`` thresholds the residual of the constant 1 at the
-full box.
+full box.  ``residual_final`` always replays the coefficients on every row
+of the uncompressed orbit system.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,48 +61,95 @@ class OrbitReport:
     detail: dict = field(default_factory=dict)
 
 
-def _orbit_system(T, coeffs, Tg, gcoeffs, cols):
-    """Sparse orbit matrix A = [S*^alpha f : alpha in cols] and target b.
+def _compressed_system(T, coeffs, Tg, gcoeffs, box):
+    """Exact row compression of the orbit system A x ~ b, without forming A.
 
-    T (terms x poly_dim, int64) and ``coeffs`` (terms x dim) describe f, Tg
-    and ``gcoeffs`` g.  Rows are the (multi-index, component) pairs reached
-    by an orbit column or by g, numbered by first occurrence: columns in
-    order, then f's terms, then g's terms.
+    A = [S*^alpha f : 0 <= alpha <= box], its columns the multi-indices
+    alpha in C order, and b is g.  T (terms x poly_dim, int64) and
+    ``coeffs`` (terms x dim) describe f, Tg and ``gcoeffs`` g.  The rows of
+    A are the (multi-index, component) pairs reached by a column or by g,
+    numbered by first occurrence: columns in order, then f's terms, then g's
+    terms.  Entry (alpha, t, c) lies on row (T_t - alpha, c); term s with
+    a nonzero component c reaches that row exactly when alpha lies in the
+    rectangle max(0, T_t - T_s) <= alpha <= min(box, T_t, box - T_s + T_t),
+    and g's term j when alpha = T_t - Tg_j.  One difference array over
+    box x (term, component) counts every rectangle at once; the rows with
+    no other visitor, private to one column, are folded into one diagonal
+    entry per column, so that for every x
+    ||A x - b||^2 = ||C x - b_C||^2 + sum_j p2_j |x_j|^2.
+
+    Returns the shared rows C (COO, rows in order, columns sorted within a
+    row), the squared private norms p2 per column (summed in row order),
+    b_C and ``replay(x)``, the norm of A x - b over every row of A.
     """
-    hit = np.all(T[None] >= cols[:, None], axis=2)  # (column, term)
-    ci, ti, comp = np.nonzero(hit[:, :, None] & (coeffs != 0)[None])
-    gi, gcomp = np.nonzero(gcoeffs != 0)
+    box = np.asarray(box, dtype=np.int64)
+    (K, d), dim = T.shape, coeffs.shape[1]
+    shape = tuple(box + 1) + (K, dim)
+    nz = coeffs != 0
+    t, s, c = np.nonzero(nz[:, None] & nz[None] & ~np.eye(K, dtype=bool)[..., None])
+    D = T[t] - T[s]
+    lo, hi = np.maximum(D, 0), np.minimum(T[t], box + np.minimum(D, 0))
+    ok = np.all(lo <= hi, axis=1)
+    t, c, lo, hi = t[ok], c[ok], lo[ok], hi[ok]
+    visits = np.zeros(shape, dtype=np.int32)  # other terms and g on the row
+    for corner in itertools.product((0, 1), repeat=d):
+        at = np.where(corner, hi + 1, lo)
+        inside = np.all(at <= box, axis=1)
+        np.add.at(visits, (*at[inside].T, t[inside], c[inside]),
+                  (-1) ** sum(corner))
+    for axis in range(d):
+        np.cumsum(visits, axis=axis, out=visits)
+    gnz = gcoeffs != 0
+    t, j, c = np.nonzero(nz[:, None] & gnz[None])
+    at = T[t] - Tg[j]
+    inside = np.all((at >= 0) & (at <= box), axis=1)
+    np.add.at(visits, (*at[inside].T, t[inside], c[inside]), 1)
+
+    entry = nz
+    for axis in range(d):  # alpha <= T_t
+        grid = np.arange(box[axis] + 1).reshape((-1,) + (1,) * (d - axis + 1))
+        entry = entry & (grid <= T[:, axis, None])
+    ent = np.flatnonzero(entry)  # (column, term, component) order
+    shared = visits[entry] > 0
+    col, tc = np.divmod(ent, K * dim)
+    a = coeffs.ravel()
+    pcol, pa = col[~shared], a[tc[~shared]]
+    scol, stc = col[shared], tc[shared]
+    ncols = int(np.prod(box + 1))
+    p2 = np.bincount(pcol, np.abs(pa) ** 2, minlength=ncols)
+
+    gi, gc = np.nonzero(gnz)
+    alpha = np.column_stack(np.unravel_index(scol, tuple(box + 1)))
     # key rows rather than linear indices: exponent extents can overflow int64
-    keys = np.concatenate([np.column_stack([T[ti] - cols[ci], comp]),
-                           np.column_stack([Tg[gi], gcomp])])
+    keys = np.concatenate([np.column_stack([T[stc // dim] - alpha, stc % dim]),
+                           np.column_stack([Tg[gi], gc])])
     _, first, inverse = np.unique(keys, axis=0, return_index=True,
                                   return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    row = rank[inverse.ravel()]
-    nrows = len(first)
-    A = scipy.sparse.coo_matrix(
-        (coeffs[ti, comp], (row[: len(ci)], ci)), shape=(nrows, cols.shape[0])
-    ).tocsr()
-    b = np.zeros(nrows, dtype=complex)
-    b[row[len(ci):]] = gcoeffs[gi, gcomp]
-    return A, b
+    row = np.searchsorted(np.sort(first), first)[inverse.ravel()]
+    ns = len(scol)
+    order = np.lexsort((scol, row[:ns]))
+    C = scipy.sparse.coo_matrix((a[stc[order]], (row[order], scol[order])),
+                                shape=(len(first), ncols))
+    bc = np.zeros(len(first), dtype=complex)
+    bc[row[ns:]] = gcoeffs[gi, gc]
 
+    # rows of A in order: a private entry opens one, a key its first visit
+    key = np.concatenate([shared, np.ones(len(gi), dtype=bool)])
+    opens = ~key
+    opens[np.flatnonzero(key)[first]] = True
+    kept = key[opens]
+    P = scipy.sparse.csr_matrix((pa, pcol, np.arange(len(pa) + 1)),
+                                shape=(len(pa), ncols))
+    Cr = C.tocsr()
 
-def _compress(A, b):
-    """Exact row compression of the orbit system A x ~ b (A in CSR).
+    def replay(x):
+        # the same sparse row products as A @ x - b, in A's row order
+        r = np.zeros(len(kept), dtype=complex)
+        r[~kept] = P @ x
+        r[kept] = Cr @ x - bc
+        return float(np.linalg.norm(r))
 
-    The rows that one column alone touches and b does not are folded into
-    one diagonal entry per column, so that for every x
-    ||A x - b||^2 = ||C x - b_C||^2 + sum_j p2_j |x_j|^2.  Returns the shared
-    rows C (COO), the squared private norms p2 per column and b_C, b on the
-    shared rows.
-    """
-    own = (np.diff(A.indptr) == 1) & (b == 0)  # rows private to one column
-    first = A.indptr[:-1][own]
-    p2 = np.bincount(A.indices[first], np.abs(A.data[first]) ** 2,
-                     minlength=A.shape[1])
-    return A[~own].tocoo(), p2, b[~own]
+    return C, p2, bc, replay
 
 
 def _geqrf(M):
@@ -150,9 +201,8 @@ def orbit_project(f: VectorSeries, g: VectorSeries, n_max: int,
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    A, b = _orbit_system(f.exponents[:, None], f.coeffs, g.exponents[:, None],
-                         g.coeffs, np.arange(n_max + 1)[:, None])
-    C, p2, bc = _compress(A, b)
+    C, p2, bc, replay = _compressed_system(
+        f.exponents[:, None], f.coeffs, g.exponents[:, None], g.coeffs, (n_max,))
     s = np.sqrt(p2 + np.bincount(C.col, np.abs(C.data) ** 2, minlength=n_max + 1))
     live = np.flatnonzero(s > 0)  # S*^n f = 0 once n exceeds the degree
     m = len(live)
@@ -177,16 +227,9 @@ def orbit_project(f: VectorSeries, g: VectorSeries, n_max: int,
         gram_condition=float(rcond ** -2) if rcond > 0 else float("inf"),
         truncation_degree=f.truncation_degree,
         target_norm=g.norm(),
-        residual_final=float(np.linalg.norm(A @ coeffs - b)),
+        residual_final=replay(coeffs),
         detail={"accepted_directions": m},
     )
-
-
-def _box_columns(box):
-    """All multi-indices alpha with 0 <= alpha <= box componentwise."""
-    ranges = [np.arange(b + 1) for b in box]
-    grid = np.meshgrid(*ranges, indexing="ij")
-    return np.stack([g.ravel() for g in grid], axis=1)
 
 
 # fractions of the box at which the residual curve is reported
@@ -217,23 +260,22 @@ def orbit_project_polydisc(f: PolySeries, g: PolySeries, box) -> OrbitReport:
     if len(box) != f.poly_dim or any(b < 0 for b in box):
         raise ValueError(f"box needs {f.poly_dim} nonnegative bounds, got {box}")
     boxes = tuple(tuple(int(np.floor(b * frac)) for b in box) for frac in _CHAIN)
-    cols = _box_columns(box)
     T = np.asarray(f.multi_exponents, dtype=np.int64)
     Tg = np.asarray(g.multi_exponents, dtype=np.int64).reshape(len(g), f.poly_dim)
-    A, b = _orbit_system(T, f.coeffs, Tg, g.coeffs, cols)
-    C, p2, bc = _compress(A, b)
+    C, p2, bc, replay = _compressed_system(T, f.coeffs, Tg, g.coeffs, box)
     live = np.unique(C.col)  # any other column's optimal coefficient is 0
+    alphas = np.column_stack(np.unravel_index(live, [b + 1 for b in box]))
     K = scipy.sparse.vstack([C.tocsc()[:, live],
                              scipy.sparse.diags(np.sqrt(p2[live]))], format="csc")
     rhs = np.concatenate([bc, np.zeros(len(live))])
     residuals = []
     for sub in boxes:
-        Ks = K[:, np.all(cols[live] <= sub, axis=1)]
+        Ks = K[:, np.all(alphas <= sub, axis=1)]
         x, istop, itn, normr, _, _, conda = scipy.sparse.linalg.lsmr(
             Ks, rhs, atol=1e-12, btol=1e-12, maxiter=8 * sum(Ks.shape))[:7]
         # nested boxes: solver noise must not break the monotonicity
         residuals.append(min([float(np.linalg.norm(Ks @ x - rhs))] + residuals[-1:]))
-    coeffs = np.zeros(len(cols), dtype=complex)
+    coeffs = np.zeros(C.shape[1], dtype=complex)
     coeffs[live] = x
     return OrbitReport(
         shifts_used=boxes,
@@ -242,8 +284,8 @@ def orbit_project_polydisc(f: PolySeries, g: PolySeries, box) -> OrbitReport:
         gram_condition=float("nan"),
         truncation_degree=max(max(t) for t in f.multi_exponents),
         target_norm=g.norm(),
-        residual_final=float(np.linalg.norm(A @ coeffs - b)),
-        detail={"columns_at_full_box": len(cols), "chain": _CHAIN,
+        residual_final=replay(coeffs),
+        detail={"columns_at_full_box": C.shape[1], "chain": _CHAIN,
                 "lsmr_istop": int(istop), "lsmr_itn": int(itn),
                 "lsmr_normr": float(normr), "lsmr_conda": float(conda)},
     )

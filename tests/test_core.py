@@ -35,6 +35,14 @@ def test_zero_coefficients_are_dropped():
     assert len(f) == 2
 
 
+def test_tiny_coefficients_are_kept():
+    # the row norm of 1e-170 underflows to 0, the coefficient does not
+    f = VectorSeries(1, [1], [1e-170])
+    assert list(f.exponents) == [1] and f.coeffs[0, 0] == 1e-170
+    g = VectorSeries(2, [0, 3], np.array([[0.0, 1e-200j], [0.0, 0.0]]))
+    assert list(g.exponents) == [0]
+
+
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         scalar_series([-1, 2], [1.0, 1.0])

@@ -297,6 +297,13 @@ REJECTED = {
     "unions_check_without_input": ["unions", "check"],
     "unions_construct_without_spectra": ["unions", "construct"],
     "tolerance_out_of_range": ["analyze", "--input", "{series}", "--tol-rank", "2"],
+    "count_zero": ["construct", "factorial", "--count", "0"],
+    "count_negative": ["construct", "factorial", "--count", "-2"],
+    "af_nmax_zero": ["multishift", "--input", "{series}", "--af", "--nmax", "0"],
+    "report_dir_missing": ["analyze", "--input", "{series}",
+                           "--report", "{missing_dir}/r.json"],
+    "csv_dir_missing": ["orbit", "--input", "{series}", "--target", "{series}",
+                        "--csv", "{missing_dir}/curve.csv"],
 }
 
 
@@ -312,7 +319,7 @@ def test_rejected_input_exits_2(name, tmp_path, capsys):
         "json_list": [1, 2],
     }
     paths = {k: _write(tmp_path / f"{k}.json", v) for k, v in files.items()}
-    argv = [a.format(**paths) for a in REJECTED[name]]
+    argv = [a.format(**paths, missing_dir=tmp_path / "missing") for a in REJECTED[name]]
     assert dispatch(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err

@@ -19,7 +19,7 @@ from cyclica import (
     scalar_series,
     tail_diagnostics,
 )
-from cyclica.orbit import _box_columns, _compress, _orbit_system, _qr_skipping
+from cyclica.orbit import _compressed_system, _qr_skipping
 
 from conftest import dyadic_scalar
 
@@ -46,11 +46,17 @@ def _dense_target(g, dim_cols):
 # -- orbit operator against the dense oracle ----------------------------------
 
 
+def _disc_system(f, g, n_max):
+    """The compressed disc orbit system over the budgets 0..n_max."""
+    return _compressed_system(f.exponents[:, None], f.coeffs,
+                              g.exponents[:, None], g.coeffs, (n_max,))
+
+
 def _gram_beta(f, g, n_max):
-    """Gram matrix A^H A and A^H b of the builder's disc orbit system."""
-    A, b = _orbit_system(f.exponents[:, None], f.coeffs, g.exponents[:, None],
-                         g.coeffs, np.arange(n_max + 1)[:, None])
-    return (A.conj().T @ A).toarray(), A.conj().T @ b
+    """Gram matrix A^H A = C^H C + diag(p2) and A^H b = C^H b_C of the disc
+    orbit system, from its compression."""
+    C, p2, bc, _ = _disc_system(f, g, n_max)
+    return (C.conj().T @ C).toarray() + np.diag(p2), C.conj().T @ bc
 
 
 def _zero(dim):
@@ -403,10 +409,56 @@ def _loop_poly_system(f, g, box):
 
 
 def _poly_system(f, g, box):
-    """The orbit system `_orbit_system` assembles over the shift box."""
+    """The compressed orbit system `_compressed_system` builds over the box."""
     T = np.asarray(f.multi_exponents, dtype=np.int64)
     Tg = np.asarray(g.multi_exponents, dtype=np.int64).reshape(len(g), f.poly_dim)
-    return _orbit_system(T, f.coeffs, Tg, g.coeffs, _box_columns(box))
+    return _compressed_system(T, f.coeffs, Tg, g.coeffs, box)
+
+
+def _loop_compress(A, b):
+    """Reference compression of a loop-assembled system: the rows with one
+    entry and b = 0 folded into the squared norm of their column, summed in
+    row order; the other rows kept in order, as COO."""
+    own = (np.diff(A.indptr) == 1) & (b == 0)
+    first = A.indptr[:-1][own]
+    p2 = np.bincount(A.indices[first], np.abs(A.data[first]) ** 2,
+                     minlength=A.shape[1])
+    return A[~own].tocoo(), p2, b[~own]
+
+
+def _disc_compress_case():
+    # g's top term z^(2^6 - 1) lies on a row that only the column n = 1
+    # touches, so folding g's rows would lose it
+    f = dyadic_scalar(6)
+    g = scalar_series([0, 3, 2**6 - 1], [1.0, -0.5j, 0.25])
+    return f, g, 40
+
+
+def _as_poly(h):
+    return PolySeries(1, h.dim, [((int(e),), c) for e, c in zip(h.exponents, h.coeffs)])
+
+
+def _case_systems(case):
+    """(compressed system, loop-assembled A, b) of an oracle case or the disc."""
+    if case == "disc":
+        f, g, n_max = _disc_compress_case()
+        loop = _loop_poly_system(_as_poly(f), _as_poly(g), (n_max,))
+        return _disc_system(f, g, n_max), loop
+    f, g, box = POLY_ORACLE_CASES[case]
+    return _poly_system(f, g, box), _loop_poly_system(f, g, box)
+
+
+def _assert_matches_loop(system, A, b, seed=0):
+    C, p2, bc, replay = system
+    C_ref, p2_ref, bc_ref = _loop_compress(A, b)
+    assert C.shape == C_ref.shape
+    assert np.array_equal(C.row, C_ref.row) and np.array_equal(C.col, C_ref.col)
+    assert np.array_equal(C.data, C_ref.data)
+    assert np.array_equal(p2, p2_ref) and np.array_equal(bc, bc_ref)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(A.shape[1]) + 1j * rng.standard_normal(A.shape[1])
+    x[rng.random(A.shape[1]) < 0.25] = 0
+    assert replay(x) == np.linalg.norm(A @ x - b)
 
 
 @pytest.mark.parametrize("case", sorted(POLY_ORACLE_CASES))
@@ -423,34 +475,52 @@ def test_polydisc_solution_matches_loop_assembly(case):
     assert rep.residual_final == np.linalg.norm(A @ rep.coefficients - b)
 
 
-@pytest.mark.parametrize("case", sorted(POLY_ORACLE_CASES))
+@pytest.mark.parametrize("case", sorted(POLY_ORACLE_CASES) + ["disc"])
 def test_orbit_system_matches_loop_assembly(case):
-    f, g, box = POLY_ORACLE_CASES[case]
-    A_ref, b_ref = _loop_poly_system(f, g, box)
-    A, b = _poly_system(f, g, box)
-    assert A.shape == A_ref.shape
-    assert np.array_equal(A.toarray(), A_ref.toarray())
-    assert np.array_equal(b, b_ref)
+    # the compressed system is the reference compression of the loop-assembled
+    # one bit for bit, and its replay is the loop system's residual norm
+    system, (A, b) = _case_systems(case)
+    _assert_matches_loop(system, A, b)
 
 
-def _disc_compress_case():
-    # g's top term z^(2^6 - 1) lies on a row that only the column n = 1
-    # touches, so folding g's rows would lose it
-    f = dyadic_scalar(6)
-    g = scalar_series([0, 3, 2**6 - 1], [1.0, -0.5j, 0.25])
-    return _orbit_system(f.exponents[:, None], f.coeffs, g.exponents[:, None],
-                         g.coeffs, np.arange(41)[:, None])
+@st.composite
+def _small_orbit_case(draw):
+    """f and g with exponents in a small cube, so that differences coincide
+    and one row is shared by three or more columns; coefficient components
+    may vanish, and g may sit above every term of f."""
+    n = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 2))
+    index = st.tuples(*[st.integers(0, 6)] * n)
+    coeff = st.lists(st.sampled_from([0.0, 1.0, -0.5, 2j, 0.25 + 0.5j]),
+                     min_size=dim, max_size=dim)
+    fterms = draw(st.lists(st.tuples(index, coeff), min_size=1, max_size=6,
+                           unique_by=lambda term: term[0]))
+    gterms = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 8)] * n), coeff),
+                           max_size=3, unique_by=lambda term: term[0]))
+    if draw(st.booleans()):
+        top = tuple(max(t[i] for t, _ in fterms) + 1 for i in range(n))
+        gterms = [(t, c) for t, c in gterms if t != top] + [(top, [1.0] * dim)]
+    f = PolySeries(n, dim, fterms)
+    if not f.terms:
+        f = PolySeries(n, dim, [(fterms[0][0], [1.0] * dim)])
+    box = draw(st.tuples(*[st.integers(0, 7)] * n))
+    return f, PolySeries(n, dim, gterms), box
+
+
+@given(case=_small_orbit_case(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_compressed_system_matches_loop_on_small_systems(case, seed):
+    f, g, box = case
+    _assert_matches_loop(_poly_system(f, g, box), *_loop_poly_system(f, g, box), seed)
 
 
 @pytest.mark.parametrize("case", sorted(POLY_ORACLE_CASES) + ["disc"])
 def test_compress_keeps_gram_and_projection(case):
+    (C, p2, bc, _), (A, b) = _case_systems(case)
     if case == "disc":
-        A, b = _disc_compress_case()
         private = np.diff(A.indptr) == 1
         assert np.any(private & (b != 0)), "g must touch a private row"
-    else:
-        A, b = _poly_system(*POLY_ORACLE_CASES[case])
-    C, p2, bc = _compress(A, b)
+        assert np.diff(A.indptr).max() >= 3, "some row must be shared by 3 columns"
     assert C.shape == (len(bc), A.shape[1])
     gram = (C.conj().T @ C).toarray() + np.diag(p2)
     gram_ref = (A.conj().T @ A).toarray()
