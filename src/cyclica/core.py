@@ -230,10 +230,6 @@ class Subspace:
     def is_full(self):
         return self.dim == self.dim_ambient
 
-    def orthonormality_defect(self):
-        g = self.basis.conj().T @ self.basis
-        return float(np.abs(g - np.eye(self.dim)).max()) if self.dim else 0.0
-
     def projector(self):
         return self.basis @ self.basis.conj().T
 

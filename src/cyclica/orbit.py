@@ -11,15 +11,18 @@ by disc and polydisc, builds the exactly compressed system straight from
 the exponent differences, without forming the orbit matrix: the rows that
 two columns or g share, found by one difference array over the shift box,
 and one diagonal entry per column for the rows private to it, an exact
-change of row basis.  Disc orbits factor the compressed, column-scaled
-system once by Householder QR, deleting a direction within sine
-``tol_rank`` of the kept span; the one factor yields the nonincreasing
-residual curve, the endpoint coefficients and a condition estimate.
-Polydisc orbits compress the full shift box once and solve each nested
-sub-box by LSMR on its subset of the compressed columns;
-``one_in_orbit_check`` thresholds the residual of the constant 1 at the
-full box.  ``residual_final`` always replays the coefficients on every row
-of the uncompressed orbit system.
+change of row basis.  The compressed system splits into independent blocks,
+the connected components of the graph that links each shared row to the
+columns touching it; a block without a row of g has optimal coefficients 0
+and adds nothing to any residual.  Both harnesses therefore factor only g's
+blocks, once, by Householder QR of the column-scaled system with its columns
+in the order in which they enter (shift n at budget n on the disc, the first
+sub-box of the chain that holds alpha on the polydisc), deleting a
+direction within sine ``tol_rank`` of the kept span; the one factor yields
+the nonincreasing residual curve, the endpoint coefficients and a condition
+estimate.  ``one_in_orbit_check`` thresholds the residual of the constant 1
+at the full polydisc box.  ``residual_final`` always replays the
+coefficients on every row of the uncompressed orbit system.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 from scipy.linalg import get_lapack_funcs, solve_triangular
+from scipy.sparse.csgraph import connected_components
 
 from .core import Tolerances, VectorSeries, backward_shift
 from .polydisc import PolySeries
@@ -50,10 +53,10 @@ class OrbitReport:
     shifts_used: tuple
     residuals: np.ndarray  # nonincreasing, indexed by budget
     coefficients: np.ndarray  # best approximation at the largest budget
-    # disc: LAPACK trcon estimate, squared, of the infinity-norm condition
-    # number of R, the QR factor of the column-scaled orbit matrix over the
-    # accepted directions (the 1-norm one of R^H, the Cholesky factor of its
-    # Gram matrix), which estimates the Gram condition number; polydisc: nan
+    # LAPACK trcon estimate, squared, of the infinity-norm condition number
+    # of R, the QR factor of the column-scaled orbit matrix over the accepted
+    # directions of g's blocks (the 1-norm one of R^H, the Cholesky factor of
+    # their Gram matrix), which estimates that Gram condition number
     gram_condition: float
     truncation_degree: int
     target_norm: float
@@ -181,19 +184,80 @@ def _qr_skipping(M, cut):
         R[k:, k:] = _geqrf(np.triu(R[k:, k:], -1))
 
 
+def _target_blocks(C, bc):
+    """Row and column masks of the blocks of the compressed system that
+    hold g.
+
+    The shared rows and the columns of C are the two node sets of a
+    bipartite graph with one edge per entry; its connected components split
+    [C; diag(sqrt p2)] x ~ b_C into independent least-squares problems, each
+    diagonal row in its column's block.  A block on which b_C vanishes has
+    optimal coefficients 0 and residual 0, so only the components holding
+    a nonzero of b_C are kept; a row of g that no column reaches is a block
+    of its own.
+    """
+    nr, nc = C.shape
+    edges = scipy.sparse.coo_matrix((np.ones(C.nnz), (C.row, nr + C.col)),
+                                    shape=(nr + nc, nr + nc))
+    count, label = connected_components(edges, directed=False)
+    held = np.zeros(count, dtype=bool)
+    held[label[np.flatnonzero(bc)]] = True
+    return held[label[:nr]], held[label[nr:]]
+
+
+def _solve_levels(C, p2, bc, replay, level, levels, cut):
+    """Least squares of b_C against [C; diag(sqrt p2)] on g's blocks, the
+    columns entering by ``level`` (one per column, 0 <= level < levels).
+
+    One Householder QR of the block's column-scaled [C/s | b], built from
+    C's COO arrays with the columns sorted by level, deletes every
+    direction within sine ``cut`` of the kept span.  The residual over the
+    columns up to level L is sqrt(|R_mm|^2 + sum of |c_j|^2 over the kept
+    columns above L), nonincreasing in L by construction.  Returns the
+    ``OrbitReport`` fields of the solve: these residuals, the coefficients
+    over all columns by back substitution, their replay by ``replay``, the
+    LAPACK trcon estimate, squared, of the infinity-norm condition number of
+    R (the 1-norm one of the Cholesky factor R^H of the scaled Gram matrix)
+    and ``detail``: ``block``, the block size (rows, diagonal rows
+    included; columns), and ``accepted_directions``, the kept columns.
+    """
+    rows, cols = _target_blocks(C, bc)
+    s = np.sqrt(p2 + np.bincount(C.col, np.abs(C.data) ** 2, minlength=C.shape[1]))
+    cols = np.flatnonzero(cols & (s > 0))  # a zero column has nothing to add
+    cols = cols[np.argsort(level[cols], kind="stable")]
+    nr, m = int(rows.sum()), len(cols)
+    at = np.full(C.shape[1], -1)
+    at[cols] = np.arange(m)
+    e = at[C.col] >= 0  # entries in the block, on its rows by construction
+    # one spare zero row: R keeps its row m when the block has no row
+    M = np.zeros((nr + m + 1, m + 1), dtype=complex, order="F")
+    M[(np.cumsum(rows) - 1)[C.row[e]], at[C.col[e]]] = C.data[e] / s[C.col[e]]
+    M[nr + np.arange(m), np.arange(m)] = np.sqrt(p2[cols]) / s[cols]
+    M[:nr, m] = bc[rows]
+    R, acc = _qr_skipping(M, cut)
+    k, acc = len(acc), cols[acc]
+    c = R[:k, k]
+    drop = np.bincount(level[acc], np.abs(c) ** 2, minlength=levels)
+    tail = np.append(np.cumsum(drop[:0:-1])[::-1], 0.0)  # sum over levels above
+    x = np.zeros(C.shape[1], dtype=complex)
+    x[acc] = solve_triangular(R[:k, :k], c, check_finite=False) / s[acc]
+    rcond = get_lapack_funcs("trcon", (R,))(R[:k, :k], norm="I", uplo="U")[0]
+    return dict(residuals=np.sqrt(np.abs(R[k, k]) ** 2 + tail), coefficients=x,
+                residual_final=replay(x),
+                gram_condition=float(rcond ** -2) if rcond > 0 else float("inf"),
+                detail={"block": (nr + m, m), "accepted_directions": k})
+
+
 def orbit_project(f: VectorSeries, g: VectorSeries, n_max: int,
                   tol: Tolerances = Tolerances()) -> OrbitReport:
     """Project g onto span{S*^n f : 0 <= n <= n_max}, exactly on truncations.
 
-    The rows of the orbit matrix that only one column touches are folded
-    into one diagonal entry per column, which changes neither the Gram
-    matrix nor any residual.  One Householder QR of the compressed,
-    column-scaled system [C/s | b], deleting directions within sine
-    ``tol_rank`` of the kept span, gives the residual curve for budgets
-    0..n_max as tail sums of |Q^H b|^2, the coefficients at n_max by back
-    substitution, and the condition estimate; ``residual_final`` replays
-    the coefficients on the orbit matrix.  ``detail`` holds
-    ``accepted_directions``.
+    The compressed orbit system is solved on g's blocks only, each shift n
+    entering at budget n: one Householder QR gives the residual curve for
+    budgets 0..n_max, the coefficients at n_max and the condition estimate,
+    all over g's blocks; ``residual_final`` replays the coefficients on the
+    orbit matrix.  ``detail`` holds ``accepted_directions`` (in g's blocks)
+    and ``block``, their size (rows, columns).
     """
     if f.is_zero:
         raise ValueError("cannot project onto the orbit of the zero series")
@@ -201,34 +265,13 @@ def orbit_project(f: VectorSeries, g: VectorSeries, n_max: int,
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    C, p2, bc, replay = _compressed_system(
+    system = _compressed_system(
         f.exponents[:, None], f.coeffs, g.exponents[:, None], g.coeffs, (n_max,))
-    s = np.sqrt(p2 + np.bincount(C.col, np.abs(C.data) ** 2, minlength=n_max + 1))
-    live = np.flatnonzero(s > 0)  # S*^n f = 0 once n exceeds the degree
-    m = len(live)
-    # one spare zero row: R keeps its row m when g = 0 and no row is shared
-    M = np.zeros((C.shape[0] + m + 1, m + 1), dtype=complex, order="F")
-    M[C.row, np.searchsorted(live, C.col)] = C.data / s[C.col]
-    M[C.shape[0] + np.arange(m), np.arange(m)] = np.sqrt(p2[live]) / s[live]
-    M[: C.shape[0], m] = bc
-    R, acc = _qr_skipping(M, tol.tol_rank)
-    m, acc = len(acc), live[acc]
-    c = R[:m, m]
-    drop = np.zeros(n_max + 1)
-    drop[acc] = np.abs(c) ** 2
-    tail = np.append(np.cumsum(drop[:0:-1])[::-1], 0.0)  # sum over n > budget
-    coeffs = np.zeros(n_max + 1, dtype=complex)
-    coeffs[acc] = solve_triangular(R[:m, :m], c, check_finite=False) / s[acc]
-    rcond = get_lapack_funcs("trcon", (R,))(R[:m, :m], norm="I", uplo="U")[0]
     return OrbitReport(
         shifts_used=tuple(range(n_max + 1)),
-        residuals=np.sqrt(np.abs(R[m, m]) ** 2 + tail),
-        coefficients=coeffs,
-        gram_condition=float(rcond ** -2) if rcond > 0 else float("inf"),
         truncation_degree=f.truncation_degree,
         target_norm=g.norm(),
-        residual_final=replay(coeffs),
-        detail={"accepted_directions": m},
+        **_solve_levels(*system, np.arange(n_max + 1), n_max + 1, tol.tol_rank),
     )
 
 
@@ -236,21 +279,18 @@ def orbit_project(f: VectorSeries, g: VectorSeries, n_max: int,
 _CHAIN = (0.125, 0.25, 0.5, 0.75, 1.0)
 
 
-def orbit_project_polydisc(f: PolySeries, g: PolySeries, box) -> OrbitReport:
+def orbit_project_polydisc(f: PolySeries, g: PolySeries, box,
+                           tol: Tolerances = Tolerances()) -> OrbitReport:
     """Least squares of g against {S*^alpha f : alpha <= box componentwise}.
 
     The residual is reported along a nested chain of sub-boxes (the fractions
-    ``_CHAIN`` of the full box), clamped to be nonincreasing.  The orbit
-    system is assembled and compressed once, at the full box.  A column that
-    touches no shared row touches only rows private to it, in every sub-box,
-    so its optimal coefficient is 0; the others are stacked over the
-    diagonal of their private norms, and each sub-box is solved by LSMR on
-    its subset of these columns, its residual computed on that subset.
-    ``residual_final`` replays ``coefficients`` on the uncompressed
-    full-box matrix.  ``detail`` carries LSMR's stop reason, iteration
-    count, residual estimate and condition estimate of the compressed
-    matrix over the shared columns for the full-box solve (``lsmr_istop``,
-    ``lsmr_itn``, ``lsmr_normr``, ``lsmr_conda``).
+    ``_CHAIN`` of the full box).  The orbit system is compressed once, at
+    the full box, and solved on g's blocks only, each column entering at the
+    first sub-box that holds its shift: one Householder QR gives the whole
+    chain, the full-box coefficients and the condition estimate, as on the
+    disc.  ``residual_final`` replays ``coefficients`` on the uncompressed
+    full-box matrix.  ``detail`` holds ``block``, ``accepted_directions``,
+    ``columns_at_full_box`` and ``chain``.
     """
     if not f.terms:
         raise ValueError("cannot project onto the orbit of the zero series")
@@ -262,32 +302,18 @@ def orbit_project_polydisc(f: PolySeries, g: PolySeries, box) -> OrbitReport:
     boxes = tuple(tuple(int(np.floor(b * frac)) for b in box) for frac in _CHAIN)
     T = np.asarray(f.multi_exponents, dtype=np.int64)
     Tg = np.asarray(g.multi_exponents, dtype=np.int64).reshape(len(g), f.poly_dim)
-    C, p2, bc, replay = _compressed_system(T, f.coeffs, Tg, g.coeffs, box)
-    live = np.unique(C.col)  # any other column's optimal coefficient is 0
-    alphas = np.column_stack(np.unravel_index(live, [b + 1 for b in box]))
-    K = scipy.sparse.vstack([C.tocsc()[:, live],
-                             scipy.sparse.diags(np.sqrt(p2[live]))], format="csc")
-    rhs = np.concatenate([bc, np.zeros(len(live))])
-    residuals = []
-    for sub in boxes:
-        Ks = K[:, np.all(alphas <= sub, axis=1)]
-        x, istop, itn, normr, _, _, conda = scipy.sparse.linalg.lsmr(
-            Ks, rhs, atol=1e-12, btol=1e-12, maxiter=8 * sum(Ks.shape))[:7]
-        # nested boxes: solver noise must not break the monotonicity
-        residuals.append(min([float(np.linalg.norm(Ks @ x - rhs))] + residuals[-1:]))
-    coeffs = np.zeros(C.shape[1], dtype=complex)
-    coeffs[live] = x
+    system = _compressed_system(T, f.coeffs, Tg, g.coeffs, box)
+    # the first sub-box holding alpha: the largest first index over the axes
+    level = np.zeros((), dtype=np.int64)
+    for edges, b in zip(zip(*boxes), box):
+        level = np.maximum.outer(level, np.searchsorted(edges, np.arange(b + 1)))
+    fit = _solve_levels(*system, level.ravel(), len(boxes), tol.tol_rank)
+    fit["detail"].update(columns_at_full_box=level.size, chain=_CHAIN)
     return OrbitReport(
         shifts_used=boxes,
-        residuals=np.asarray(residuals),
-        coefficients=coeffs,
-        gram_condition=float("nan"),
         truncation_degree=max(max(t) for t in f.multi_exponents),
         target_norm=g.norm(),
-        residual_final=replay(coeffs),
-        detail={"columns_at_full_box": C.shape[1], "chain": _CHAIN,
-                "lsmr_istop": int(istop), "lsmr_itn": int(itn),
-                "lsmr_normr": float(normr), "lsmr_conda": float(conda)},
+        **fit,
     )
 
 
@@ -302,9 +328,8 @@ def one_in_orbit_check(f: PolySeries, box, tol: Tolerances = Tolerances(),
     if f.dim != 1:
         raise ValueError("one_in_orbit_check applies to scalar series only")
     thr = threshold if threshold is not None else tol.tol_residual
-    n = f.poly_dim
-    one = PolySeries(n, 1, [(tuple([0] * n), [1.0])])
-    return orbit_project_polydisc(f, one, box).residual_final < thr
+    one = PolySeries(f.poly_dim, 1, [((0,) * f.poly_dim, [1.0])])
+    return orbit_project_polydisc(f, one, box, tol).residual_final < thr
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,22 @@ def test_matmul_convolution_oracle():
     assert np.allclose(prod(0.3), np.diag([0.3**2, 1.0]))
 
 
+def test_array_call_matches_point_calls_bit_for_bit(rng):
+    # an array of points evaluates each one by the same power accumulation
+    # as a loop in Python complex arithmetic
+    c = rng.standard_normal((7, 3, 3)) + 1j * rng.standard_normal((7, 3, 3))
+    th = MatrixPolynomial(3, c)
+    zs = 0.9 * np.exp(2j * np.pi * rng.uniform(size=40))
+    values = th(zs)
+    assert values.shape == (40, 3, 3)
+    for z, v in zip(zs, values):
+        ref, zp = np.zeros((3, 3), dtype=complex), 1.0 + 0.0j
+        for m in range(7):
+            ref += c[m] * zp
+            zp *= complex(z)
+        assert np.array_equal(v, ref) and np.array_equal(th(z), ref)
+
+
 def test_trailing_zero_trim():
     c = np.zeros((3, 2, 2), dtype=complex)
     c[0] = np.eye(2)

@@ -193,7 +193,8 @@ def test_base16_orbit_keeps_every_direction():
     rep = orbit_project(f, g, 256)
     o = _scaled_qr(_dense_orbit_matrix(f, 256, 2**10 + 1),
                    _dense_target(g, 2**10 + 1))[2]
-    assert rep.detail["accepted_directions"] == 257
+    # f's exponents are even, so only the even shifts reach g's row 0
+    assert rep.detail["accepted_directions"] == sum(n % 2 == 0 for n in range(257))
     assert abs(rep.residuals[-1] - o) <= 1e-8, (rep.residuals[-1], o)
     assert abs(rep.residual_final - o) <= 1e-12, (rep.residual_final, o)
 
@@ -218,10 +219,12 @@ def test_qr_skipping_deletes_interior_directions(rng):
 
 def test_gram_condition_is_the_cholesky_estimate():
     # the same trcon estimate as on the Cholesky factor L = R^H of the
-    # column-scaled Gram matrix, in the 1-norm
+    # column-scaled Gram matrix over g's block, in the 1-norm; f's exponents
+    # are even, so g = 1 is reached by the even shifts only
     f = dyadic_scalar(K=8, ratio=1 / 4)
     g = scalar_series([0], [1.0])
     M = _dense_orbit_matrix(f, 64, 2**8 + 1)
+    M = M[:, [n for n in range(65) if n % 2 == 0]]
     M /= np.linalg.norm(M, axis=0)
     L = np.linalg.cholesky(M.conj().T @ M)
     rcond = get_lapack_funcs("trcon", (L,))(L, norm="1", uplo="L")[0]
@@ -408,6 +411,28 @@ def _loop_poly_system(f, g, box):
     return A, b
 
 
+def _g_block(A, b):
+    """Reference size of g's block in a loop-assembled system, by search:
+    the columns reached from g's rows through rows they touch, and the
+    rows reached that the compression keeps (two or more entries, or a
+    nonzero of b), plus one diagonal row per column.  Returns (rows,
+    columns)."""
+    A = A.tocsr()
+    At = A.T.tocsr()
+    rows, cols = set(np.flatnonzero(b).tolist()), set()
+    todo = list(rows)
+    while todo:
+        r = todo.pop()
+        for c in A.indices[A.indptr[r]:A.indptr[r + 1]].tolist():
+            if c not in cols:
+                cols.add(c)
+                new = set(At.indices[At.indptr[c]:At.indptr[c + 1]].tolist()) - rows
+                rows |= new
+                todo += new
+    kept = sum(1 for r in rows if A.indptr[r + 1] - A.indptr[r] > 1 or b[r] != 0)
+    return kept + len(cols), len(cols)
+
+
 def _poly_system(f, g, box):
     """The compressed orbit system `_compressed_system` builds over the box."""
     T = np.asarray(f.multi_exponents, dtype=np.int64)
@@ -536,8 +561,8 @@ def test_polydisc_residual_matches_dense_lstsq(case):
     f, g, box = POLY_ORACLE_CASES[case]
     gn = g.norm()
     rep = orbit_project_polydisc(f, g, box)
-    assert rep.detail["lsmr_istop"] in (1, 2), rep.detail
-    assert rep.detail["lsmr_itn"] > 0
+    assert rep.detail["block"] == _g_block(*_loop_poly_system(f, g, box)), rep.detail
+    assert rep.detail["block"][1] <= rep.detail["columns_at_full_box"]
     A, b = _dense_poly_orbit(f, g, box)
     replay = np.linalg.norm(A @ rep.coefficients - b)
     assert abs(rep.residual_final - replay) <= 1e-12 * gn, (
@@ -547,6 +572,104 @@ def test_polydisc_residual_matches_dense_lstsq(case):
         x = np.linalg.lstsq(A, b, rcond=None)[0]
         oracle = np.linalg.norm(A @ x - b)
         assert abs(resid - oracle) <= 1e-8 * gn, (sub, resid, oracle)
+
+
+@pytest.mark.parametrize("case", sorted(POLY_ORACLE_CASES))
+def test_block_solve_matches_dense_lstsq_on_loop_system(case):
+    # every chain box against dense lstsq on its own loop-assembled system;
+    # at the full box the coefficients too, unique on g's block and 0 off it
+    f, g, box = POLY_ORACLE_CASES[case]
+    gn = g.norm()
+    rep = orbit_project_polydisc(f, g, box)
+    for sub, resid in zip(rep.shifts_used, rep.residuals):
+        A, b = _loop_poly_system(f, g, sub)
+        A = A.toarray()
+        x = np.linalg.lstsq(A, b, rcond=None)[0]
+        oracle = np.linalg.norm(A @ x - b)
+        assert abs(resid - oracle) <= 1e-12 * gn, (sub, resid, oracle)
+    assert np.abs(rep.coefficients - x).max() <= 1e-12 * np.linalg.norm(x)
+
+
+@st.composite
+def _split_target_case(draw):
+    """f on the even lattice, so that shifts of different parity share no
+    row; g on two parity classes of reached rows, T_s and T_s - e_i, on
+    more reached rows, and on one row above every term of f, which no
+    column reaches.  A reached row of g copies the term of f that reaches
+    it, zero components included."""
+    n = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 2))
+    coeff = st.lists(st.sampled_from([0.0, 1.0, -0.5, 2j, 0.25 + 0.5j]),
+                     min_size=dim, max_size=dim).filter(any)
+    half = st.tuples(*[st.integers(0, 4)] * n)
+    fterms = draw(st.lists(st.tuples(half, coeff), min_size=1, max_size=5,
+                           unique_by=lambda term: term[0]))
+    i = draw(st.integers(0, n - 1))
+    first = list(fterms[0][0])
+    first[i] = max(first[i], 1)
+    fterms[0] = (tuple(first), fterms[0][1])
+    fterms = [(tuple(2 * e for e in t), c) for t, c in fterms]
+    if len({t for t, _ in fterms}) < len(fterms):
+        fterms = fterms[:1]
+    box = list(draw(st.tuples(*[st.integers(0, 5)] * n)))
+    box[i] = max(box[i], 1)
+    scale = st.sampled_from([1.0, -2.0, 0.5j])
+    t0, c0 = fterms[0]
+    step = tuple(int(j == i) for j in range(n))
+    alphas = {(0, (0,) * n), (0, step)}
+    for _ in range(draw(st.integers(0, 3))):
+        s = draw(st.integers(0, len(fterms) - 1))
+        alphas.add((s, tuple(draw(st.integers(0, min(b, e)))
+                             for b, e in zip(box, fterms[s][0]))))
+    gterms = {}
+    for s, alpha in sorted(alphas):
+        t, c = fterms[s]
+        gterms[tuple(a - b for a, b in zip(t, alpha))] = draw(scale) * np.asarray(c)
+    top = tuple(max(t[j] for t, _ in fterms) + 1 for j in range(n))
+    gterms[top] = np.ones(dim)
+    return (PolySeries(n, dim, fterms), PolySeries(n, dim, list(gterms.items())),
+            tuple(box))
+
+
+@given(case=_split_target_case())
+@settings(max_examples=60, deadline=None)
+def test_block_solve_matches_dense_lstsq_when_g_splits(case):
+    f, g, box = case
+    gn = g.norm()
+    rep = orbit_project_polydisc(f, g, box)
+    A, b = _loop_poly_system(f, g, box)
+    assert rep.detail["block"] == _g_block(A, b)
+    for sub, resid in zip(rep.shifts_used, rep.residuals):
+        A, b = _loop_poly_system(f, g, sub)
+        A = A.toarray()
+        x = np.linalg.lstsq(A, b, rcond=None)[0]
+        oracle = np.linalg.norm(A @ x - b)
+        assert abs(resid - oracle) <= 1e-10 * gn, (sub, resid, oracle)
+    assert abs(rep.residual_final - oracle) <= 1e-10 * gn, (rep.residual_final, oracle)
+
+
+def test_block_residual_equals_exact_least_squares():
+    # oracle: rational least squares over the whole uncompressed system, by
+    # the normal equations in exact arithmetic.  f lies on the even lattice,
+    # so g sits on two blocks, (0, 0) and (1, 2), and on (5, 7), which no
+    # column reaches.
+    import sympy
+
+    f = PolySeries(2, 1, [((2, 2), [1.0]), ((2, 4), [0.5]), ((4, 6), [-0.25])])
+    g = PolySeries(2, 1, [((0, 0), [1.0]), ((1, 2), [0.5]), ((5, 7), [2.0])])
+    rep = orbit_project_polydisc(f, g, (3, 4))
+    assert rep.detail["block"][1] < rep.detail["columns_at_full_box"]
+    for sub, resid in zip(rep.shifts_used, rep.residuals):
+        A, b = _loop_poly_system(f, g, sub)
+        A = sympy.Matrix([[sympy.Rational(v) for v in row]
+                          for row in A.toarray().real.tolist()])
+        b = sympy.Matrix([sympy.Rational(v) for v in b.real.tolist()])
+        x, params = (A.T * A).gauss_jordan_solve(A.T * b)
+        r = b - A * x.subs({p: 0 for p in params})
+        exact = sympy.sqrt(r.dot(r))
+        assert abs(resid - float(exact)) <= 1e-14 * g.norm(), (sub, resid, exact)
+        if sub == (3, 4):
+            assert abs(rep.residual_final - float(exact)) <= 1e-14 * g.norm()
 
 
 def test_polydisc_orbit_sharing_no_row_with_target():
@@ -580,15 +703,15 @@ def test_polydisc_box_must_bound_every_variable(box):
         one_in_orbit_check(f, box)
 
 
-def test_polydisc_detail_reports_lsmr_estimates():
+def test_polydisc_detail_reports_block_and_condition():
     f = PolySeries(2, 1, [((2**k, 3**k), [16.0**-k]) for k in range(1, 7)])
     one = PolySeries(2, 1, [((0, 0), [1.0])])
     rep = orbit_project_polydisc(f, one, (32, 27))
-    normr, conda = rep.detail["lsmr_normr"], rep.detail["lsmr_conda"]
     assert rep.residual_final > 0
-    assert abs(normr - rep.residual_final) <= 1e-6 * rep.residual_final, (
-        normr, rep.residual_final)
-    assert np.isfinite(conda) and conda >= 1.0, conda
+    assert rep.detail["block"] == _g_block(*_loop_poly_system(f, one, (32, 27)))
+    assert 0 < rep.detail["accepted_directions"] <= rep.detail["block"][1]
+    assert np.isfinite(rep.gram_condition) and rep.gram_condition >= 1.0, (
+        rep.gram_condition)
 
 
 def test_one_in_orbit_check_scalar_only():
