@@ -67,13 +67,10 @@ class BlockSeries:
         return len(self.blocks)
 
     def to_series(self) -> VectorSeries:
-        exps, coeffs = [], []
-        for n, p in self.blocks:
-            for j in range(self.block_degree + 1):
-                if np.any(p[j] != 0):
-                    exps.append(n + j)
-                    coeffs.append(p[j])
-        return VectorSeries(self.dim, exps, np.array(coeffs))
+        ns = np.array([n for n, _ in self.blocks], dtype=np.int64)
+        exps = (ns[:, None] + np.arange(self.block_degree + 1)).ravel()
+        coeffs = np.reshape([p for _, p in self.blocks], (-1, self.dim))
+        return VectorSeries(self.dim, exps, coeffs)
 
 
 def _flatten(p):

@@ -303,84 +303,79 @@ def _build_parser():
     )
     p.add_argument("--version", action="version", version=f"cyclica {__version__}")
 
-    def common(sp, strict=True):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--horizon", type=int, default=64)
-        for f in fields(Tolerances):
-            sp.add_argument("--" + f.name.replace("_", "-"), type=float,
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--horizon", type=int, default=64)
+    for f in fields(Tolerances):
+        shared.add_argument("--" + f.name.replace("_", "-"), type=float,
                             default=f.default)
-        sp.add_argument("--report", default=None, help="write the JSON report here")
-        if strict:
-            sp.add_argument("--strict", action="store_true",
-                            help="exit 1 on a non-cyclic verdict")
+    shared.add_argument("--report", default=None, help="write the JSON report here")
+    strict = argparse.ArgumentParser(add_help=False, parents=[shared])
+    strict.add_argument("--strict", action="store_true",
+                        help="exit 1 on a non-cyclic verdict")
 
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("analyze", help="tail-span cyclicity analysis")
+    sp = sub.add_parser("analyze", help="tail-span cyclicity analysis",
+                        parents=[strict])
     sp.add_argument("--input", required=True)
-    common(sp)
     sp.set_defaults(func=_cmd_analyze)
 
-    sp = sub.add_parser("spectrum", help="exponent sequence diagnostics")
+    sp = sub.add_parser("spectrum", help="exponent sequence diagnostics",
+                        parents=[shared])
     sp.add_argument("--input", required=True)
     sp.add_argument("--lacunarity", action="store_true")
     sp.add_argument("--diff-mult", action="store_true")
     sp.add_argument("--residues", type=int, default=None, metavar="N")
-    common(sp, strict=False)
     sp.set_defaults(func=_cmd_spectrum)
 
-    sp = sub.add_parser("construct", help="sequence generators")
+    sp = sub.add_parser("construct", help="sequence generators", parents=[shared])
     sp.add_argument("generator", choices=("factorial", "crt", "crc"))
     sp.add_argument("--count", type=int, required=True)
     sp.add_argument("--mod", type=int, default=None)
     sp.add_argument("--set", default=None, help="comma-separated generators for crt")
     sp.add_argument("--dim", type=int, default=None, help="dimension for crc")
     sp.add_argument("--out", default=None, help="CSV output path")
-    common(sp, strict=False)
     sp.set_defaults(func=_cmd_construct)
 
-    sp = sub.add_parser("multishift", help="N-th power shift cyclicity")
+    sp = sub.add_parser("multishift", help="N-th power shift cyclicity",
+                        parents=[strict])
     sp.add_argument("--input", required=True)
     sp.add_argument("--power", type=int, default=None, metavar="N")
     sp.add_argument("--af", action="store_true",
                     help="report the set of certified powers")
     sp.add_argument("--nmax", type=int, default=12)
-    common(sp)
     sp.set_defaults(func=_cmd_multishift)
 
-    sp = sub.add_parser("unions", help="shifted-spectrum families")
+    sp = sub.add_parser("unions", help="shifted-spectrum families", parents=[strict])
     sp.add_argument("action", choices=("construct", "check"))
     sp.add_argument("--spectra", default=None,
                     help="comma-separated spectrum files (construct)")
     sp.add_argument("--input", default=None, help="family file (check)")
-    common(sp)
     sp.set_defaults(func=_cmd_unions)
 
-    sp = sub.add_parser("blocks", help="bounded-block cyclicity")
+    sp = sub.add_parser("blocks", help="bounded-block cyclicity", parents=[strict])
     sp.add_argument("--input", required=True)
     sp.add_argument("--model", required=True)
-    common(sp)
     sp.set_defaults(func=_cmd_blocks)
 
-    sp = sub.add_parser("factorize", help="model-space factorization")
+    sp = sub.add_parser("factorize", help="model-space factorization", parents=[shared])
     sp.add_argument("--poly", required=True)
     sp.add_argument("--out", default=None, help="write factors + matrix here")
-    common(sp, strict=False)
     sp.set_defaults(func=_cmd_factorize)
 
-    sp = sub.add_parser("orbit", help="orbit least-squares residual curves")
+    sp = sub.add_parser("orbit", help="orbit least-squares residual curves",
+                        parents=[shared])
     sp.add_argument("--input", required=True)
     sp.add_argument("--target", required=True)
     sp.add_argument("--max-shift", type=int, default=256)
     sp.add_argument("--csv", default=None)
-    common(sp, strict=False)
     sp.set_defaults(func=_cmd_orbit)
 
-    sp = sub.add_parser("polydisc", help="polydisc series analysis")
+    sp = sub.add_parser("polydisc", help="polydisc series analysis", parents=[strict])
     sp.add_argument("--input", required=True)
     sp.add_argument("--check-c1c2", action="store_true")
     sp.add_argument("--analyze", action="store_true")
-    common(sp)
     sp.set_defaults(func=_cmd_polydisc)
 
     return p

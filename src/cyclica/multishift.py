@@ -5,7 +5,9 @@ X^N-valued coefficient is an isometric isomorphism that intertwines the N-th
 power of the backward shift with the plain backward shift.  Cyclicity for
 S*^N therefore reduces to the tail-span criterion for the reshaped series;
 in the scalar case this is equivalent to every spectrum tail hitting every
-residue class modulo N.
+residue class modulo N.  The reshaped series is built by writing each
+coefficient into its slot and letting ``VectorSeries`` merge the exponents
+that share a block.
 """
 
 from __future__ import annotations
@@ -45,32 +47,22 @@ def psi_reshape(f: VectorSeries, N: int) -> ReshapedSeries:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    d = f.dim
-    blocks = {}
-    for n, a in zip(f.exponents, f.coeffs):
-        q, r = divmod(int(n), N)
-        v = blocks.setdefault(q, np.zeros(d * N, dtype=complex))
-        v[r * d : (r + 1) * d] += a
-    exps = sorted(blocks)
-    coeffs = np.array([blocks[q] for q in exps], dtype=complex).reshape(len(exps), d * N)
-    series = VectorSeries(d * N, exps, coeffs, f.truncation_degree // N)
+    d, n = f.dim, len(f)
+    slots = np.zeros((n, N, d), dtype=complex)
+    # += sums into zeros as the merge does, so a -0.0 part reads +0.0
+    # whether or not its block is shared
+    slots[np.arange(n), f.exponents % N] += f.coeffs
+    series = VectorSeries(d * N, f.exponents // N, slots.reshape(n, N * d),
+                          f.truncation_degree // N)
     return ReshapedSeries(base_dim=d, block=N, series=series)
 
 
 def psi_unreshape(rs: ReshapedSeries) -> VectorSeries:
     """Inverse of :func:`psi_reshape` (exact round trip)."""
-    d, N = rs.base_dim, rs.block
-    exps, coeffs = [], []
-    for q, v in zip(rs.series.exponents, rs.series.coeffs):
-        for r in range(N):
-            a = v[r * d : (r + 1) * d]
-            if np.any(a != 0):
-                exps.append(int(q) * N + r)
-                coeffs.append(a)
-    trunc = rs.series.truncation_degree * N + N - 1
-    if not exps:
-        return VectorSeries(d, [], np.zeros((0, d)), 0)
-    return VectorSeries(d, exps, np.array(coeffs), max(trunc, max(exps)))
+    d, N, s = rs.base_dim, rs.block, rs.series
+    exps = (s.exponents[:, None] * N + np.arange(N)).ravel()
+    trunc = s.truncation_degree * N + N - 1 if len(s) else 0
+    return VectorSeries(d, exps, s.coeffs.reshape(-1, d), trunc)
 
 
 def _window_span_verdict(vectors, full_dim, tol):
@@ -138,7 +130,7 @@ def sstarN_cyclicity(f: VectorSeries, N: int, tol: Tolerances = Tolerances(),
         raise ValueError("N must be >= 1")
     if spectrum is None and model is not None:
         spectrum = model.spectrum
-    if f is not None and f.dim == 1 and spectrum is not None:
+    if f.dim == 1 and spectrum is not None:
         v = spectrum_admits_SstarN(spectrum, N, horizon)
         status = CYCLIC if bool(v) else NON_CYCLIC
         return Verdict(status, v.mode, witness=v.witness, detail=dict(v.detail))
@@ -165,9 +157,8 @@ def _block_residues(spectrum: IntegerSpectrum, N: int, horizon: int):
     spectrum's length."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    K = horizon if not spectrum.is_finite else min(horizon, len(spectrum))
     pairs = []
-    for k in range(1, K + 1):
+    for k in range(1, spectrum._horizon(horizon) + 1):
         r = spectrum.residue(k, N)
         # exact block key; arbitrary-precision integers keep this cheap at
         # the horizons in use, and residues stay streamed
@@ -184,6 +175,8 @@ def _stacked_verdict(pairs, N, coeffs, seed, tol):
         coeffs = rng.uniform(0.5, 1.5, size=K) * np.exp(
             2j * np.pi * rng.uniform(size=K)
         )
+    # the block keys are factorial-scale Python integers, beyond int64, so
+    # the stacks are merged in a dict rather than by VectorSeries
     blocks = {}
     for k, (q, r) in enumerate(pairs):
         blocks.setdefault(q, np.zeros(N, dtype=complex))[r] += coeffs[k]
@@ -263,7 +256,9 @@ def bounded_block_family_cyclicity(family, N: int,
             _check_reshaped_lacunary(rs)
             reshaped.append(rs)
     # union enumeration over block indices; for each threshold block q, the
-    # span of all stacked coefficients at blocks >= q must be full
+    # span of all stacked coefficients at blocks >= q must be full.  Rows of
+    # different members at one block stay separate vectors, so the union is
+    # sorted here, never merged by VectorSeries
     keys = np.concatenate([rs.series.exponents for rs in reshaped])
     order = np.argsort(keys, kind="stable")
     rows = np.concatenate([rs.series.coeffs for rs in reshaped])[order]

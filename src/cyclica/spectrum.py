@@ -155,9 +155,7 @@ def residues_hit(s: IntegerSpectrum, modulus: int, from_k: int = 1, window: int 
     """{n_k mod N : from_k <= k < from_k + window}."""
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    last = from_k + window - 1
-    if s.kind == "explicit":
-        last = min(last, len(s.values))
+    last = s._horizon(from_k + window - 1)
     return {s.residue(k, modulus) for k in range(from_k, last + 1)}
 
 

@@ -2,11 +2,12 @@
 
 A d-tuple of scalar series whose spectra are shifts of one lacunary base
 sequence is handled by removing the shifts (monomial multipliers reduce to
-backward shifts) and stacking the coefficients along the base sequence; the
-stacked tail-span criterion then decides cyclicity.  A sufficient stacked
-criterion, the polynomial-multiplier reduction, a randomized construction
-with prescribed per-coordinate spectra, and a declared-value ledger for the
-degree of cyclicity round out the module.
+backward shifts) and stacking the coefficients along the base sequence:
+component i fills column i and ``VectorSeries`` merges the base terms the
+components share.  The stacked tail-span criterion then decides cyclicity.
+A sufficient stacked criterion, the polynomial-multiplier reduction, a
+randomized construction with prescribed per-coordinate spectra, and a
+declared-value ledger for the degree of cyclicity round out the module.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .coefspace import TailModel, cyclicity_single
-from .core import Tolerances, VectorSeries, first_proper_tail
+from .core import Tolerances, VectorSeries, backward_shift, first_proper_tail
 from .spectrum import IntegerSpectrum
 from .verdicts import (
     CYCLIC,
@@ -71,17 +73,6 @@ class ShiftedSpectrumFamily:
         return len(self.components)
 
 
-def _stack_on_base(base_terms, shifted_components):
-    """C^d-valued series on the base spectrum from already-deshifted scalars."""
-    d = len(shifted_components)
-    coeffs = np.zeros((len(base_terms), d), dtype=complex)
-    for i, f in enumerate(shifted_components):
-        lookup = {int(e): c[0] for e, c in zip(f.exponents, f.coeffs)}
-        for j, n in enumerate(base_terms):
-            coeffs[j, i] = lookup.get(n, 0.0)
-    return VectorSeries(d, base_terms, coeffs)
-
-
 def shifted_stack_cyclicity(fam: ShiftedSpectrumFamily,
                             tol: Tolerances = Tolerances(),
                             model: TailModel = None) -> Verdict:
@@ -91,23 +82,11 @@ def shifted_stack_cyclicity(fam: ShiftedSpectrumFamily,
     stacks (f_1^(n + m_1), ..., f_d^(n + m_d)) form a vector series whose
     tail-span criterion decides cyclicity of the original family.
     """
-    from .core import backward_shift
-
     deshifted = [backward_shift(f, m) for f, m in zip(fam.components, fam.shifts)]
-    if fam.base.is_finite:
-        base_terms = list(fam.base.values)
-    else:
-        # enumerate just far enough to cover the stored truncations
-        top = max(
-            (int(f.exponents[-1]) for f in deshifted if len(f)), default=0
-        )
-        base_terms = []
-        for k in range(1, 64 + 1):
-            t = fam.base.term(k)
-            if t > top:
-                break
-            base_terms.append(t)
-    stacked = _stack_on_base(base_terms, deshifted)
+    # component i fills column i; VectorSeries merges the base terms that the
+    # components share (the family constructor checked they lie in the base)
+    stacked = VectorSeries(fam.dim, np.concatenate([f.exponents for f in deshifted]),
+                           block_diag(*[f.coeffs for f in deshifted]))
     return cyclicity_single(stacked, tol, model=model)
 
 
@@ -127,20 +106,17 @@ def multiplier_reduce(components, multipliers):
         raise ValueError("multipliers must be nonzero polynomials")
     out = []
     for f, th in zip(components, multipliers):
-        acc = {}
-        for e, a in zip(f.exponents, f.coeffs):
-            for l, t in enumerate(th):
-                if t == 0:
-                    continue
-                j = int(e) - l
-                if j >= 0:
-                    acc[j] = acc.get(j, 0.0) + np.conj(t) * a
-        if acc:
-            exps = sorted(acc)
-            coeffs = np.array([acc[j] for j in exps])
-            out.append(VectorSeries(f.dim, exps, coeffs, f.truncation_degree))
-        else:
-            out.append(VectorSeries(f.dim, [], np.zeros((0, f.dim)), 0))
+        # entry (e, l) is conj(theta^(l)) f^(e) at exponent e - l; the stable
+        # merge sums the entries of one exponent in (e, l) order.  Each
+        # theta^(l) multiplies as a scalar, since numpy's broadcast complex
+        # product can differ in the last bit, and 0.0 + maps -0.0 to +0.0 as
+        # the merge's sum into zeros does, whether an exponent is shared or not
+        j = (f.exponents[:, None] - np.arange(th.size)).ravel()
+        terms = 0.0 + np.stack([np.conj(t) * f.coeffs for t in th], axis=1)
+        terms = terms.reshape(-1, f.dim)
+        keep = (j >= 0) & np.tile(th != 0, len(f))
+        trunc = f.truncation_degree if keep.any() else 0
+        out.append(VectorSeries(f.dim, j[keep], terms[keep], trunc))
     return out
 
 
@@ -160,7 +136,9 @@ def stacked_sufficient(phis, tol: Tolerances = Tolerances()) -> Verdict:
     if any(p.dim != d for p in phis):
         raise ValueError("mixed dimensions")
     r = len(phis)
-    # the shifted base: every phi_i exponent minus i lands in it by construction
+    # the shifted base: every phi_i exponent minus i lands in it by
+    # construction.  Nothing checks that exponent - i >= 0, and VectorSeries
+    # rejects a negative exponent, so the stacks are placed, not merged
     base = np.unique(np.concatenate([p.exponents - i for i, p in enumerate(phis)]))
     stacks = np.zeros((len(base), d * r), dtype=complex)
     for i, p in enumerate(phis):

@@ -27,3 +27,21 @@ def dyadic_scalar(K=12, ratio=0.5):
     exps = [2**k for k in range(1, K + 1)]
     coeffs = [ratio**k for k in range(1, K + 1)]
     return scalar_series(exps, coeffs)
+
+
+def edge_coeffs(rng, shape):
+    """Complex normal entries, about a fifth of them exactly 0 and a tenth of
+    the real and of the imaginary parts -0.0, for bit-for-bit oracle tests."""
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c[rng.uniform(size=shape) < 0.2] = 0
+    c.real[rng.uniform(size=shape) < 0.1] = -0.0
+    c.imag[rng.uniform(size=shape) < 0.1] = -0.0
+    return c
+
+
+def assert_same_bits(a, b):
+    """Two VectorSeries agree in dim, truncation and every stored bit."""
+    assert (a.dim, a.truncation_degree) == (b.dim, b.truncation_degree)
+    assert a.exponents.tobytes() == b.exponents.tobytes()
+    assert a.coeffs.shape == b.coeffs.shape
+    assert a.coeffs.tobytes() == b.coeffs.tobytes()

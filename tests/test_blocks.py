@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclica import (
     BlockSeries,
     PolyDirectionModel,
+    VectorSeries,
     blocks_cyclicity,
     blocks_decompose,
     blocks_necessary,
@@ -11,6 +14,8 @@ from cyclica import (
     cyclicity_single,
     local_rank,
 )
+
+from conftest import assert_same_bits, edge_coeffs
 
 
 def _series_from_directions(directions, K=10, transient=()):
@@ -35,11 +40,41 @@ def test_block_series_validation():
         BlockSeries(1, 0, [(4, np.zeros((1, 1)))])
 
 
-def test_to_series_oracle():
+def _loop_to_series(bs):
+    """Reference flattening by a loop over blocks and rows."""
+    exps, coeffs = [], []
+    for n, p in bs.blocks:
+        for j in range(bs.block_degree + 1):
+            if np.any(p[j] != 0):
+                exps.append(n + j)
+                coeffs.append(p[j])
+    return VectorSeries(bs.dim, exps, np.array(coeffs).reshape(-1, bs.dim))
+
+
+@given(dim=st.integers(1, 3), N=st.integers(0, 3), K=st.integers(0, 6),
+       seed=st.integers(0, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_to_series_oracle(dim, N, K, seed):
     bs = BlockSeries(1, 1, [(4, [[1.0], [2.0]]), (9, [[3.0], [0.0]])])
     f = bs.to_series()
     assert list(f.exponents) == [4, 5, 9]
     assert f.coefficient(5) == pytest.approx(2.0)
+    # an empty block list is the zero series of its dimension
+    for d in (1, 2, 3):
+        z = BlockSeries(d, 1, []).to_series()
+        assert (z.dim, len(z), z.coeffs.shape, z.truncation_degree) == (d, 0, (0, d), 0)
+    # the loop oracle on draws: zero rows inside a block, -0.0 parts and the
+    # empty block list included
+    rng = np.random.default_rng(seed)
+    positions = np.cumsum(rng.integers(N + 1, N + 4, size=K))
+    blocks = []
+    for n in positions:
+        p = edge_coeffs(rng, (N + 1, dim))
+        if not np.any(p != 0):
+            p[0, 0] = 1.0  # blocks must be nonzero
+        blocks.append((int(n), p))
+    bs = BlockSeries(dim, N, blocks)
+    assert_same_bits(bs.to_series(), _loop_to_series(bs))
 
 
 # -- local rank ---------------------------------------------------------------

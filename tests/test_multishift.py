@@ -17,18 +17,59 @@ from cyclica import (
 from cyclica.constructions import CrtSequenceSpec, DivisorClosedSet
 from cyclica.multishift import _generic_rank, sstarN_cyclicity, sstarN_cyclicity_spectral
 
-from conftest import random_series
+from conftest import assert_same_bits, edge_coeffs, random_series
 
 
 # -- the reshaping isomorphism ------------------------------------------------
 
 
-def test_psi_reshape_oracle():
+def _loop_psi_reshape(f, N):
+    """Reference reshape by a loop over terms, summing into per-block stacks."""
+    d = f.dim
+    blocks = {}
+    for n, a in zip(f.exponents, f.coeffs):
+        q, r = divmod(int(n), N)
+        v = blocks.setdefault(q, np.zeros(d * N, dtype=complex))
+        v[r * d : (r + 1) * d] += a
+    exps = sorted(blocks)
+    coeffs = np.array([blocks[q] for q in exps], dtype=complex).reshape(len(exps), d * N)
+    return VectorSeries(d * N, exps, coeffs, f.truncation_degree // N)
+
+
+def _loop_psi_unreshape(series, d, N):
+    """Reference inverse by a loop over blocks and slots."""
+    exps, coeffs = [], []
+    for q, v in zip(series.exponents, series.coeffs):
+        for r in range(N):
+            a = v[r * d : (r + 1) * d]
+            if np.any(a != 0):
+                exps.append(int(q) * N + r)
+                coeffs.append(a)
+    trunc = series.truncation_degree * N + N - 1
+    if not exps:
+        return VectorSeries(d, [], np.zeros((0, d)), 0)
+    return VectorSeries(d, exps, np.array(coeffs), max(trunc, max(exps)))
+
+
+@given(dim=st.integers(1, 3), N=st.integers(1, 4), n_terms=st.integers(0, 12),
+       slack=st.integers(0, 5), seed=st.integers(0, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_psi_reshape_oracle(dim, N, n_terms, slack, seed):
     f = scalar_series([0, 1, 3], [1.0, 2.0, 3.0])
     rs = psi_reshape(f, 2)
     assert list(rs.series.exponents) == [0, 1]
     assert np.allclose(rs.series.coeffs[0], [1.0, 2.0])
     assert np.allclose(rs.series.coeffs[1], [0.0, 3.0])
+    # the loop oracles on draws: exponents below 3 * n_terms put several
+    # terms in one block; zero components, -0.0 parts and the empty series
+    # are drawn too
+    rng = np.random.default_rng(seed)
+    exps = np.sort(rng.choice(3 * n_terms + 1, size=n_terms, replace=False))
+    coeffs = edge_coeffs(rng, (n_terms, dim))
+    f = VectorSeries(dim, exps, coeffs, (int(exps[-1]) if n_terms else 0) + slack)
+    rs = psi_reshape(f, N)
+    assert_same_bits(rs.series, _loop_psi_reshape(f, N))
+    assert_same_bits(psi_unreshape(rs), _loop_psi_unreshape(rs.series, dim, N))
 
 
 @given(N=st.integers(1, 8), seed=st.integers(0, 60))

@@ -1,12 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cyclica.unions
 from cyclica import (
     DcLedger,
     IntegerSpectrum,
     ShiftedSpectrumFamily,
     VectorSeries,
+    backward_shift,
     construct_prescribed_spectra,
+    cyclicity_single,
     dc_checks,
     multiplier_reduce,
     necessary_condition,
@@ -14,6 +21,8 @@ from cyclica import (
     shifted_stack_cyclicity,
     stacked_sufficient,
 )
+
+from conftest import assert_same_bits, edge_coeffs
 
 
 def _pair_family(c2=None, K=16):
@@ -47,12 +56,106 @@ def test_shifted_stack_collinear_noncyclic():
     assert v.detail["dim_x_star"] == 1
 
 
-def test_multiplier_reduce_oracle():
+def _loop_stacked(fam):
+    """Reference stacked series: enumerate the base terms up to the largest
+    deshifted exponent and look each component up term by term."""
+    deshifted = [backward_shift(f, m) for f, m in zip(fam.components, fam.shifts)]
+    if fam.base.is_finite:
+        base_terms = list(fam.base.values)
+    else:
+        top = max((int(f.exponents[-1]) for f in deshifted if len(f)), default=0)
+        base_terms = []
+        for k in range(1, 64 + 1):
+            t = fam.base.term(k)
+            if t > top:
+                break
+            base_terms.append(t)
+    coeffs = np.zeros((len(base_terms), fam.dim), dtype=complex)
+    for i, f in enumerate(deshifted):
+        lookup = {int(e): c[0] for e, c in zip(f.exponents, f.coeffs)}
+        for j, n in enumerate(base_terms):
+            coeffs[j, i] = lookup.get(n, 0.0)
+    return VectorSeries(fam.dim, base_terms, coeffs)
+
+
+@given(dim=st.integers(1, 3), n_base=st.integers(0, 10), geometric=st.booleans(),
+       seed=st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_shifted_stack_matches_loop_oracle(dim, n_base, geometric, seed):
+    # components hit random subsets of the base, so some base terms are
+    # shared, some hit by one component and some by none; a component may
+    # be empty.  The merge sums into zeros, so a -0.0 part of a shared term
+    # reads +0.0: coefficients agree bit for bit up to the sign of zero
+    rng = np.random.default_rng(seed)
+    if geometric:
+        base = IntegerSpectrum.geometric(int(rng.integers(2, 4)))
+        terms = base.terms(n_base)
+    else:
+        terms = sorted({int(t) for t in np.cumsum(rng.integers(1, 9, size=n_base))})
+        base = IntegerSpectrum.explicit(terms)
+    shifts = rng.permutation([0] + [int(m) for m in rng.integers(0, 4, size=dim - 1)])
+    comps = []
+    for m in shifts:
+        hit = [t + m for t in terms if rng.uniform() < 0.7]
+        comps.append(VectorSeries(1, hit, edge_coeffs(rng, len(hit))))
+    fam = ShiftedSpectrumFamily(base, shifts, comps)
+    with mock.patch.object(cyclica.unions, "cyclicity_single",
+                           wraps=cyclica.unions.cyclicity_single) as spy:
+        verdict = shifted_stack_cyclicity(fam)
+    got, want = spy.call_args.args[0], _loop_stacked(fam)
+    assert (got.dim, got.truncation_degree) == (want.dim, want.truncation_degree)
+    assert got.exponents.tobytes() == want.exponents.tobytes()
+    assert (got.coeffs + 0.0).tobytes() == (want.coeffs + 0.0).tobytes()
+    assert verdict.to_dict() == cyclicity_single(want).to_dict()
+
+
+def _loop_multiplier_reduce(f, th):
+    """Reference correlation by a loop over terms and multiplier entries."""
+    acc = {}
+    for e, a in zip(f.exponents, f.coeffs):
+        for l, t in enumerate(th):
+            if t == 0:
+                continue
+            j = int(e) - l
+            if j >= 0:
+                acc[j] = acc.get(j, 0.0) + np.conj(t) * a
+    if not acc:
+        return VectorSeries(f.dim, [], np.zeros((0, f.dim)), 0)
+    exps = sorted(acc)
+    coeffs = np.array([acc[j] for j in exps])
+    return VectorSeries(f.dim, exps, coeffs, f.truncation_degree)
+
+
+@given(dim=st.integers(1, 3), n_terms=st.integers(0, 12), degree=st.integers(0, 4),
+       slack=st.integers(0, 5), seed=st.integers(0, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_multiplier_reduce_oracle(dim, n_terms, degree, slack, seed):
     # theta = z: output coefficient j is f^(j+1)
     f = scalar_series([0, 2, 5], [1.0, 2.0, 3.0])
     (g,) = multiplier_reduce([f], [[0.0, 1.0]])
     assert list(g.exponents) == [1, 4]
     assert g.coefficient(1) == pytest.approx(2.0)
+    # every entry that reaches a nonnegative exponent is a zero multiplier
+    # coefficient: the result is empty, truncated at 0
+    (h,) = multiplier_reduce([scalar_series([1], [1.0], 5)], [[0.0, 0.0, 1.0]])
+    assert_same_bits(h, VectorSeries(1, [], np.zeros((0, 1)), 0))
+    # a one-term product that numpy's broadcast complex multiply rounds in
+    # the last bit differently from the scalar-times-row product
+    f1 = scalar_series([3], [0.06934187709620007 - 0.1295911416404688j])
+    th1 = np.array([-0.9212582539956669 + 1.3883938003997314j])
+    assert_same_bits(multiplier_reduce([f1], [th1])[0], _loop_multiplier_reduce(f1, th1))
+    # the loop oracle on draws: dense exponents make many (e, l) entries
+    # share an output exponent; zero multiplier entries, zero components and
+    # -0.0 parts are drawn too
+    rng = np.random.default_rng(seed)
+    exps = np.sort(rng.choice(2 * n_terms + 1, size=n_terms, replace=False))
+    trunc = (int(exps[-1]) if n_terms else 0) + slack
+    f = VectorSeries(dim, exps, edge_coeffs(rng, (n_terms, dim)), trunc)
+    th = edge_coeffs(rng, degree + 1)
+    if not np.any(th != 0):
+        th[-1] = 1.0  # multipliers must be nonzero
+    (g,) = multiplier_reduce([f], [th])
+    assert_same_bits(g, _loop_multiplier_reduce(f, th))
 
 
 def test_multiplier_reduce_conjugates():
