@@ -188,24 +188,18 @@ def crt_sequence_residue(spec: CrtSequenceSpec, k: int, modulus: int) -> int:
     return (factorial_residue(k, modulus) - k + spec.r(k)) % modulus
 
 
-def _default_lambda(k):
-    return 1.0 / (k + 1)
-
-
 @dataclass(frozen=True)
 class CrcPointSet:
     """Interpolation data for coefficient sequences a_k = sum_j lambda_k^j x_j.
 
-    ``basis`` is a list of d vectors spanning C^d; ``lam`` maps the index
-    k >= 1 to a point of the unit disc.  The default lam(k) = 1/(k+1) is real,
-    positive, strictly decreasing and tends to 0, so the normalized directions
-    a_k/||a_k|| converge.
+    ``basis`` is a list of d vectors spanning C^d, and lambda_k = 1/(k+1) for
+    k >= 1: real, positive, strictly decreasing and tending to 0, so the
+    normalized directions a_k/||a_k|| converge.
     """
 
     basis: tuple
-    lam: callable = _default_lambda
 
-    def __init__(self, basis, lam=_default_lambda):
+    def __init__(self, basis):
         b = tuple(np.asarray(x, dtype=complex) for x in basis)
         d = len(b)
         if d == 0 or any(x.shape != (d,) for x in b):
@@ -213,30 +207,17 @@ class CrcPointSet:
         if np.linalg.matrix_rank(np.column_stack(b)) < d:
             raise ValueError("basis must span C^d")
         object.__setattr__(self, "basis", b)
-        object.__setattr__(self, "lam", lam)
 
     @property
     def dim(self):
         return self.basis[0].shape[0]
 
-    def validate_prefix(self, count: int, tol: float = 0.0):
-        """Check distinctness, |lambda| < 1 and strictly decreasing modulus."""
-        lams = [complex(self.lam(k)) for k in range(1, count + 1)]
-        mods = [abs(l) for l in lams]
-        if len(set(lams)) != len(lams):
-            raise ValueError("lambda values must be pairwise distinct")
-        if any(m >= 1.0 for m in mods):
-            raise ValueError("lambda values must lie in the open unit disc")
-        if any(mods[i + 1] >= mods[i] + tol for i in range(len(mods) - 1)):
-            raise ValueError("lambda moduli must be strictly decreasing")
-        return lams
-
 
 def crc_sequence(points: CrcPointSet, k: int) -> np.ndarray:
-    """a_k = sum_{j=0}^{d-1} lambda_k^j x_j."""
+    """a_k = sum_{j=0}^{d-1} lambda_k^j x_j with lambda_k = 1/(k+1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    lam = complex(points.lam(k))
+    lam = complex(1.0 / (k + 1))
     out = np.zeros(points.dim, dtype=complex)
     for j, x in enumerate(points.basis):
         out += lam**j * x

@@ -230,28 +230,6 @@ class Subspace:
     def is_full(self):
         return self.dim == self.dim_ambient
 
-    def projector(self):
-        return self.basis @ self.basis.conj().T
-
-    def contains(self, v, tol=1e-9):
-        """Relative distance from v to the subspace is below tol."""
-        v = _as_vector(v, self.dim_ambient)
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return True
-        r = v - self.basis @ (self.basis.conj().T @ v)
-        return np.linalg.norm(r) <= tol * nv
-
-    def defect_against(self, other: "Subspace"):
-        """max over unit v in self of dist(v, other); 0 iff self is contained in other."""
-        if self.dim == 0:
-            return 0.0
-        r = self.basis - other.basis @ (other.basis.conj().T @ self.basis)
-        return float(np.linalg.norm(r, 2))
-
-    def mutual_defect(self, other: "Subspace"):
-        return max(self.defect_against(other), other.defect_against(self))
-
 
 def numerical_span(vectors, tol: Tolerances = Tolerances()) -> Subspace:
     """Orthonormal basis of span(vectors) with an SVD rank cutoff.

@@ -6,7 +6,10 @@ ordered product of rank-one factors (1 - P) + z P, P = <., x> x, with
 dim Ker Theta(0)* = 1.  This module computes the factorization by a peeling
 algorithm (extract the constants of the orbit span, deflate, recurse),
 assembles and verifies the product, and inverts the construction (factor
-vectors -> Theta -> cyclic generator).
+vectors -> Theta -> cyclic generator).  Each peeling stage takes one SVD:
+its right singular basis gives both the constant and an orthonormal basis
+of the constant's complement, and the deflation is an isometry on that
+complement, so the basis stays orthonormal without re-orthonormalization.
 
 All subspace work happens in the (N+1)*d-dimensional coefficient space of
 polynomials of degree at most N; polynomials are stacked with coefficient j
@@ -186,70 +189,56 @@ def factorize_Ep(p: VectorSeries, tol: Tolerances = Tolerances()) -> PotapovProd
     unit vector is emitted as a factor, the span is deflated by one
     dimension, and the process repeats.  The factor extracted first is the
     leftmost in the assembled product.
+
+    Each stage takes one SVD, of the degree >= 1 part of its orthonormal
+    basis B.  The last right singular vector is the constant; the others
+    are an orthonormal basis of its complement in span(B), on which
+    P g(0) = 0, so the deflation g |-> (1 - P)g + S*(P g) is an isometry
+    and maps B's complement columns to the next orthonormal basis.
     """
     if p.is_zero:
         raise DegenerateInputError("zero polynomial")
     d = p.dim
     N = int(p.exponents[-1])
-    u, s, _ = np.linalg.svd(_orbit_matrix(p, N), full_matrices=False)
+    B, s, _ = np.linalg.svd(_orbit_matrix(p, N), full_matrices=False)
     if s[-1] < tol.tol_rank * s[0]:
         raise DegenerateInputError(
             f"orbit of the polynomial is numerically dependent "
             f"(relative smallest singular value {s[-1] / s[0]:.3e})"
         )
-    B = u[:, s >= tol.tol_rank * s[0]]  # every column, as a C-ordered copy
     factors = []
     for _ in range(N + 1):
         r = B.shape[1]
-        # constants inside span(B): kernel of the degree >= 1 part
-        H = B[d:, :]
-        if H.shape[0]:
-            _, sv, vh = np.linalg.svd(H, full_matrices=True)
-            # B is orthonormal, so singular values of H live on an O(1)
+        if N:
+            # constants inside span(B): kernel of the degree >= 1 part
+            _, sv, vh = np.linalg.svd(B[d:, :], full_matrices=True)
+            # B is orthonormal, so these singular values live on an O(1)
             # scale; an absolute cutoff also catches the all-constant case
-            # where H vanishes entirely
-            small = sv <= tol.tol_rank * max(float(sv[0]) if sv.size else 0.0, 1.0)
+            # where B[d:] vanishes entirely
+            small = sv <= tol.tol_rank * max(float(sv[0]), 1.0)
             null_dim = int(np.sum(small)) + (r - len(sv))
             if null_dim != 1:
                 raise NotCyclicGeneratorError(
                     f"constants space has dimension {null_dim} at stage "
                     f"{len(factors)}; the orbit span is not singly generated"
                 )
-            cvec = vh.conj().T[:, r - 1]
+            V = vh.conj().T
         else:
-            if r != 1:
-                raise NotCyclicGeneratorError(
-                    f"constants space has dimension {r} at the final stage"
-                )
-            cvec = np.ones(1, dtype=complex)
-        const_elem = B @ cvec  # stacked constant polynomial in M
-        e = const_elem[:d]
+            V = np.ones((1, 1), dtype=complex)  # B's one column is p itself
+        e = B[:d] @ V[:, r - 1]  # the coefficient of the constant in span(B)
         e = e / np.linalg.norm(e)
         factors.append(e)
         if r == 1:
             break
-        # deflate: complement of the constant inside M, then
-        # g |-> (1 - P)g + S*(P g) coefficientwise on all columns at once;
-        # stacked matrix-vector products P @ g_j keep the per-coefficient bits
-        G = (B @ _orth_complement(cvec)).T.reshape(r - 1, N + 1, d)
+        # deflate g |-> (1 - P)g + S*(P g) coefficientwise on all columns at
+        # once; stacked matrix-vector products P @ g_j keep the
+        # per-coefficient bits
+        G = (B @ V[:, : r - 1]).T.reshape(r - 1, N + 1, d)
         PG = (np.outer(e, e.conj()) @ G[..., None])[..., 0]
         G = G - PG
         G[:, :-1] += PG[:, 1:]
-        B = _orth(G.reshape(r - 1, -1).T, tol.tol_rank)
-        if B.shape[1] != r - 1:
-            raise NotCyclicGeneratorError(
-                f"deflation changed the dimension from {r} to {B.shape[1]} "
-                f"instead of {r - 1}"
-            )
+        B = G.reshape(r - 1, -1).T
     return PotapovProduct(d, factors)
-
-
-def _orth_complement(v):
-    """Orthonormal basis of the orthocomplement of a unit vector v."""
-    n = v.shape[0]
-    m = np.eye(n, dtype=complex) - np.outer(v, v.conj()) / np.vdot(v, v)
-    u, s, _ = np.linalg.svd(m)
-    return u[:, : n - 1]
 
 
 def kernel_dim_theta0star(theta: MatrixPolynomial,
@@ -330,7 +319,8 @@ def verify_potapov(pp: PotapovProduct, trials: int = 32, seed: int = 0,
             A = np.eye(d, dtype=complex)
             for x in pp.factors[:-1]:
                 A = A @ (np.eye(d) - np.outer(x, x.conj()))
-            W = _orth_complement(pp.factors[-1])
+            # the rows of vh after the first span the complement of x
+            W = np.linalg.svd(pp.factors[-1].conj()[None, :])[2][1:].conj().T
             sv = np.linalg.svd(A @ W, compute_uv=False)
             report["nesting_margin"] = float(sv[-1]) if sv.size else 1.0
         else:
@@ -352,11 +342,9 @@ def verify_potapov(pp: PotapovProduct, trials: int = 32, seed: int = 0,
         d2 = float(np.linalg.norm(K - O @ (O.conj().T @ K), 2)) if K.size else 0.0
         report["model_space_defect"] = max(d1, d2)
         report["model_space_ok"] = report["model_space_defect"] < 1e-7
-        # orthogonality of the orbit to Theta H^2 on the stored degrees; one
-        # vdot per pair of contiguous columns, as a GEMM would change bits
-        W = _theta_columns(theta.coeffs, n - 1).T.copy()
-        cols = orbit.T.copy()
-        maxdot = float(max((abs(np.vdot(w, o)) for w in W for o in cols), default=0.0))
+        # orthogonality of the orbit to Theta H^2 on the stored degrees
+        W = _theta_columns(theta.coeffs, n - 1)
+        maxdot = float(np.abs(W.conj().T @ orbit).max(initial=0.0))
         report["orbit_orthogonality_defect"] = maxdot
         report["orbit_orthogonality_ok"] = maxdot < 1e-7
 

@@ -127,7 +127,8 @@ def stacked_sufficient(phis, tol: Tolerances = Tolerances()) -> Verdict:
     family is cyclic when the stacks
     (phi_1^(n_k), phi_2^(n_k + 1), ..., phi_r^(n_k + r - 1)) span C^{d r}
     along every tail.  The converse fails, so a deficient stack is only
-    Inconclusive.
+    Inconclusive.  An exponent of phi_i below i - 1 breaks the premise and
+    raises ValueError.
     """
     phis = list(phis)
     if not phis:
@@ -136,13 +137,10 @@ def stacked_sufficient(phis, tol: Tolerances = Tolerances()) -> Verdict:
     if any(p.dim != d for p in phis):
         raise ValueError("mixed dimensions")
     r = len(phis)
-    # the shifted base: every phi_i exponent minus i lands in it by
-    # construction.  Nothing checks that exponent - i >= 0, and VectorSeries
-    # rejects a negative exponent, so the stacks are placed, not merged
-    base = np.unique(np.concatenate([p.exponents - i for i, p in enumerate(phis)]))
-    stacks = np.zeros((len(base), d * r), dtype=complex)
-    for i, p in enumerate(phis):
-        stacks[np.searchsorted(base, p.exponents - i), i * d : (i + 1) * d] = p.coeffs
+    # phi_i fills column block i at its exponents minus i; VectorSeries merges
+    # them over the shifted base and rejects an exponent below the shift
+    exps = np.concatenate([p.exponents - i for i, p in enumerate(phis)])
+    stacks = VectorSeries(d * r, exps, block_diag(*[p.coeffs for p in phis])).coeffs
     hit = first_proper_tail(stacks, d * r, tol, range(len(stacks) // 2 + 1))
     if hit is None:
         return Verdict(CYCLIC_SUFFICIENT, "at-horizon")

@@ -185,7 +185,7 @@ def test_criterion_3_decomposition(capsys):
         f, model = _random_tail_model_instance(rng)
         rep = decompose(f, model)
         xs = rep.x_star
-        P = xs.projector()
+        P = xs.basis @ xs.basis.conj().T
         # p coefficients orthogonal to x_star
         for a in rep.p.coeffs:
             if np.linalg.norm(P @ a) > 1e-9 * max(np.linalg.norm(a), 1.0):

@@ -135,11 +135,6 @@ def test_crc_windows_span(d):
         assert s[-1] > 0
 
 
-def test_crc_validate_prefix():
-    pts = CrcPointSet(np.eye(3))
-    pts.validate_prefix(12)
-
-
 @pytest.mark.parametrize("basis", [[], [np.ones(2)], np.ones((2, 3))])
 def test_crc_rejects_malformed_basis(basis):
     with pytest.raises(ValueError, match="d >= 1 vectors of length d"):

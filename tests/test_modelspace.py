@@ -10,7 +10,7 @@ from cyclica import (
     synthesize_from_vectors,
     verify_potapov,
 )
-from cyclica.core import backward_shift
+from cyclica.core import Tolerances, backward_shift
 from cyclica.modelspace import (
     DegenerateInputError,
     NotCyclicGeneratorError,
@@ -224,3 +224,158 @@ def test_verify_rejects_generator_of_empty_product():
     pp1 = PotapovProduct(2, [np.array([1.0, 0.0])])
     with pytest.raises(ValueError, match="stacking degree"):
         verify_potapov(pp1, generator=VectorSeries(2, [1], np.array([[1.0, 2.0]])))
+
+
+# -- one-SVD peeling against the re-orthonormalizing loop ----------------------
+
+
+def _orth(m, tol_rank):
+    """Orthonormal basis of the column span with a relative SVD cutoff."""
+    if m.size == 0:
+        return m
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    if s[0] == 0:
+        return u[:, :0]
+    return u[:, s >= tol_rank * s[0]]
+
+
+def _orth_complement(v):
+    """Orthonormal basis of the orthocomplement of a unit vector v."""
+    n = v.shape[0]
+    m = np.eye(n, dtype=complex) - np.outer(v, v.conj()) / np.vdot(v, v)
+    u, s, _ = np.linalg.svd(m)
+    return u[:, : n - 1]
+
+
+def _loop_factorize(p, tol=Tolerances()):
+    """Peeling with three SVDs a stage: the constants by an SVD of the
+    degree >= 1 part, their complement by an SVD of a projector, and the
+    deflated span re-orthonormalized by a third."""
+    if p.is_zero:
+        raise DegenerateInputError("zero polynomial")
+    d, N = p.dim, int(p.exponents[-1])
+    u, s, _ = np.linalg.svd(_orbit_matrix(p, N), full_matrices=False)
+    if s[-1] < tol.tol_rank * s[0]:
+        raise DegenerateInputError("dependent orbit")
+    B = u[:, s >= tol.tol_rank * s[0]]
+    factors = []
+    for _ in range(N + 1):
+        r = B.shape[1]
+        H = B[d:, :]
+        if H.shape[0]:
+            _, sv, vh = np.linalg.svd(H, full_matrices=True)
+            small = sv <= tol.tol_rank * max(float(sv[0]) if sv.size else 0.0, 1.0)
+            if int(np.sum(small)) + (r - len(sv)) != 1:
+                raise NotCyclicGeneratorError("constants space is not a line")
+            cvec = vh.conj().T[:, r - 1]
+        else:
+            if r != 1:
+                raise NotCyclicGeneratorError("constants space is not a line")
+            cvec = np.ones(1, dtype=complex)
+        e = (B @ cvec)[:d]
+        e = e / np.linalg.norm(e)
+        factors.append(e)
+        if r == 1:
+            break
+        G = (B @ _orth_complement(cvec)).T.reshape(r - 1, N + 1, d)
+        PG = (np.outer(e, e.conj()) @ G[..., None])[..., 0]
+        G = G - PG
+        G[:, :-1] += PG[:, 1:]
+        B = _orth(G.reshape(r - 1, -1).T, tol.tol_rank)
+        if B.shape[1] != r - 1:
+            raise NotCyclicGeneratorError("deflation changed the dimension")
+    return PotapovProduct(d, factors)
+
+
+def _loop_nesting_margin(pp):
+    """Smallest singular value of the partial product on the complement of
+    the last factor, that complement taken from the projector's SVD."""
+    d = pp.dim
+    if pp.n_factors < 2:
+        return 1.0
+    A = np.eye(d, dtype=complex)
+    for x in pp.factors[:-1]:
+        A = A @ (np.eye(d) - np.outer(x, x.conj()))
+    sv = np.linalg.svd(A @ _orth_complement(pp.factors[-1]), compute_uv=False)
+    return float(sv[-1]) if sv.size else 1.0
+
+
+def _loop_orbit_orthogonality(pp, p):
+    """Largest |<w, o>| over Theta columns w and orbit columns o, one vdot
+    per pair."""
+    n = pp.n_factors
+    W = _theta_columns(pp.assembled.coeffs, n - 1).T.copy()
+    cols = _orbit_matrix(p, n - 1).T.copy()
+    return float(max((abs(np.vdot(w, o)) for w in W for o in cols), default=0.0))
+
+
+@pytest.mark.parametrize("d,N", [(1, 0), (3, 6), (4, 12)])
+def test_factorize_takes_one_svd_per_stage(d, N, rng, monkeypatch):
+    # one SVD of the orbit, one per stage for N >= 1, none at N = 0
+    p = VectorSeries(d, range(N + 1), rng.standard_normal((N + 1, d))
+                     + 1j * rng.standard_normal((N + 1, d)))
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    assert factorize_Ep(p).n_factors == N + 1
+    assert len(calls) == (N + 2 if N else 1)
+
+
+def _outcome(factorize, p):
+    try:
+        return factorize(p)
+    except (DegenerateInputError, NotCyclicGeneratorError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_svd_peeling_matches_loop_oracle(seed):
+    # draws of d 1-4 and N 0-10 with coefficient rows scaled by 10^(+-3),
+    # the first of each seed a constant and the second scalar.  Factors are
+    # equal up to phase within 1e-12 and every verify_potapov boolean is
+    # identical.  Fields of Theta alone agree within 1e-13 absolute.  What
+    # depends on the orbit is only as accurate as its conditioning allows
+    # (both sides reach model_space_defect 2e-11 on some draws): Theta within
+    # 1e-10 relative (Frobenius), model_space_defect within 1e-10 absolute,
+    # and the orbit orthogonality defect within 1e-10 times the largest
+    # coefficient modulus, as it scales with the orbit.  The largest seen
+    # over 1,200 such draws: 1.4e-11, 1.2e-11 and 4.1e-12
+    tol = Tolerances()
+    rng = np.random.default_rng(100 + seed)
+    factored = 0
+    for trial in range(30):
+        d = 1 if trial == 1 else int(rng.integers(1, 5))
+        N = 0 if trial == 0 else int(rng.integers(0, 11))
+        c = rng.standard_normal((N + 1, d)) + 1j * rng.standard_normal((N + 1, d))
+        c *= 10.0 ** rng.uniform(-3, 3, size=(N + 1, 1))
+        p = VectorSeries(d, range(N + 1), c)
+        new, old = _outcome(factorize_Ep, p), _outcome(_loop_factorize, p)
+        if isinstance(old, type):
+            assert new is old, (trial, d, N, new, old)
+            continue
+        factored += 1
+        assert new.n_factors == old.n_factors == N + 1
+        for x, y in zip(new.factors, old.factors):
+            assert _phase_free(x, y, atol=1e-12), (trial, d, N)
+        tn, to = new.assembled.coeffs, old.assembled.coeffs
+        assert tn.shape == to.shape
+        assert np.linalg.norm(tn - to) <= 1e-10 * np.linalg.norm(to), (trial, d, N)
+        rn = verify_potapov(new, seed=trial, tol=tol, generator=p)
+        ro = verify_potapov(old, seed=trial, tol=tol, generator=p)
+        assert rn.keys() == ro.keys()
+        orth_scale = max(1.0, float(np.abs(c).max()))
+        bounds = {"model_space_defect": 1e-10,
+                  "orbit_orthogonality_defect": 1e-10 * orth_scale}
+        for k in rn:
+            if isinstance(rn[k], (bool, np.bool_, int)):
+                assert rn[k] == ro[k], (trial, d, N, k)
+            else:
+                bound = bounds.get(k, 1e-13)
+                assert abs(rn[k] - ro[k]) <= bound, (trial, d, N, k, rn[k], ro[k])
+        # the two rewritten checks against their loops, on the same product
+        margin = _loop_nesting_margin(old)
+        orth = _loop_orbit_orthogonality(old, p)
+        assert abs(ro["nesting_margin"] - margin) <= 1e-12
+        assert (margin > tol.tol_rank) == (ro["nesting_margin"] > tol.tol_rank)
+        assert abs(ro["orbit_orthogonality_defect"] - orth) <= 1e-12 * orth_scale
+        assert (orth < 1e-7) == ro["orbit_orthogonality_ok"]
+    assert factored >= 20

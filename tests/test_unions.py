@@ -192,6 +192,13 @@ def test_stacked_sufficient_certificate():
     assert w.status == "Inconclusive"
 
 
+def test_stacked_sufficient_rejects_exponent_below_its_shift():
+    # phi_2's exponent 0 lies below its shift 1: there is no base term -1
+    with pytest.raises(ValueError, match="nonnegative"):
+        stacked_sufficient([scalar_series([1, 4], [1.0, 1.0]),
+                            scalar_series([0, 5], [1.0, 2.0])])
+
+
 def test_stacked_sufficient_never_contradicts_necessary(rng):
     for _ in range(10):
         K = 12
