@@ -37,6 +37,7 @@ class ReshapedSeries:
     base_dim: int
     block: int
     series: VectorSeries  # dimension base_dim * block
+    truncation_degree: int  # the original series' truncation
 
 
 def psi_reshape(f: VectorSeries, N: int) -> ReshapedSeries:
@@ -54,15 +55,16 @@ def psi_reshape(f: VectorSeries, N: int) -> ReshapedSeries:
     slots[np.arange(n), f.exponents % N] += f.coeffs
     series = VectorSeries(d * N, f.exponents // N, slots.reshape(n, N * d),
                           f.truncation_degree // N)
-    return ReshapedSeries(base_dim=d, block=N, series=series)
+    return ReshapedSeries(base_dim=d, block=N, series=series,
+                          truncation_degree=f.truncation_degree)
 
 
 def psi_unreshape(rs: ReshapedSeries) -> VectorSeries:
-    """Inverse of :func:`psi_reshape` (exact round trip)."""
+    """Inverse of :func:`psi_reshape` (exact round trip, truncation
+    included: the reshaped truncation floor(T / N) alone cannot give T back)."""
     d, N, s = rs.base_dim, rs.block, rs.series
     exps = (s.exponents[:, None] * N + np.arange(N)).ravel()
-    trunc = s.truncation_degree * N + N - 1 if len(s) else 0
-    return VectorSeries(d, exps, s.coeffs.reshape(-1, d), trunc)
+    return VectorSeries(d, exps, s.coeffs.reshape(-1, d), rs.truncation_degree)
 
 
 def _window_span_verdict(vectors, full_dim, tol):

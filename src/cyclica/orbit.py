@@ -6,29 +6,38 @@ onto span{S*^alpha f : alpha within a shift budget} and reporting the
 residual curve; the disc is the one-variable case.
 
 Lacunary spectra have few exponent coincidences, so almost every row of the
-orbit matrix is touched by one column only.  ``_compressed_system``, shared
-by disc and polydisc, builds the exactly compressed system straight from
-the exponent differences, without forming the orbit matrix: the rows that
-two columns or g share, found by one difference array over the shift box,
-and one diagonal entry per column for the rows private to it, an exact
-change of row basis.  The compressed system splits into independent blocks,
-the connected components of the graph that links each shared row to the
-columns touching it; a block without a row of g has optimal coefficients 0
-and adds nothing to any residual.  Both harnesses therefore factor only g's
-blocks, once, by Householder QR of the column-scaled system with its columns
-in the order in which they enter (shift n at budget n on the disc, the first
-sub-box of the chain that holds alpha on the polydisc), deleting a
-direction within sine ``tol_rank`` of the kept span; the one factor yields
-the nonincreasing residual curve, the endpoint coefficients and a condition
-estimate.  ``one_in_orbit_check`` thresholds the residual of the constant 1
-at the full polydisc box.  ``residual_final`` always replays the
-coefficients on every row of the uncompressed orbit system.
+orbit matrix is touched by one column only.  The exactly compressed system
+keeps the rows that two columns or g share and folds the rows private to a
+column into one diagonal entry per column, an exact change of row basis.
+It splits into independent blocks, the connected components of the graph
+that links each shared row to the columns touching it; a block without a
+row of g has optimal coefficients 0 and adds nothing to any residual, so
+both harnesses factor only g's blocks.
+
+The disc builds the whole compressed system straight from the exponent
+differences (``_compressed_system``, one difference array over the shift
+budget) and keeps g's blocks by their connected components
+(``_target_blocks``): there g's block is about half of the budget.  The
+polydisc builds g's block alone, by a search over exponents from g's rows
+(``_block_system``), so its cost follows the block, which lacunarity keeps
+tiny, and not the box, which grows as a product; it reaches boxes of 1e11
+columns and more.  Either block is factored once by Householder QR of the
+column-scaled system with its columns in the order in which they enter
+(shift n at budget n on the disc, the first sub-box of the chain that holds
+alpha on the polydisc), deleting a direction within sine ``tol_rank`` of the
+kept span; the one factor yields the nonincreasing residual curve, the
+endpoint coefficients and a condition estimate.  ``one_in_orbit_check``
+thresholds the residual of the constant 1 at the full polydisc box.
+``residual_final`` replays the coefficients on the uncompressed orbit
+system: on every row on the disc, and on the rows the block and g touch on
+the polydisc, the only rows where the residual can be nonzero.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 import scipy.sparse
@@ -52,7 +61,9 @@ __all__ = [
 class OrbitReport:
     shifts_used: tuple
     residuals: np.ndarray  # nonincreasing, indexed by budget
-    coefficients: np.ndarray  # best approximation at the largest budget
+    # best approximation at the largest budget; on the polydisc in support
+    # form, over the columns detail["support"] only
+    coefficients: np.ndarray
     # LAPACK trcon estimate, squared, of the infinity-norm condition number
     # of R, the QR factor of the column-scaled orbit matrix over the accepted
     # directions of g's blocks (the 1-norm one of R^H, the Cholesky factor of
@@ -155,6 +166,93 @@ def _compressed_system(T, coeffs, Tg, gcoeffs, box):
     return C, p2, bc, replay
 
 
+def _keys(X):
+    """One sortable key per row of the integer array X, compared bytewise:
+    exact at any exponent size, where a linear index could overflow int64."""
+    X = np.ascontiguousarray(X, dtype=np.int64)
+    return X.view(np.dtype((np.void, 8 * X.shape[1]))).ravel()
+
+
+def _unseen(seen, X):
+    """The distinct rows of X whose keys the sorted ``seen`` lacks, and
+    ``seen`` with their keys inserted in order."""
+    u, first = np.unique(_keys(X), return_index=True)
+    at = np.searchsorted(seen, u)
+    new = at == len(seen)
+    new[~new] = seen[at[~new]] != u[~new]
+    return X[first[new]], np.insert(seen, at[new], u[new])
+
+
+def _block_system(T, coeffs, Tg, gcoeffs, box):
+    """g's block of the compressed orbit system over the box, found by a
+    search over exponents, never touching a column outside it.
+
+    The search runs level by level from g's nonzero rows (Tg_j, c): a row
+    (r, c) is reached by the columns alpha = T_t - r with a_{t,c} != 0 and
+    0 <= alpha <= box, and a column alpha reaches the rows (T_s - alpha, c)
+    with alpha <= T_s and a_{s,c} != 0.  Every column reaching a row of the
+    block lies in the block, so a row is shared exactly when two of the
+    block's entries, or one and g, lie on it.  The block is then the
+    restriction of ``_compressed_system`` to g's blocks, bit for bit:
+    columns in C order, shared rows numbered by first occurrence (columns
+    in order, then g's terms), private rows folded into p2 in term order.
+
+    Returns the block as ``_target_blocks`` does, its columns (multi-indices,
+    C order) and ``replay(x)``, the norm of A x - b over the rows the block
+    touches; A x - b vanishes on every other row.
+    """
+    box = np.asarray(box, dtype=np.int64)
+    nz = coeffs != 0
+
+    def entries(cols):
+        """(column, term, component) of each entry of the columns, in that
+        order, and its row (multi-index, component)."""
+        beta = T[None] - cols[:, None]
+        i, t, c = np.nonzero(np.all(beta >= 0, axis=2)[..., None] & nz[None])
+        return i, t, c, np.column_stack([beta[i, t], c])
+
+    gj, gc = np.nonzero(gcoeffs != 0)
+    rows = g_rows = np.column_stack([Tg[gj], gc])
+    seen_rows = np.sort(_keys(rows))
+    seen_cols = _keys(np.zeros((0, len(box))))
+    alpha = [np.zeros((0, len(box)), dtype=np.int64)]
+    while len(rows):
+        cand = T[None] - rows[:, None, :-1]
+        ok = nz[:, rows[:, -1]].T & np.all((cand >= 0) & (cand <= box), axis=2)
+        new, seen_cols = _unseen(seen_cols, cand[ok])
+        if not len(new):
+            break
+        alpha.append(new)
+        rows, seen_rows = _unseen(seen_rows, entries(new)[3])
+    alpha = np.concatenate(alpha)
+    alpha = alpha[np.lexsort(alpha.T[::-1])]
+
+    col, t, c, entry_rows = entries(alpha)
+    ne, a = len(col), coeffs[t, c]
+    keys = np.concatenate([entry_rows, g_rows])
+    _, first, inverse, count = np.unique(_keys(keys), return_index=True,
+                                         return_inverse=True, return_counts=True)
+    kept = count > 1
+    kept[inverse[ne:]] = True
+    number = np.zeros(len(first), dtype=np.int64)
+    number[kept] = np.searchsorted(np.sort(first[kept]), first[kept])
+    shared, row = kept[inverse[:ne]], number[inverse[:ne]]
+    pcol, pa = col[~shared], a[~shared]
+    p2 = np.bincount(pcol, np.abs(pa) ** 2, minlength=len(alpha))
+    order = np.lexsort((col[shared], row[shared]))
+    row, col, a = row[shared][order], col[shared][order], a[shared][order]
+    bc = np.zeros(int(kept.sum()), dtype=complex)
+    bc[number[inverse[ne:]]] = gcoeffs[gj, gc]
+
+    def replay(x):
+        # each row's products summed in column order, as a CSR product does
+        r = np.zeros(len(bc), dtype=complex)
+        np.add.at(r, row, a * x[col])
+        return float(np.linalg.norm(np.concatenate([r - bc, pa * x[pcol]])))
+
+    return (row, col, a, p2, bc), alpha, replay
+
+
 def _geqrf(M):
     """Householder QR of M by LAPACK geqrf with its optimal blocked
     workspace, in place when M is Fortran-ordered; R is the upper triangle
@@ -184,9 +282,8 @@ def _qr_skipping(M, cut):
         R[k:, k:] = _geqrf(np.triu(R[k:, k:], -1))
 
 
-def _target_blocks(C, bc):
-    """Row and column masks of the blocks of the compressed system that
-    hold g.
+def _target_blocks(C, p2, bc):
+    """g's blocks of the compressed system, and the indices of their columns.
 
     The shared rows and the columns of C are the two node sets of a
     bipartite graph with one edge per entry; its connected components split
@@ -194,7 +291,9 @@ def _target_blocks(C, bc):
     diagonal row in its column's block.  A block on which b_C vanishes has
     optimal coefficients 0 and residual 0, so only the components holding
     a nonzero of b_C are kept; a row of g that no column reaches is a block
-    of its own.
+    of its own.  Returns the block, (row, col, data) of C's entries in g's
+    blocks (rows and columns renumbered in order, entries in C's order), p2
+    and b_C restricted to them, and the indices of the kept columns.
     """
     nr, nc = C.shape
     edges = scipy.sparse.coo_matrix((np.ones(C.nnz), (C.row, nr + C.col)),
@@ -202,48 +301,51 @@ def _target_blocks(C, bc):
     count, label = connected_components(edges, directed=False)
     held = np.zeros(count, dtype=bool)
     held[label[np.flatnonzero(bc)]] = True
-    return held[label[:nr]], held[label[nr:]]
+    rows, cols = held[label[:nr]], held[label[nr:]]
+    e = cols[C.col]  # entries in the blocks, on their rows by construction
+    return ((np.cumsum(rows) - 1)[C.row[e]], (np.cumsum(cols) - 1)[C.col[e]],
+            C.data[e], p2[cols], bc[rows]), np.flatnonzero(cols)
 
 
-def _solve_levels(C, p2, bc, replay, level, levels, cut):
-    """Least squares of b_C against [C; diag(sqrt p2)] on g's blocks, the
-    columns entering by ``level`` (one per column, 0 <= level < levels).
+def _solve_levels(row, col, data, p2, bc, level, levels, cut):
+    """Least squares of b_C against [C; diag(sqrt p2)] on an already built
+    block of the compressed system, C given by its entries (row, col, data),
+    sorted by row, the columns entering by ``level`` (one per column,
+    0 <= level < levels).
 
-    One Householder QR of the block's column-scaled [C/s | b], built from
-    C's COO arrays with the columns sorted by level, deletes every
-    direction within sine ``cut`` of the kept span.  The residual over the
-    columns up to level L is sqrt(|R_mm|^2 + sum of |c_j|^2 over the kept
-    columns above L), nonincreasing in L by construction.  Returns the
-    ``OrbitReport`` fields of the solve: these residuals, the coefficients
-    over all columns by back substitution, their replay by ``replay``, the
-    LAPACK trcon estimate, squared, of the infinity-norm condition number of
-    R (the 1-norm one of the Cholesky factor R^H of the scaled Gram matrix)
-    and ``detail``: ``block``, the block size (rows, diagonal rows
-    included; columns), and ``accepted_directions``, the kept columns.
+    One Householder QR of the column-scaled [C/s | b], with the columns
+    sorted by level, deletes every direction within sine ``cut`` of the
+    kept span.  The residual over the columns up to level L is
+    sqrt(|R_mm|^2 + sum of |c_j|^2 over the kept columns above L),
+    nonincreasing in L by construction.  Returns the ``OrbitReport`` fields
+    of the solve: these residuals, the coefficients of the block's columns
+    by back substitution, the LAPACK trcon estimate, squared, of the
+    infinity-norm condition number of R (the 1-norm one of the Cholesky
+    factor R^H of the scaled Gram matrix) and ``detail``: ``block``, the
+    block size (rows, diagonal rows included; columns), and
+    ``accepted_directions``, the kept columns.
     """
-    rows, cols = _target_blocks(C, bc)
-    s = np.sqrt(p2 + np.bincount(C.col, np.abs(C.data) ** 2, minlength=C.shape[1]))
-    cols = np.flatnonzero(cols & (s > 0))  # a zero column has nothing to add
+    s = np.sqrt(p2 + np.bincount(col, np.abs(data) ** 2, minlength=len(p2)))
+    cols = np.flatnonzero(s > 0)  # a zero column has nothing to add
     cols = cols[np.argsort(level[cols], kind="stable")]
-    nr, m = int(rows.sum()), len(cols)
-    at = np.full(C.shape[1], -1)
+    nr, m = len(bc), len(cols)
+    at = np.full(len(p2), -1)
     at[cols] = np.arange(m)
-    e = at[C.col] >= 0  # entries in the block, on its rows by construction
+    e = at[col] >= 0
     # one spare zero row: R keeps its row m when the block has no row
     M = np.zeros((nr + m + 1, m + 1), dtype=complex, order="F")
-    M[(np.cumsum(rows) - 1)[C.row[e]], at[C.col[e]]] = C.data[e] / s[C.col[e]]
+    M[row[e], at[col[e]]] = data[e] / s[col[e]]
     M[nr + np.arange(m), np.arange(m)] = np.sqrt(p2[cols]) / s[cols]
-    M[:nr, m] = bc[rows]
+    M[:nr, m] = bc
     R, acc = _qr_skipping(M, cut)
     k, acc = len(acc), cols[acc]
     c = R[:k, k]
     drop = np.bincount(level[acc], np.abs(c) ** 2, minlength=levels)
     tail = np.append(np.cumsum(drop[:0:-1])[::-1], 0.0)  # sum over levels above
-    x = np.zeros(C.shape[1], dtype=complex)
+    x = np.zeros(len(p2), dtype=complex)
     x[acc] = solve_triangular(R[:k, :k], c, check_finite=False) / s[acc]
     rcond = get_lapack_funcs("trcon", (R,))(R[:k, :k], norm="I", uplo="U")[0]
     return dict(residuals=np.sqrt(np.abs(R[k, k]) ** 2 + tail), coefficients=x,
-                residual_final=replay(x),
                 gram_condition=float(rcond ** -2) if rcond > 0 else float("inf"),
                 detail={"block": (nr + m, m), "accepted_directions": k})
 
@@ -265,13 +367,18 @@ def orbit_project(f: VectorSeries, g: VectorSeries, n_max: int,
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    system = _compressed_system(
+    *system, replay = _compressed_system(
         f.exponents[:, None], f.coeffs, g.exponents[:, None], g.coeffs, (n_max,))
+    block, cols = _target_blocks(*system)
+    fit = _solve_levels(*block, cols, n_max + 1, tol.tol_rank)
+    x = np.zeros(n_max + 1, dtype=complex)
+    x[cols] = fit["coefficients"]
+    fit.update(coefficients=x, residual_final=replay(x))
     return OrbitReport(
         shifts_used=tuple(range(n_max + 1)),
         truncation_degree=f.truncation_degree,
         target_norm=g.norm(),
-        **_solve_levels(*system, np.arange(n_max + 1), n_max + 1, tol.tol_rank),
+        **fit,
     )
 
 
@@ -284,13 +391,20 @@ def orbit_project_polydisc(f: PolySeries, g: PolySeries, box,
     """Least squares of g against {S*^alpha f : alpha <= box componentwise}.
 
     The residual is reported along a nested chain of sub-boxes (the fractions
-    ``_CHAIN`` of the full box).  The orbit system is compressed once, at
-    the full box, and solved on g's blocks only, each column entering at the
-    first sub-box that holds its shift: one Householder QR gives the whole
-    chain, the full-box coefficients and the condition estimate, as on the
-    disc.  ``residual_final`` replays ``coefficients`` on the uncompressed
-    full-box matrix.  ``detail`` holds ``block``, ``accepted_directions``,
-    ``columns_at_full_box`` and ``chain``.
+    ``_CHAIN`` of the full box).  g's block of the compressed orbit system
+    at the full box is built by a search over exponents (``_block_system``),
+    so the cost follows the block and not the box, and it is solved as on
+    the disc, each column entering at the first sub-box that holds its
+    shift: one Householder QR gives the whole chain, the full-box
+    coefficients and the condition estimate.
+
+    ``coefficients`` is in support form: the coefficients of g's block
+    columns, whose multi-indices are the rows of ``detail["support"]``
+    (int64, m x poly_dim, C order); every other coefficient is 0.
+    ``residual_final`` replays them on every row that the block or g
+    touches, the only rows where A x - b can be nonzero.  ``detail`` also
+    holds ``block``, ``accepted_directions``, ``columns_at_full_box`` (the
+    box's column count, a Python int) and ``chain``.
     """
     if not f.terms:
         raise ValueError("cannot project onto the orbit of the zero series")
@@ -302,13 +416,15 @@ def orbit_project_polydisc(f: PolySeries, g: PolySeries, box,
     boxes = tuple(tuple(int(np.floor(b * frac)) for b in box) for frac in _CHAIN)
     T = np.asarray(f.multi_exponents, dtype=np.int64)
     Tg = np.asarray(g.multi_exponents, dtype=np.int64).reshape(len(g), f.poly_dim)
-    system = _compressed_system(T, f.coeffs, Tg, g.coeffs, box)
+    block, alpha, replay = _block_system(T, f.coeffs, Tg, g.coeffs, box)
     # the first sub-box holding alpha: the largest first index over the axes
-    level = np.zeros((), dtype=np.int64)
-    for edges, b in zip(zip(*boxes), box):
-        level = np.maximum.outer(level, np.searchsorted(edges, np.arange(b + 1)))
-    fit = _solve_levels(*system, level.ravel(), len(boxes), tol.tol_rank)
-    fit["detail"].update(columns_at_full_box=level.size, chain=_CHAIN)
+    level = np.zeros(len(alpha), dtype=np.int64)
+    for axis, edges in enumerate(zip(*boxes)):
+        level = np.maximum(level, np.searchsorted(edges, alpha[:, axis]))
+    fit = _solve_levels(*block, level, len(boxes), tol.tol_rank)
+    fit["residual_final"] = replay(fit["coefficients"])
+    fit["detail"].update(support=alpha, columns_at_full_box=prod(b + 1 for b in box),
+                         chain=_CHAIN)
     return OrbitReport(
         shifts_used=boxes,
         truncation_degree=max(max(t) for t in f.multi_exponents),
@@ -380,23 +496,23 @@ def tail_diagnostics(f: VectorSeries, probes=None, seed: int = 0) -> TailDiagnos
     K = len(f) - 1  # last index has an empty tail
     terms13 = b[:K] / tails[:K]
     partial13 = np.cumsum(terms13)
+    # pair (k, l) for l > k reads h at n_l - n_k; other pairs read nothing
+    diff = f.exponents[None, :] - f.exponents[:K, None]
+    later = np.arange(len(f)) > np.arange(K)[:, None]
     lemma12_partial = {}
     weak = {}
     for pi, h in enumerate(probes):
-        s = np.zeros(K)
-        w = np.zeros(K)
-        for k in range(K):
-            tot = 0.0
-            pair = 0.0 + 0.0j
-            for l in range(k + 1, len(f)):
-                diff = int(f.exponents[l] - f.exponents[k])
-                hc = h.coefficient(diff)
-                tot += float(np.sum(np.abs(hc) ** 2))
-                pair += np.vdot(hc, f.coeffs[l])
-            s[k] = tot
-            w[k] = abs(pair) / np.sqrt(b[k])
+        at = np.searchsorted(h.exponents, diff)
+        hit = later & (at < len(h))
+        hit[hit] = h.exponents[at[hit]] == diff[hit]
+        hc = np.zeros(diff.shape + (f.dim,), dtype=complex)
+        hc[hit] = h.coeffs[at[hit]]
+        # running sums over l, in order, as a loop over l would add them
+        s = np.cumsum(np.sum(np.abs(hc) ** 2, axis=2), axis=1)[:, -1]
+        pair = np.cumsum(np.vecdot(hc, f.coeffs[None]), axis=1)[:, -1]
         lemma12_partial[pi] = np.cumsum(s)
-        weak[pi] = w
+        # libm's hypot, as abs() of a complex scalar: np.abs can differ by an ulp
+        weak[pi] = np.hypot(pair.real, pair.imag) / np.sqrt(b[:K])
     return TailDiagnostics(
         lemma13_terms=terms13,
         lemma13_partial=partial13,

@@ -377,5 +377,18 @@ def test_one_svd_peeling_matches_loop_oracle(seed):
         assert abs(ro["nesting_margin"] - margin) <= 1e-12
         assert (margin > tol.tol_rank) == (ro["nesting_margin"] > tol.tol_rank)
         assert abs(ro["orbit_orthogonality_defect"] - orth) <= 1e-12 * orth_scale
-        assert (orth < 1e-7) == ro["orbit_orthogonality_ok"]
+        orbit_norm = np.linalg.norm(_orbit_matrix(p, old.n_factors - 1), axis=0).max()
+        assert (orth <= 1e-7 * orbit_norm) == ro["orbit_orthogonality_ok"]
     assert factored >= 20
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+def test_orbit_orthogonality_is_scale_free(scale):
+    # the orbit scales with the generator, Theta does not: the defect grows
+    # with the scale, its verdict must not
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    p = VectorSeries(3, range(5), scale * c)
+    report = verify_potapov(factorize_Ep(p), generator=p)
+    assert report["orbit_orthogonality_defect"] <= 1e-13 * scale
+    assert report["orbit_orthogonality_ok"] and report["all_ok"], report

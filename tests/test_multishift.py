@@ -36,8 +36,9 @@ def _loop_psi_reshape(f, N):
     return VectorSeries(d * N, exps, coeffs, f.truncation_degree // N)
 
 
-def _loop_psi_unreshape(series, d, N):
-    """Reference inverse by a loop over blocks and slots."""
+def _loop_psi_unreshape(series, d, N, truncation_degree):
+    """Reference inverse by a loop over blocks and slots, restoring the
+    original truncation."""
     exps, coeffs = [], []
     for q, v in zip(series.exponents, series.coeffs):
         for r in range(N):
@@ -45,10 +46,9 @@ def _loop_psi_unreshape(series, d, N):
             if np.any(a != 0):
                 exps.append(int(q) * N + r)
                 coeffs.append(a)
-    trunc = series.truncation_degree * N + N - 1
     if not exps:
-        return VectorSeries(d, [], np.zeros((0, d)), 0)
-    return VectorSeries(d, exps, np.array(coeffs), max(trunc, max(exps)))
+        return VectorSeries(d, [], np.zeros((0, d)), truncation_degree)
+    return VectorSeries(d, exps, np.array(coeffs), truncation_degree)
 
 
 @given(dim=st.integers(1, 3), N=st.integers(1, 4), n_terms=st.integers(0, 12),
@@ -69,7 +69,8 @@ def test_psi_reshape_oracle(dim, N, n_terms, slack, seed):
     f = VectorSeries(dim, exps, coeffs, (int(exps[-1]) if n_terms else 0) + slack)
     rs = psi_reshape(f, N)
     assert_same_bits(rs.series, _loop_psi_reshape(f, N))
-    assert_same_bits(psi_unreshape(rs), _loop_psi_unreshape(rs.series, dim, N))
+    assert_same_bits(psi_unreshape(rs),
+                     _loop_psi_unreshape(rs.series, dim, N, f.truncation_degree))
 
 
 @given(N=st.integers(1, 8), seed=st.integers(0, 60))
@@ -81,6 +82,18 @@ def test_psi_isometry_and_roundtrip(N, seed):
     back = psi_unreshape(rs)
     assert list(back.exponents) == list(f.exponents)
     assert np.allclose(back.coeffs, f.coeffs)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+def test_psi_round_trip_keeps_truncation(N):
+    # floor(4 / 2) = 2 marks slots up to exponent 5 as trusted; the round
+    # trip must still return truncation 4, and the reshaped one stays floor
+    f = scalar_series([1, 3], [1.0, 2.0], 4)
+    rs = psi_reshape(f, N)
+    assert rs.series.truncation_degree == 4 // N
+    assert_same_bits(psi_unreshape(rs), f)
+    empty = VectorSeries(2, [], np.zeros((0, 2)), 7)
+    assert_same_bits(psi_unreshape(psi_reshape(empty, N)), empty)
 
 
 @given(N=st.integers(1, 6), seed=st.integers(0, 60))

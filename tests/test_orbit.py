@@ -19,7 +19,15 @@ from cyclica import (
     scalar_series,
     tail_diagnostics,
 )
-from cyclica.orbit import _compressed_system, _qr_skipping
+from cyclica.core import Tolerances
+from cyclica.orbit import (
+    _CHAIN,
+    _block_system,
+    _compressed_system,
+    _qr_skipping,
+    _solve_levels,
+    _target_blocks,
+)
 
 from conftest import dyadic_scalar
 
@@ -433,10 +441,14 @@ def _g_block(A, b):
     return kept + len(cols), len(cols)
 
 
+def _exponent_arrays(f, g):
+    T = np.asarray(f.multi_exponents, dtype=np.int64)
+    return T, np.asarray(g.multi_exponents, dtype=np.int64).reshape(len(g), f.poly_dim)
+
+
 def _poly_system(f, g, box):
     """The compressed orbit system `_compressed_system` builds over the box."""
-    T = np.asarray(f.multi_exponents, dtype=np.int64)
-    Tg = np.asarray(g.multi_exponents, dtype=np.int64).reshape(len(g), f.poly_dim)
+    T, Tg = _exponent_arrays(f, g)
     return _compressed_system(T, f.coeffs, Tg, g.coeffs, box)
 
 
@@ -486,18 +498,37 @@ def _assert_matches_loop(system, A, b, seed=0):
     assert replay(x) == np.linalg.norm(A @ x - b)
 
 
+# residual_final sums the squares of the block's rows only, in another
+# order than a replay over every row of A: the two norms may differ in the
+# last bits (2 ulp at most over the criterion-8 chains and 300 seeded draws)
+REPLAY_ULPS = 4
+
+
+def _ulps(a, b):
+    return abs(a - b) / np.spacing(max(a, b, np.finfo(float).tiny))
+
+
+def _dense_coefficients(rep, box):
+    """The support-form polydisc coefficients scattered over the box, C order."""
+    x = np.zeros(int(np.prod(np.add(box, 1))), dtype=complex)
+    support = rep.detail["support"]
+    x[np.ravel_multi_index(tuple(support.T), tuple(np.add(box, 1)))] = rep.coefficients
+    return x
+
+
 @pytest.mark.parametrize("case", sorted(POLY_ORACLE_CASES))
 def test_polydisc_solution_matches_loop_assembly(case):
-    # LSMR sees the compressed system, not the loop-assembled one, so the
-    # solutions agree to rounding; the residual replay on the loop-assembled
-    # system is the same sparse product and agrees bit for bit
+    # LSMR sees the loop-assembled system, the harness its compressed block,
+    # so the solutions agree to rounding, and so do the residual replays
     f, g, box = POLY_ORACLE_CASES[case]
     A, b = _loop_poly_system(f, g, box)
     x = scipy.sparse.linalg.lsmr(A, b, atol=1e-12, btol=1e-12,
                                  maxiter=8 * sum(A.shape))[0]
     rep = orbit_project_polydisc(f, g, box)
-    assert np.abs(rep.coefficients - x).max() <= 1e-12 * np.linalg.norm(x)
-    assert rep.residual_final == np.linalg.norm(A @ rep.coefficients - b)
+    coef = _dense_coefficients(rep, box)
+    assert np.abs(coef - x).max() <= 1e-12 * np.linalg.norm(x)
+    replay = np.linalg.norm(A @ coef - b)
+    assert _ulps(rep.residual_final, replay) <= REPLAY_ULPS, (rep.residual_final, replay)
 
 
 @pytest.mark.parametrize("case", sorted(POLY_ORACLE_CASES) + ["disc"])
@@ -564,7 +595,7 @@ def test_polydisc_residual_matches_dense_lstsq(case):
     assert rep.detail["block"] == _g_block(*_loop_poly_system(f, g, box)), rep.detail
     assert rep.detail["block"][1] <= rep.detail["columns_at_full_box"]
     A, b = _dense_poly_orbit(f, g, box)
-    replay = np.linalg.norm(A @ rep.coefficients - b)
+    replay = np.linalg.norm(A @ _dense_coefficients(rep, box) - b)
     assert abs(rep.residual_final - replay) <= 1e-12 * gn, (
         rep.residual_final, replay)
     for sub, resid in zip(rep.shifts_used, rep.residuals):
@@ -587,7 +618,7 @@ def test_block_solve_matches_dense_lstsq_on_loop_system(case):
         x = np.linalg.lstsq(A, b, rcond=None)[0]
         oracle = np.linalg.norm(A @ x - b)
         assert abs(resid - oracle) <= 1e-12 * gn, (sub, resid, oracle)
-    assert np.abs(rep.coefficients - x).max() <= 1e-12 * np.linalg.norm(x)
+    assert np.abs(_dense_coefficients(rep, box) - x).max() <= 1e-12 * np.linalg.norm(x)
 
 
 @st.composite
@@ -646,6 +677,87 @@ def test_block_solve_matches_dense_lstsq_when_g_splits(case):
         oracle = np.linalg.norm(A @ x - b)
         assert abs(resid - oracle) <= 1e-10 * gn, (sub, resid, oracle)
     assert abs(rep.residual_final - oracle) <= 1e-10 * gn, (rep.residual_final, oracle)
+
+
+# -- g's block by exponent search, against the full-box oracle ----------------
+
+
+def _oracle_block_fit(f, g, box):
+    """The full-box assembly: `_compressed_system` over every column of the
+    box, restricted to g's blocks by `_target_blocks`, its columns levelled
+    by a box-sized grid, solved by `_solve_levels` and replayed on every row
+    of the orbit matrix."""
+    *system, replay = _poly_system(f, g, box)
+    block, cols = _target_blocks(*system)
+    boxes = [[int(np.floor(b * frac)) for b in box] for frac in _CHAIN]
+    level = np.zeros((), dtype=np.int64)
+    for edges, b in zip(zip(*boxes), box):
+        level = np.maximum.outer(level, np.searchsorted(edges, np.arange(b + 1)))
+    fit = _solve_levels(*block, level.ravel()[cols], len(_CHAIN), Tolerances().tol_rank)
+    x = np.zeros(level.size, dtype=complex)
+    x[cols] = fit["coefficients"]
+    return block, cols, fit, x, replay(x)
+
+
+def _assert_block_matches_oracle(f, g, box):
+    block_ref, cols, fit, x, final = _oracle_block_fit(f, g, box)
+    T, Tg = _exponent_arrays(f, g)
+    block, alpha, _ = _block_system(T, f.coeffs, Tg, g.coeffs, box)
+    # entries (row, col, data), p2 and b_C, bit for bit
+    for got, ref in zip(block, block_ref, strict=True):
+        assert np.array_equal(got, ref)
+    shape = tuple(np.add(box, 1))
+    assert np.array_equal(alpha, np.column_stack(np.unravel_index(cols, shape)))
+    rep = orbit_project_polydisc(f, g, box)
+    assert rep.detail["support"].dtype == np.int64
+    assert np.array_equal(rep.detail["support"], alpha)
+    assert rep.detail["block"] == fit["detail"]["block"]
+    assert rep.detail["accepted_directions"] == fit["detail"]["accepted_directions"]
+    assert np.array_equal(rep.residuals, fit["residuals"])
+    assert np.array_equal(_dense_coefficients(rep, box), x)
+    assert rep.gram_condition == fit["gram_condition"]
+    assert _ulps(rep.residual_final, final) <= REPLAY_ULPS, (rep.residual_final, final)
+    assert rep.detail["columns_at_full_box"] == x.size
+
+
+CRITERION_8 = PolySeries(2, 1, [((2**k, 3**k), [16.0**-k]) for k in range(1, 11)])
+CRITERION_8_BOXES = sorted({tuple(int(np.floor(b * frac)) for b in top)
+                            for top in ((2**8, 3**4), (2**10, 3**5)) for frac in _CHAIN})
+
+
+@pytest.mark.parametrize("box", CRITERION_8_BOXES)
+@pytest.mark.parametrize("eta", [(0, 0), (1, 0), (0, 1), (1, 1)])
+def test_block_search_matches_oracle_on_criterion_8(eta, box):
+    _assert_block_matches_oracle(CRITERION_8, PolySeries(2, 1, [(eta, [1.0])]), box)
+
+
+@given(case=_small_orbit_case())
+@settings(max_examples=100, deadline=None)
+def test_block_search_matches_oracle_on_small_systems(case):
+    _assert_block_matches_oracle(*case)
+
+
+@given(case=_split_target_case())
+@settings(max_examples=60, deadline=None)
+def test_block_search_matches_oracle_when_g_splits(case):
+    # g has several terms on two blocks and a row that no column reaches
+    _assert_block_matches_oracle(*case)
+
+
+def test_block_search_never_touches_the_box():
+    # about 9e23 columns: any array of the box's size would fail; past
+    # every exponent of f the block is the same 512 columns
+    one = PolySeries(2, 1, [((0, 0), [1.0])])
+    assert orbit_project_polydisc(CRITERION_8, one, (2**10, 3**5)).detail["block"] == (24, 16)
+    box = (2**40, 3**25)
+    rep = orbit_project_polydisc(CRITERION_8, one, box)
+    cols = rep.detail["columns_at_full_box"]
+    assert type(cols) is int and cols == (2**40 + 1) * (3**25 + 1)
+    assert rep.detail["block"][1] == 512 == len(rep.coefficients)
+    assert rep.detail["support"].shape == (512, 2)
+    saturated = orbit_project_polydisc(CRITERION_8, one, (2**20, 3**12))
+    assert np.array_equal(rep.detail["support"], saturated.detail["support"])
+    assert 0 < rep.residual_final < 1.45e-4
 
 
 def test_block_residual_equals_exact_least_squares():
@@ -749,6 +861,47 @@ def test_lemma12_partial_sums_cauchy():
             continue
         inc = total - sums[3 * len(sums) // 4]
         assert inc < 0.01 * total, (p, inc, total)
+
+
+def _loop_tail_sums(f, h):
+    """Reference double sums and pairings of one probe by a loop over term
+    pairs, one coefficient lookup each."""
+    b = np.sum(np.abs(f.coeffs) ** 2, axis=1)
+    K = len(f) - 1
+    s, w = np.zeros(K), np.zeros(K)
+    for k in range(K):
+        tot, pair = 0.0, 0.0 + 0.0j
+        for l in range(k + 1, len(f)):
+            hc = h.coefficient(int(f.exponents[l] - f.exponents[k]))
+            tot += float(np.sum(np.abs(hc) ** 2))
+            pair += np.vdot(hc, f.coeffs[l])
+        s[k] = tot
+        w[k] = abs(pair) / np.sqrt(b[k])
+    return np.cumsum(s), w
+
+
+@pytest.mark.parametrize("case", ["criterion_7", "dyadic", "vector", "given_probes"])
+def test_tail_diagnostics_matches_loop_oracle(case):
+    rng = np.random.default_rng(7)
+    probes = None
+    if case == "criterion_7":
+        f = scalar_series([2**k for k in range(63)], [2.0 ** (-k / 2.0) for k in range(63)])
+    elif case == "dyadic":
+        f = dyadic_scalar(K=20)
+    else:
+        exps = np.unique(rng.integers(0, 60, 12))
+        f = VectorSeries(3, exps, rng.standard_normal((len(exps), 3))
+                         + 1j * rng.standard_normal((len(exps), 3)))
+        if case == "given_probes":
+            # a zero probe, one above every difference and a dense one
+            probes = [_zero(3), VectorSeries(3, [500], np.ones((1, 3))),
+                      VectorSeries(3, range(60), rng.standard_normal((60, 3)))]
+    td = tail_diagnostics(f, probes)
+    assert len(td.probes) >= 3
+    for pi, h in enumerate(td.probes):
+        s, w = _loop_tail_sums(f, h)
+        assert td.lemma12_partial[pi].tobytes() == s.tobytes(), (case, pi)
+        assert td.weak_pairings[pi].tobytes() == w.tobytes(), (case, pi)
 
 
 def test_tail_diagnostics_needs_three_terms():
