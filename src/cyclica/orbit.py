@@ -14,28 +14,29 @@ that links each shared row to the columns touching it; a block without a
 row of g has optimal coefficients 0 and adds nothing to any residual, so
 both harnesses factor only g's blocks.
 
-The disc builds the whole compressed system straight from the exponent
-differences (``_compressed_system``, one difference array over the shift
-budget) and keeps g's blocks by their connected components
+One assembler (``_assemble``) builds the compressed system straight from
+the exponents on any set of columns closed under row sharing; the two
+harnesses differ only in how they pick that set.  The disc takes every
+shift up to the budget and keeps g's blocks by their connected components
 (``_target_blocks``): there g's block is about half of the budget.  The
-polydisc builds g's block alone, by a search over exponents from g's rows
-(``_block_system``), so its cost follows the block, which lacunarity keeps
-tiny, and not the box, which grows as a product; it reaches boxes of 1e11
-columns and more.  Either block is factored once by Householder QR of the
-column-scaled system with its columns in the order in which they enter
-(shift n at budget n on the disc, the first sub-box of the chain that holds
-alpha on the polydisc), deleting a direction within sine ``tol_rank`` of the
-kept span; the one factor yields the nonincreasing residual curve, the
-endpoint coefficients and a condition estimate.  ``one_in_orbit_check``
-thresholds the residual of the constant 1 at the full polydisc box.
-``residual_final`` replays the coefficients on the uncompressed orbit
-system: on every row on the disc, and on the rows the block and g touch on
-the polydisc, the only rows where the residual can be nonzero.
+polydisc takes only g's block columns, found by a search over exponents
+from g's rows (``_block_columns``), so its cost follows the block, which
+lacunarity keeps tiny, and not the box, which grows as a product; it
+reaches boxes of 1e11 columns and more.  Either block is factored once by
+Householder QR of the column-scaled system with its columns in the order
+in which they enter (shift n at budget n on the disc, the first sub-box of
+the chain that holds alpha on the polydisc), deleting a direction within
+sine ``tol_rank`` of the kept span; the one factor yields the
+nonincreasing residual curve, the endpoint coefficients and a condition
+estimate.  ``one_in_orbit_check`` thresholds the residual of the constant
+1 at the full polydisc box.  ``residual_final`` replays the coefficients
+on the uncompressed orbit system, over the rows that the assembled
+columns and g touch: every row on the disc, and on the polydisc the only
+rows where the residual can be nonzero.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import prod
 
@@ -75,97 +76,6 @@ class OrbitReport:
     detail: dict = field(default_factory=dict)
 
 
-def _compressed_system(T, coeffs, Tg, gcoeffs, box):
-    """Exact row compression of the orbit system A x ~ b, without forming A.
-
-    A = [S*^alpha f : 0 <= alpha <= box], its columns the multi-indices
-    alpha in C order, and b is g.  T (terms x poly_dim, int64) and
-    ``coeffs`` (terms x dim) describe f, Tg and ``gcoeffs`` g.  The rows of
-    A are the (multi-index, component) pairs reached by a column or by g,
-    numbered by first occurrence: columns in order, then f's terms, then g's
-    terms.  Entry (alpha, t, c) lies on row (T_t - alpha, c); term s with
-    a nonzero component c reaches that row exactly when alpha lies in the
-    rectangle max(0, T_t - T_s) <= alpha <= min(box, T_t, box - T_s + T_t),
-    and g's term j when alpha = T_t - Tg_j.  One difference array over
-    box x (term, component) counts every rectangle at once; the rows with
-    no other visitor, private to one column, are folded into one diagonal
-    entry per column, so that for every x
-    ||A x - b||^2 = ||C x - b_C||^2 + sum_j p2_j |x_j|^2.
-
-    Returns the shared rows C (COO, rows in order, columns sorted within a
-    row), the squared private norms p2 per column (summed in row order),
-    b_C and ``replay(x)``, the norm of A x - b over every row of A.
-    """
-    box = np.asarray(box, dtype=np.int64)
-    (K, d), dim = T.shape, coeffs.shape[1]
-    shape = tuple(box + 1) + (K, dim)
-    nz = coeffs != 0
-    t, s, c = np.nonzero(nz[:, None] & nz[None] & ~np.eye(K, dtype=bool)[..., None])
-    D = T[t] - T[s]
-    lo, hi = np.maximum(D, 0), np.minimum(T[t], box + np.minimum(D, 0))
-    ok = np.all(lo <= hi, axis=1)
-    t, c, lo, hi = t[ok], c[ok], lo[ok], hi[ok]
-    visits = np.zeros(shape, dtype=np.int32)  # other terms and g on the row
-    for corner in itertools.product((0, 1), repeat=d):
-        at = np.where(corner, hi + 1, lo)
-        inside = np.all(at <= box, axis=1)
-        np.add.at(visits, (*at[inside].T, t[inside], c[inside]),
-                  (-1) ** sum(corner))
-    for axis in range(d):
-        np.cumsum(visits, axis=axis, out=visits)
-    gnz = gcoeffs != 0
-    t, j, c = np.nonzero(nz[:, None] & gnz[None])
-    at = T[t] - Tg[j]
-    inside = np.all((at >= 0) & (at <= box), axis=1)
-    np.add.at(visits, (*at[inside].T, t[inside], c[inside]), 1)
-
-    entry = nz
-    for axis in range(d):  # alpha <= T_t
-        grid = np.arange(box[axis] + 1).reshape((-1,) + (1,) * (d - axis + 1))
-        entry = entry & (grid <= T[:, axis, None])
-    ent = np.flatnonzero(entry)  # (column, term, component) order
-    shared = visits[entry] > 0
-    col, tc = np.divmod(ent, K * dim)
-    a = coeffs.ravel()
-    pcol, pa = col[~shared], a[tc[~shared]]
-    scol, stc = col[shared], tc[shared]
-    ncols = int(np.prod(box + 1))
-    p2 = np.bincount(pcol, np.abs(pa) ** 2, minlength=ncols)
-
-    gi, gc = np.nonzero(gnz)
-    alpha = np.column_stack(np.unravel_index(scol, tuple(box + 1)))
-    # key rows rather than linear indices: exponent extents can overflow int64
-    keys = np.concatenate([np.column_stack([T[stc // dim] - alpha, stc % dim]),
-                           np.column_stack([Tg[gi], gc])])
-    _, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                  return_inverse=True)
-    row = np.searchsorted(np.sort(first), first)[inverse.ravel()]
-    ns = len(scol)
-    order = np.lexsort((scol, row[:ns]))
-    C = scipy.sparse.coo_matrix((a[stc[order]], (row[order], scol[order])),
-                                shape=(len(first), ncols))
-    bc = np.zeros(len(first), dtype=complex)
-    bc[row[ns:]] = gcoeffs[gi, gc]
-
-    # rows of A in order: a private entry opens one, a key its first visit
-    key = np.concatenate([shared, np.ones(len(gi), dtype=bool)])
-    opens = ~key
-    opens[np.flatnonzero(key)[first]] = True
-    kept = key[opens]
-    P = scipy.sparse.csr_matrix((pa, pcol, np.arange(len(pa) + 1)),
-                                shape=(len(pa), ncols))
-    Cr = C.tocsr()
-
-    def replay(x):
-        # the same sparse row products as A @ x - b, in A's row order
-        r = np.zeros(len(kept), dtype=complex)
-        r[~kept] = P @ x
-        r[kept] = Cr @ x - bc
-        return float(np.linalg.norm(r))
-
-    return C, p2, bc, replay
-
-
 def _keys(X):
     """One sortable key per row of the integer array X, compared bytewise:
     exact at any exponent size, where a linear index could overflow int64."""
@@ -183,36 +93,29 @@ def _unseen(seen, X):
     return X[first[new]], np.insert(seen, at[new], u[new])
 
 
-def _block_system(T, coeffs, Tg, gcoeffs, box):
-    """g's block of the compressed orbit system over the box, found by a
-    search over exponents, never touching a column outside it.
+def _entries(T, nz, alpha):
+    """(column, term, component) of each entry of the orbit columns alpha,
+    in that order, and its row (multi-index, component): entry (alpha, t, c)
+    lies on row (T_t - alpha, c) when alpha <= T_t and a_{t,c} != 0."""
+    beta = T[None] - alpha[:, None]
+    i, t, c = np.nonzero(np.all(beta >= 0, axis=2)[..., None] & nz[None])
+    return i, t, c, np.column_stack([beta[i, t], c])
+
+
+def _block_columns(T, coeffs, Tg, gcoeffs, box):
+    """g's block columns of the orbit system over the box (multi-indices,
+    C order), found by a search over exponents that never touches a column
+    outside the block.
 
     The search runs level by level from g's nonzero rows (Tg_j, c): a row
     (r, c) is reached by the columns alpha = T_t - r with a_{t,c} != 0 and
-    0 <= alpha <= box, and a column alpha reaches the rows (T_s - alpha, c)
-    with alpha <= T_s and a_{s,c} != 0.  Every column reaching a row of the
-    block lies in the block, so a row is shared exactly when two of the
-    block's entries, or one and g, lie on it.  The block is then the
-    restriction of ``_compressed_system`` to g's blocks, bit for bit:
-    columns in C order, shared rows numbered by first occurrence (columns
-    in order, then g's terms), private rows folded into p2 in term order.
-
-    Returns the block as ``_target_blocks`` does, its columns (multi-indices,
-    C order) and ``replay(x)``, the norm of A x - b over the rows the block
-    touches; A x - b vanishes on every other row.
+    0 <= alpha <= box, and a column alpha reaches its entries' rows.  Rows
+    and columns are deduplicated by their sorted keys.  The result is
+    closed under row sharing: every column reaching one of its rows is in it.
     """
-    box = np.asarray(box, dtype=np.int64)
-    nz = coeffs != 0
-
-    def entries(cols):
-        """(column, term, component) of each entry of the columns, in that
-        order, and its row (multi-index, component)."""
-        beta = T[None] - cols[:, None]
-        i, t, c = np.nonzero(np.all(beta >= 0, axis=2)[..., None] & nz[None])
-        return i, t, c, np.column_stack([beta[i, t], c])
-
+    box, nz = np.asarray(box, dtype=np.int64), coeffs != 0
     gj, gc = np.nonzero(gcoeffs != 0)
-    rows = g_rows = np.column_stack([Tg[gj], gc])
+    rows = np.column_stack([Tg[gj], gc])
     seen_rows = np.sort(_keys(rows))
     seen_cols = _keys(np.zeros((0, len(box))))
     alpha = [np.zeros((0, len(box)), dtype=np.int64)]
@@ -223,34 +126,59 @@ def _block_system(T, coeffs, Tg, gcoeffs, box):
         if not len(new):
             break
         alpha.append(new)
-        rows, seen_rows = _unseen(seen_rows, entries(new)[3])
+        rows, seen_rows = _unseen(seen_rows, _entries(T, nz, new)[3])
     alpha = np.concatenate(alpha)
-    alpha = alpha[np.lexsort(alpha.T[::-1])]
+    return alpha[np.lexsort(alpha.T[::-1])]
 
-    col, t, c, entry_rows = entries(alpha)
-    ne, a = len(col), coeffs[t, c]
-    keys = np.concatenate([entry_rows, g_rows])
-    _, first, inverse, count = np.unique(_keys(keys), return_index=True,
-                                         return_inverse=True, return_counts=True)
-    kept = count > 1
-    kept[inverse[ne:]] = True
-    number = np.zeros(len(first), dtype=np.int64)
-    number[kept] = np.searchsorted(np.sort(first[kept]), first[kept])
-    shared, row = kept[inverse[:ne]], number[inverse[:ne]]
-    pcol, pa = col[~shared], a[~shared]
-    p2 = np.bincount(pcol, np.abs(pa) ** 2, minlength=len(alpha))
-    order = np.lexsort((col[shared], row[shared]))
-    row, col, a = row[shared][order], col[shared][order], a[shared][order]
-    bc = np.zeros(int(kept.sum()), dtype=complex)
-    bc[number[inverse[ne:]]] = gcoeffs[gj, gc]
+
+def _assemble(T, coeffs, Tg, gcoeffs, alpha):
+    """Exact row compression of the orbit system A x ~ b on the columns
+    alpha, without forming A.
+
+    A = [S*^alpha f], one column per row of ``alpha`` (multi-indices), and
+    b is g.  T (terms x poly_dim, int64) and ``coeffs`` (terms x dim)
+    describe f, Tg and ``gcoeffs`` g.  The rows of A are the (multi-index,
+    component) pairs reached by an entry (``_entries``) or by g, numbered
+    by first occurrence: entries in order, then g's terms.  The columns
+    must be closed under row sharing (all the columns of a box, or g's
+    block columns from ``_block_columns``): then a row is shared exactly
+    when two entries, or one and g, lie on it.  The rows private to one
+    entry are folded into one diagonal entry per column, an exact change of
+    row basis, so that for every x
+    ||A x - b||^2 = ||C x - b_C||^2 + sum_j p2_j |x_j|^2.
+
+    Returns (row, col, data) of C's entries, sorted by row and then column,
+    with the shared rows numbered in A's order; p2 per column (summed in
+    term order); b_C; and ``replay(x)``, the norm of A x - b over A's rows.
+    """
+    col, t, c, rows = _entries(T, coeffs != 0, alpha)
+    gj, gc = np.nonzero(gcoeffs != 0)
+    ne, a, gval = len(col), coeffs[t, c], gcoeffs[gj, gc]
+    keys = np.concatenate([rows, np.column_stack([Tg[gj], gc])])
+    by_key = np.lexsort(keys.T)  # stable: a row's first occurrence leads its run
+    sk, run = keys[by_key], np.ones(len(keys), dtype=bool)
+    run[1:] = np.any(sk[1:] != sk[:-1], axis=1)
+    first = by_key[run]
+    opened = np.bincount(first, minlength=len(keys)).cumsum() - 1  # rows opened so far
+    arow = np.empty(len(keys), dtype=np.int64)  # A's row of each key
+    arow[by_key] = opened[first][np.cumsum(run) - 1]
+    kept = np.bincount(arow[:ne], minlength=len(first)) > 1
+    kept[arow[ne:]] = True
+    number = np.cumsum(kept) - 1
+    shared, row = kept[arow[:ne]], number[arow[:ne]]
+    p2 = np.bincount(col[~shared], np.abs(a[~shared]) ** 2, minlength=len(alpha))
+    order = np.argsort(row[shared], kind="stable")  # columns stay in order
+    bc = np.zeros(np.count_nonzero(kept), dtype=complex)
+    bc[number[arow[ne:]]] = gval
 
     def replay(x):
-        # each row's products summed in column order, as a CSR product does
-        r = np.zeros(len(bc), dtype=complex)
-        np.add.at(r, row, a * x[col])
-        return float(np.linalg.norm(np.concatenate([r - bc, pa * x[pcol]])))
+        # A x - b in A's row order, each row's products summed in column order
+        r = np.zeros(len(first), dtype=complex)
+        np.add.at(r, arow[:ne], a * x[col])
+        r[arow[ne:]] -= gval
+        return float(np.linalg.norm(r))
 
-    return (row, col, a, p2, bc), alpha, replay
+    return (row[shared][order], col[shared][order], a[shared][order], p2, bc), replay
 
 
 def _geqrf(M):
@@ -282,29 +210,29 @@ def _qr_skipping(M, cut):
         R[k:, k:] = _geqrf(np.triu(R[k:, k:], -1))
 
 
-def _target_blocks(C, p2, bc):
-    """g's blocks of the compressed system, and the indices of their columns.
+def _target_blocks(row, col, data, p2, bc):
+    """g's blocks of a compressed system, and the indices of their columns.
 
-    The shared rows and the columns of C are the two node sets of a
-    bipartite graph with one edge per entry; its connected components split
-    [C; diag(sqrt p2)] x ~ b_C into independent least-squares problems, each
-    diagonal row in its column's block.  A block on which b_C vanishes has
-    optimal coefficients 0 and residual 0, so only the components holding
-    a nonzero of b_C are kept; a row of g that no column reaches is a block
-    of its own.  Returns the block, (row, col, data) of C's entries in g's
-    blocks (rows and columns renumbered in order, entries in C's order), p2
-    and b_C restricted to them, and the indices of the kept columns.
+    The shared rows and the columns are the two node sets of a bipartite
+    graph with one edge per entry (row, col, data) of C; its connected
+    components split [C; diag(sqrt p2)] x ~ b_C into independent
+    least-squares problems, each diagonal row in its column's block.  A
+    block on which b_C vanishes has optimal coefficients 0 and residual 0,
+    so only the components holding a nonzero of b_C are kept; a row of g
+    that no column reaches is a block of its own.  Returns the block, its
+    entries (rows and columns renumbered in order, entries in C's order),
+    p2 and b_C restricted to it, and the indices of the kept columns.
     """
-    nr, nc = C.shape
-    edges = scipy.sparse.coo_matrix((np.ones(C.nnz), (C.row, nr + C.col)),
+    nr, nc = len(bc), len(p2)
+    edges = scipy.sparse.coo_matrix((np.ones(len(row)), (row, nr + col)),
                                     shape=(nr + nc, nr + nc))
     count, label = connected_components(edges, directed=False)
     held = np.zeros(count, dtype=bool)
     held[label[np.flatnonzero(bc)]] = True
     rows, cols = held[label[:nr]], held[label[nr:]]
-    e = cols[C.col]  # entries in the blocks, on their rows by construction
-    return ((np.cumsum(rows) - 1)[C.row[e]], (np.cumsum(cols) - 1)[C.col[e]],
-            C.data[e], p2[cols], bc[rows]), np.flatnonzero(cols)
+    e = cols[col]  # entries in the blocks, on their rows by construction
+    return ((np.cumsum(rows) - 1)[row[e]], (np.cumsum(cols) - 1)[col[e]],
+            data[e], p2[cols], bc[rows]), np.flatnonzero(cols)
 
 
 def _solve_levels(row, col, data, p2, bc, level, levels, cut):
@@ -367,8 +295,8 @@ def orbit_project(f: VectorSeries, g: VectorSeries, n_max: int,
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    *system, replay = _compressed_system(
-        f.exponents[:, None], f.coeffs, g.exponents[:, None], g.coeffs, (n_max,))
+    system, replay = _assemble(f.exponents[:, None], f.coeffs, g.exponents[:, None],
+                               g.coeffs, np.arange(n_max + 1)[:, None])
     block, cols = _target_blocks(*system)
     fit = _solve_levels(*block, cols, n_max + 1, tol.tol_rank)
     x = np.zeros(n_max + 1, dtype=complex)
@@ -392,11 +320,11 @@ def orbit_project_polydisc(f: PolySeries, g: PolySeries, box,
 
     The residual is reported along a nested chain of sub-boxes (the fractions
     ``_CHAIN`` of the full box).  g's block of the compressed orbit system
-    at the full box is built by a search over exponents (``_block_system``),
-    so the cost follows the block and not the box, and it is solved as on
-    the disc, each column entering at the first sub-box that holds its
-    shift: one Householder QR gives the whole chain, the full-box
-    coefficients and the condition estimate.
+    at the full box is assembled on the columns that a search over
+    exponents finds (``_block_columns``), so the cost follows the block and
+    not the box, and it is solved as on the disc, each column entering at
+    the first sub-box that holds its shift: one Householder QR gives the
+    whole chain, the full-box coefficients and the condition estimate.
 
     ``coefficients`` is in support form: the coefficients of g's block
     columns, whose multi-indices are the rows of ``detail["support"]``
@@ -416,7 +344,8 @@ def orbit_project_polydisc(f: PolySeries, g: PolySeries, box,
     boxes = tuple(tuple(int(np.floor(b * frac)) for b in box) for frac in _CHAIN)
     T = np.asarray(f.multi_exponents, dtype=np.int64)
     Tg = np.asarray(g.multi_exponents, dtype=np.int64).reshape(len(g), f.poly_dim)
-    block, alpha, replay = _block_system(T, f.coeffs, Tg, g.coeffs, box)
+    alpha = _block_columns(T, f.coeffs, Tg, g.coeffs, box)
+    block, replay = _assemble(T, f.coeffs, Tg, g.coeffs, alpha)
     # the first sub-box holding alpha: the largest first index over the axes
     level = np.zeros(len(alpha), dtype=np.int64)
     for axis, edges in enumerate(zip(*boxes)):

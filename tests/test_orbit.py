@@ -22,14 +22,14 @@ from cyclica import (
 from cyclica.core import Tolerances
 from cyclica.orbit import (
     _CHAIN,
-    _block_system,
-    _compressed_system,
+    _assemble,
+    _block_columns,
     _qr_skipping,
     _solve_levels,
     _target_blocks,
 )
 
-from conftest import dyadic_scalar
+from conftest import dyadic_scalar, edge_coeffs
 
 
 def _dense_orbit_matrix(f, n_max, dim_cols):
@@ -54,10 +54,23 @@ def _dense_target(g, dim_cols):
 # -- orbit operator against the dense oracle ----------------------------------
 
 
+def _box_columns(box):
+    """Every multi-index of the box, C order."""
+    shape = tuple(np.add(box, 1))
+    return np.column_stack(np.unravel_index(np.arange(np.prod(shape)), shape))
+
+
+def _as_coo(system):
+    """An `_assemble` result as (C in COO form, p2, b_C, replay)."""
+    (row, col, data, p2, bc), replay = system
+    C = scipy.sparse.coo_matrix((data, (row, col)), shape=(len(bc), len(p2)))
+    return C, p2, bc, replay
+
+
 def _disc_system(f, g, n_max):
-    """The compressed disc orbit system over the budgets 0..n_max."""
-    return _compressed_system(f.exponents[:, None], f.coeffs,
-                              g.exponents[:, None], g.coeffs, (n_max,))
+    """The compressed disc orbit system over every shift 0..n_max."""
+    return _as_coo(_assemble(f.exponents[:, None], f.coeffs, g.exponents[:, None],
+                             g.coeffs, _box_columns((n_max,))))
 
 
 def _gram_beta(f, g, n_max):
@@ -446,10 +459,15 @@ def _exponent_arrays(f, g):
     return T, np.asarray(g.multi_exponents, dtype=np.int64).reshape(len(g), f.poly_dim)
 
 
-def _poly_system(f, g, box):
-    """The compressed orbit system `_compressed_system` builds over the box."""
+def _box_assembly(f, g, box):
+    """`_assemble` on every column of the box, a set closed under row sharing."""
     T, Tg = _exponent_arrays(f, g)
-    return _compressed_system(T, f.coeffs, Tg, g.coeffs, box)
+    return _assemble(T, f.coeffs, Tg, g.coeffs, _box_columns(box))
+
+
+def _poly_system(f, g, box):
+    """The compressed orbit system over every column of the box."""
+    return _as_coo(_box_assembly(f, g, box))
 
 
 def _loop_compress(A, b):
@@ -498,9 +516,11 @@ def _assert_matches_loop(system, A, b, seed=0):
     assert replay(x) == np.linalg.norm(A @ x - b)
 
 
-# residual_final sums the squares of the block's rows only, in another
-# order than a replay over every row of A: the two norms may differ in the
-# last bits (2 ulp at most over the criterion-8 chains and 300 seeded draws)
+# residual_final sums the squares of the block's rows only: A's rows in A's
+# order, less those outside the block, where A x - b is exactly 0.  The norm
+# groups the squares by position, so the two may differ in the last bits
+# (1 ulp at most over the criterion-8 chains and 600 drawn systems, 2 ulp
+# over 3,000 one-variable draws against the disc)
 REPLAY_ULPS = 4
 
 
@@ -683,11 +703,11 @@ def test_block_solve_matches_dense_lstsq_when_g_splits(case):
 
 
 def _oracle_block_fit(f, g, box):
-    """The full-box assembly: `_compressed_system` over every column of the
-    box, restricted to g's blocks by `_target_blocks`, its columns levelled
-    by a box-sized grid, solved by `_solve_levels` and replayed on every row
-    of the orbit matrix."""
-    *system, replay = _poly_system(f, g, box)
+    """The full-box assembly: `_assemble` over every column of the box,
+    restricted to g's blocks by `_target_blocks`, its columns levelled by a
+    box-sized grid, solved by `_solve_levels` and replayed on every row of
+    the orbit matrix."""
+    system, replay = _box_assembly(f, g, box)
     block, cols = _target_blocks(*system)
     boxes = [[int(np.floor(b * frac)) for b in box] for frac in _CHAIN]
     level = np.zeros((), dtype=np.int64)
@@ -702,7 +722,8 @@ def _oracle_block_fit(f, g, box):
 def _assert_block_matches_oracle(f, g, box):
     block_ref, cols, fit, x, final = _oracle_block_fit(f, g, box)
     T, Tg = _exponent_arrays(f, g)
-    block, alpha, _ = _block_system(T, f.coeffs, Tg, g.coeffs, box)
+    alpha = _block_columns(T, f.coeffs, Tg, g.coeffs, box)
+    block, _ = _assemble(T, f.coeffs, Tg, g.coeffs, alpha)
     # entries (row, col, data), p2 and b_C, bit for bit
     for got, ref in zip(block, block_ref, strict=True):
         assert np.array_equal(got, ref)
@@ -758,6 +779,51 @@ def test_block_search_never_touches_the_box():
     saturated = orbit_project_polydisc(CRITERION_8, one, (2**20, 3**12))
     assert np.array_equal(rep.detail["support"], saturated.detail["support"])
     assert 0 < rep.residual_final < 1.45e-4
+
+
+def _one_variable_draw(seed):
+    """f with squared-gap exponents and complex coefficients (some
+    components 0), a budget n, and g: random low monomials on even seeds,
+    on odd seeds an exact combination of orbit members S*^m f, m <= n, whose
+    optimal residual is rounding."""
+    rng = np.random.default_rng(seed)
+    dim, K, n = int(rng.integers(1, 3)), int(rng.integers(3, 8)), int(rng.integers(4, 40))
+    coeffs = edge_coeffs(rng, (K, dim))
+    coeffs[-1, 0] = 1.0  # f is not 0
+    f = VectorSeries(dim, np.cumsum(rng.integers(1, 4, size=K)) ** 2, coeffs)
+    if seed % 2:
+        shifts = rng.choice(n + 1, size=3, replace=False)
+        weights = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        parts = [backward_shift(f, int(m)) for m in shifts]
+        g = VectorSeries(dim, np.concatenate([h.exponents for h in parts]),
+                         np.concatenate([w * h.coeffs for w, h in zip(weights, parts)]))
+    else:
+        g = VectorSeries(dim, rng.choice(30, size=3, replace=False),
+                         edge_coeffs(rng, (3, dim)))
+    return f, g, n
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_disc_equals_one_variable_polydisc(seed):
+    # the disc assembles every shift and keeps g's blocks, the polydisc
+    # searches g's block columns: the same block, solve and coefficients;
+    # the replays differ only by the rows outside the block, where A x - b
+    # is exactly 0 but the norm's summation groups the squares differently
+    f, g, n = _one_variable_draw(seed)
+    disc = orbit_project(f, g, n)
+    poly = orbit_project_polydisc(_as_poly(f), _as_poly(g), (n,))
+    system, _ = _assemble(f.exponents[:, None], f.coeffs, g.exponents[:, None],
+                          g.coeffs, _box_columns((n,)))
+    cols = _target_blocks(*system)[1]
+    assert np.array_equal(poly.detail["support"], cols[:, None])
+    assert disc.coefficients[cols].tobytes() == poly.coefficients.tobytes()
+    assert not np.delete(disc.coefficients, cols).any()
+    for key in ("block", "accepted_directions"):
+        assert disc.detail[key] == poly.detail[key]
+    assert disc.gram_condition == poly.gram_condition
+    assert disc.residuals[-1] == poly.residuals[-1]
+    assert _ulps(disc.residual_final, poly.residual_final) <= REPLAY_ULPS, (
+        disc.residual_final, poly.residual_final)
 
 
 def test_block_residual_equals_exact_least_squares():
