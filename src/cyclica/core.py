@@ -24,7 +24,6 @@ __all__ = [
     "first_proper_tail",
     "forward_shift",
     "inner_product",
-    "norm",
     "numerical_span",
     "project_vector",
     "scalar_series",
@@ -196,10 +195,6 @@ def inner_product(f: VectorSeries, g: VectorSeries) -> complex:
         else:
             j += 1
     return complex(total)
-
-
-def norm(f: VectorSeries) -> float:
-    return f.norm()
 
 
 @dataclass(frozen=True)

@@ -14,25 +14,22 @@ that links each shared row to the columns touching it; a block without a
 row of g has optimal coefficients 0 and adds nothing to any residual, so
 both harnesses factor only g's blocks.
 
-One assembler (``_assemble``) builds the compressed system straight from
-the exponents on any set of columns closed under row sharing; the two
-harnesses differ only in how they pick that set.  The disc takes every
-shift up to the budget and keeps g's blocks by their connected components
-(``_target_blocks``): there g's block is about half of the budget.  The
-polydisc takes only g's block columns, found by a search over exponents
-from g's rows (``_block_columns``), so its cost follows the block, which
-lacunarity keeps tiny, and not the box, which grows as a product; it
-reaches boxes of 1e11 columns and more.  Either block is factored once by
-Householder QR of the column-scaled system with its columns in the order
-in which they enter (shift n at budget n on the disc, the first sub-box of
-the chain that holds alpha on the polydisc), deleting a direction within
-sine ``tol_rank`` of the kept span; the one factor yields the
-nonincreasing residual curve, the endpoint coefficients and a condition
-estimate.  ``one_in_orbit_check`` thresholds the residual of the constant
-1 at the full polydisc box.  ``residual_final`` replays the coefficients
-on the uncompressed orbit system, over the rows that the assembled
-columns and g touch: every row on the disc, and on the polydisc the only
-rows where the residual can be nonzero.
+Both harnesses pick g's block columns by one search over exponents from
+g's rows (``_block_columns``), so the cost follows the block, which
+lacunarity keeps tiny, and not the box, which on the polydisc grows as a
+product; it reaches boxes of 1e11 columns and more.  On the disc the box is
+the shifts 0..budget, and g's block is about half of it.  One assembler
+(``_assemble``) builds the compressed system straight from the exponents on
+those columns.  The block is factored once by Householder QR of the
+column-scaled system with its columns in the order in which they enter
+(shift n at budget n on the disc, the first sub-box of the chain that holds
+alpha on the polydisc), deleting a direction within sine ``tol_rank`` of
+the kept span; the one factor yields the nonincreasing residual curve, the
+endpoint coefficients and a condition estimate.  ``one_in_orbit_check``
+thresholds the residual of the constant 1 at the full polydisc box.
+``residual_final`` replays the coefficients on the uncompressed orbit
+system, over the rows that the block's columns and g touch: the only rows
+where the residual can be nonzero.
 """
 
 from __future__ import annotations
@@ -41,9 +38,7 @@ from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
-import scipy.sparse
 from scipy.linalg import get_lapack_funcs, solve_triangular
-from scipy.sparse.csgraph import connected_components
 
 from .core import Tolerances, VectorSeries, backward_shift
 from .polydisc import PolySeries
@@ -76,21 +71,14 @@ class OrbitReport:
     detail: dict = field(default_factory=dict)
 
 
-def _keys(X):
-    """One sortable key per row of the integer array X, compared bytewise:
-    exact at any exponent size, where a linear index could overflow int64."""
-    X = np.ascontiguousarray(X, dtype=np.int64)
-    return X.view(np.dtype((np.void, 8 * X.shape[1]))).ravel()
-
-
-def _unseen(seen, X):
-    """The distinct rows of X whose keys the sorted ``seen`` lacks, and
-    ``seen`` with their keys inserted in order."""
-    u, first = np.unique(_keys(X), return_index=True)
-    at = np.searchsorted(seen, u)
-    new = at == len(seen)
-    new[~new] = seen[at[~new]] != u[~new]
-    return X[first[new]], np.insert(seen, at[new], u[new])
+def _runs(keys):
+    """The stable sort order of the rows of the integer array ``keys``, and
+    in that order whether each row starts a run of equal rows: stable, so a
+    row's first occurrence leads its run."""
+    by_key = np.lexsort(keys.T)
+    sk, run = keys[by_key], np.ones(len(keys), dtype=bool)
+    run[1:] = np.any(sk[1:] != sk[:-1], axis=1)
+    return by_key, run
 
 
 def _entries(T, nz, alpha):
@@ -109,25 +97,26 @@ def _block_columns(T, coeffs, Tg, gcoeffs, box):
 
     The search runs level by level from g's nonzero rows (Tg_j, c): a row
     (r, c) is reached by the columns alpha = T_t - r with a_{t,c} != 0 and
-    0 <= alpha <= box, and a column alpha reaches its entries' rows.  Rows
-    and columns are deduplicated by their sorted keys.  The result is
-    closed under row sharing: every column reaching one of its rows is in it.
+    0 <= alpha <= box, and a column alpha reaches its entries' rows.  Only
+    columns are deduplicated, seen ones first by ``_runs``: a row reached
+    again proposes only columns already seen.  The result is closed under
+    row sharing: every column reaching one of its rows is in it.
     """
     box, nz = np.asarray(box, dtype=np.int64), coeffs != 0
     gj, gc = np.nonzero(gcoeffs != 0)
     rows = np.column_stack([Tg[gj], gc])
-    seen_rows = np.sort(_keys(rows))
-    seen_cols = _keys(np.zeros((0, len(box))))
-    alpha = [np.zeros((0, len(box)), dtype=np.int64)]
+    alpha = np.zeros((0, len(box)), dtype=np.int64)
     while len(rows):
         cand = T[None] - rows[:, None, :-1]
         ok = nz[:, rows[:, -1]].T & np.all((cand >= 0) & (cand <= box), axis=2)
-        new, seen_cols = _unseen(seen_cols, cand[ok])
+        cols = np.concatenate([alpha, cand[ok]])
+        by_key, run = _runs(cols)
+        first = by_key[run]
+        new = cols[first[first >= len(alpha)]]
         if not len(new):
             break
-        alpha.append(new)
-        rows, seen_rows = _unseen(seen_rows, _entries(T, nz, new)[3])
-    alpha = np.concatenate(alpha)
+        alpha = np.concatenate([alpha, new])
+        rows = _entries(T, nz, new)[3]
     return alpha[np.lexsort(alpha.T[::-1])]
 
 
@@ -155,9 +144,7 @@ def _assemble(T, coeffs, Tg, gcoeffs, alpha):
     gj, gc = np.nonzero(gcoeffs != 0)
     ne, a, gval = len(col), coeffs[t, c], gcoeffs[gj, gc]
     keys = np.concatenate([rows, np.column_stack([Tg[gj], gc])])
-    by_key = np.lexsort(keys.T)  # stable: a row's first occurrence leads its run
-    sk, run = keys[by_key], np.ones(len(keys), dtype=bool)
-    run[1:] = np.any(sk[1:] != sk[:-1], axis=1)
+    by_key, run = _runs(keys)
     first = by_key[run]
     opened = np.bincount(first, minlength=len(keys)).cumsum() - 1  # rows opened so far
     arow = np.empty(len(keys), dtype=np.int64)  # A's row of each key
@@ -210,31 +197,6 @@ def _qr_skipping(M, cut):
         R[k:, k:] = _geqrf(np.triu(R[k:, k:], -1))
 
 
-def _target_blocks(row, col, data, p2, bc):
-    """g's blocks of a compressed system, and the indices of their columns.
-
-    The shared rows and the columns are the two node sets of a bipartite
-    graph with one edge per entry (row, col, data) of C; its connected
-    components split [C; diag(sqrt p2)] x ~ b_C into independent
-    least-squares problems, each diagonal row in its column's block.  A
-    block on which b_C vanishes has optimal coefficients 0 and residual 0,
-    so only the components holding a nonzero of b_C are kept; a row of g
-    that no column reaches is a block of its own.  Returns the block, its
-    entries (rows and columns renumbered in order, entries in C's order),
-    p2 and b_C restricted to it, and the indices of the kept columns.
-    """
-    nr, nc = len(bc), len(p2)
-    edges = scipy.sparse.coo_matrix((np.ones(len(row)), (row, nr + col)),
-                                    shape=(nr + nc, nr + nc))
-    count, label = connected_components(edges, directed=False)
-    held = np.zeros(count, dtype=bool)
-    held[label[np.flatnonzero(bc)]] = True
-    rows, cols = held[label[:nr]], held[label[nr:]]
-    e = cols[col]  # entries in the blocks, on their rows by construction
-    return ((np.cumsum(rows) - 1)[row[e]], (np.cumsum(cols) - 1)[col[e]],
-            data[e], p2[cols], bc[rows]), np.flatnonzero(cols)
-
-
 def _solve_levels(row, col, data, p2, bc, level, levels, cut):
     """Least squares of b_C against [C; diag(sqrt p2)] on an already built
     block of the compressed system, C given by its entries (row, col, data),
@@ -282,12 +244,15 @@ def orbit_project(f: VectorSeries, g: VectorSeries, n_max: int,
                   tol: Tolerances = Tolerances()) -> OrbitReport:
     """Project g onto span{S*^n f : 0 <= n <= n_max}, exactly on truncations.
 
-    The compressed orbit system is solved on g's blocks only, each shift n
-    entering at budget n: one Householder QR gives the residual curve for
-    budgets 0..n_max, the coefficients at n_max and the condition estimate,
-    all over g's blocks; ``residual_final`` replays the coefficients on the
-    orbit matrix.  ``detail`` holds ``accepted_directions`` (in g's blocks)
-    and ``block``, their size (rows, columns).
+    This is the one-variable polydisc solve with one level per shift: g's
+    block columns of the compressed orbit system are found by the exponent
+    search, each shift n entering at budget n, and one Householder QR gives
+    the residual curve for budgets 0..n_max, the coefficients at n_max and
+    the condition estimate.  ``coefficients`` has one entry per shift, 0
+    outside g's block; ``residual_final`` replays them on the rows that the
+    block or g touches, the only rows where A x - b can be nonzero.
+    ``detail`` holds ``accepted_directions`` (in g's block) and ``block``,
+    its size (rows, columns).
     """
     if f.is_zero:
         raise ValueError("cannot project onto the orbit of the zero series")
@@ -295,13 +260,14 @@ def orbit_project(f: VectorSeries, g: VectorSeries, n_max: int,
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    system, replay = _assemble(f.exponents[:, None], f.coeffs, g.exponents[:, None],
-                               g.coeffs, np.arange(n_max + 1)[:, None])
-    block, cols = _target_blocks(*system)
-    fit = _solve_levels(*block, cols, n_max + 1, tol.tol_rank)
+    T, Tg = f.exponents[:, None], g.exponents[:, None]
+    alpha = _block_columns(T, f.coeffs, Tg, g.coeffs, (n_max,))
+    block, replay = _assemble(T, f.coeffs, Tg, g.coeffs, alpha)
+    fit = _solve_levels(*block, alpha[:, 0], n_max + 1, tol.tol_rank)
     x = np.zeros(n_max + 1, dtype=complex)
-    x[cols] = fit["coefficients"]
-    fit.update(coefficients=x, residual_final=replay(x))
+    x[alpha[:, 0]] = fit["coefficients"]
+    # replay takes the coefficients by block column, not by shift
+    fit.update(coefficients=x, residual_final=replay(fit["coefficients"]))
     return OrbitReport(
         shifts_used=tuple(range(n_max + 1)),
         truncation_degree=f.truncation_degree,
@@ -341,7 +307,9 @@ def orbit_project_polydisc(f: PolySeries, g: PolySeries, box,
     box = tuple(int(b) for b in box)
     if len(box) != f.poly_dim or any(b < 0 for b in box):
         raise ValueError(f"box needs {f.poly_dim} nonnegative bounds, got {box}")
-    boxes = tuple(tuple(int(np.floor(b * frac)) for b in box) for frac in _CHAIN)
+    # exact integer edges: a float product rounds boxes above 2^53
+    boxes = tuple(tuple(b * n // d for b in box)
+                  for n, d in (frac.as_integer_ratio() for frac in _CHAIN))
     T = np.asarray(f.multi_exponents, dtype=np.int64)
     Tg = np.asarray(g.multi_exponents, dtype=np.int64).reshape(len(g), f.poly_dim)
     alpha = _block_columns(T, f.coeffs, Tg, g.coeffs, box)

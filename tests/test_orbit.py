@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import get_lapack_funcs
+from scipy.sparse.csgraph import connected_components
 
 from cyclica import (
     PolySeries,
@@ -26,7 +28,6 @@ from cyclica.orbit import (
     _block_columns,
     _qr_skipping,
     _solve_levels,
-    _target_blocks,
 )
 
 from conftest import dyadic_scalar, edge_coeffs
@@ -65,6 +66,31 @@ def _as_coo(system):
     (row, col, data, p2, bc), replay = system
     C = scipy.sparse.coo_matrix((data, (row, col)), shape=(len(bc), len(p2)))
     return C, p2, bc, replay
+
+
+def _target_blocks(row, col, data, p2, bc):
+    """Reference for g's blocks of a compressed system, by connected
+    components, and the indices of their columns.
+
+    The shared rows and the columns are the two node sets of a bipartite
+    graph with one edge per entry (row, col, data) of C; its connected
+    components split [C; diag(sqrt p2)] x ~ b_C into independent
+    least-squares problems, each diagonal row in its column's block.  Only
+    the components holding a nonzero of b_C are kept; a row of g that no
+    column reaches is a block of its own.  Returns the block, its entries
+    (rows and columns renumbered in order, entries in C's order), p2 and
+    b_C restricted to it, and the indices of the kept columns.
+    """
+    nr, nc = len(bc), len(p2)
+    edges = scipy.sparse.coo_matrix((np.ones(len(row)), (row, nr + col)),
+                                    shape=(nr + nc, nr + nc))
+    count, label = connected_components(edges, directed=False)
+    held = np.zeros(count, dtype=bool)
+    held[label[np.flatnonzero(bc)]] = True
+    rows, cols = held[label[:nr]], held[label[nr:]]
+    e = cols[col]  # entries in the blocks, on their rows by construction
+    return ((np.cumsum(rows) - 1)[row[e]], (np.cumsum(cols) - 1)[col[e]],
+            data[e], p2[cols], bc[rows]), np.flatnonzero(cols)
 
 
 def _disc_system(f, g, n_max):
@@ -504,6 +530,11 @@ def _case_systems(case):
 
 
 def _assert_matches_loop(system, A, b, seed=0):
+    # the replay equals scipy's CSR product bit for bit only because every
+    # coefficient in these cases is real, imaginary or has power-of-2 parts:
+    # each part of a complex product then rounds at most once however the
+    # product is formed.  General coefficients round differently in the
+    # two; test_replay_is_exactly_rounded_on_general_coefficients covers them.
     C, p2, bc, replay = system
     C_ref, p2_ref, bc_ref = _loop_compress(A, b)
     assert C.shape == C_ref.shape
@@ -516,11 +547,52 @@ def _assert_matches_loop(system, A, b, seed=0):
     assert replay(x) == np.linalg.norm(A @ x - b)
 
 
+def _exact_residual_norm(A, x, b):
+    """||A x - b|| exactly rounded: the products and sums in rationals, the
+    square root in 200-bit mpmath."""
+    import mpmath
+
+    def parts(z):
+        return Fraction(float(z.real)), Fraction(float(z.imag))
+
+    total = Fraction(0)
+    for r in range(A.shape[0]):
+        re, im = (-v for v in parts(b[r]))
+        for k in range(A.indptr[r], A.indptr[r + 1]):
+            (ar, ai), (xr, xi) = parts(A.data[k]), parts(x[A.indices[k]])
+            re, im = re + ar * xr - ai * xi, im + ar * xi + ai * xr
+        total += re * re + im * im
+    with mpmath.workprec(200):
+        return float(mpmath.sqrt(mpmath.mpf(total.numerator) / total.denominator))
+
+
+def test_replay_is_exactly_rounded_on_general_coefficients():
+    # complex normal coefficients, rows shared by up to 5 entries: the
+    # replay rounds its products and sums, so it is held to the exactly
+    # rounded norm within 4 ulp (1 ulp at most over 200 draws of x; scipy's
+    # CSR product differed from the replay on 31 of them)
+    rng = np.random.default_rng(2024)
+
+    def z(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    f = PolySeries(2, 2, [(t, z(2)) for t in [(1, 2), (2, 3), (3, 3), (4, 6), (5, 5)]])
+    g = PolySeries(2, 2, [(t, z(2)) for t in [(0, 0), (1, 1), (2, 0)]])
+    replay = _box_assembly(f, g, (5, 5))[1]
+    A, b = _loop_poly_system(f, g, (5, 5))
+    assert np.diff(A.indptr).max() == 5
+    for _ in range(20):
+        x = z(A.shape[1])
+        exact = _exact_residual_norm(A, x, b)
+        assert _ulps(replay(x), exact) <= 4, (replay(x), exact)
+
+
 # residual_final sums the squares of the block's rows only: A's rows in A's
 # order, less those outside the block, where A x - b is exactly 0.  The norm
 # groups the squares by position, so the two may differ in the last bits
-# (1 ulp at most over the criterion-8 chains and 600 drawn systems, 2 ulp
-# over 3,000 one-variable draws against the disc)
+# (1 ulp at most over the criterion-8 chains and 600 drawn systems; against
+# the all-shift disc oracle, 2 ulp over 3,000 one-variable draws and 4 ulp,
+# the most, on the base-16 dyadic series at budget 1024)
 REPLAY_ULPS = 4
 
 
@@ -805,25 +877,70 @@ def _one_variable_draw(seed):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_disc_equals_one_variable_polydisc(seed):
-    # the disc assembles every shift and keeps g's blocks, the polydisc
-    # searches g's block columns: the same block, solve and coefficients;
-    # the replays differ only by the rows outside the block, where A x - b
-    # is exactly 0 but the norm's summation groups the squares differently
+    # the same searched block, solve and coefficients, and the same replay
+    # rows; only the levels differ, one per shift on the disc
     f, g, n = _one_variable_draw(seed)
     disc = orbit_project(f, g, n)
     poly = orbit_project_polydisc(_as_poly(f), _as_poly(g), (n,))
-    system, _ = _assemble(f.exponents[:, None], f.coeffs, g.exponents[:, None],
-                          g.coeffs, _box_columns((n,)))
-    cols = _target_blocks(*system)[1]
-    assert np.array_equal(poly.detail["support"], cols[:, None])
+    cols = poly.detail["support"][:, 0]
     assert disc.coefficients[cols].tobytes() == poly.coefficients.tobytes()
     assert not np.delete(disc.coefficients, cols).any()
     for key in ("block", "accepted_directions"):
         assert disc.detail[key] == poly.detail[key]
     assert disc.gram_condition == poly.gram_condition
     assert disc.residuals[-1] == poly.residuals[-1]
-    assert _ulps(disc.residual_final, poly.residual_final) <= REPLAY_ULPS, (
-        disc.residual_final, poly.residual_final)
+    assert disc.residual_final == poly.residual_final
+
+
+def _disc_oracle(f, g, n):
+    """The disc fit over every shift: `_assemble` on all of 0..n, g's blocks
+    kept by their connected components (`_target_blocks`), solved by
+    `_solve_levels` with one level per shift and replayed on every row."""
+    system, replay = _assemble(f.exponents[:, None], f.coeffs, g.exponents[:, None],
+                               g.coeffs, _box_columns((n,)))
+    block, cols = _target_blocks(*system)
+    fit = _solve_levels(*block, cols, n + 1, Tolerances().tol_rank)
+    x = np.zeros(n + 1, dtype=complex)
+    x[cols] = fit["coefficients"]
+    return cols, fit, x, replay(x)
+
+
+def _disc_series_case(series, base, n):
+    """The orbit-disc benchmark's shapes: 20 terms with seeded phases,
+    dyadic (scalar) or the merged pair (f, S*f) in C^2, and g the constant
+    or a low monomial in one component."""
+    rng = np.random.default_rng([base, n])
+    a = base ** -np.arange(1.0, 21) * np.exp(2j * np.pi * rng.uniform(size=20))
+    e, j = 2 ** np.arange(1, 21), int(rng.integers(0, 4))
+    if series == "dyadic":
+        return scalar_series(e, a), scalar_series([j], [1.0]), n
+    coeffs = np.zeros((40, 2), dtype=complex)
+    coeffs[0::2, 1], coeffs[1::2, 0] = a, a  # a_k e2 at 2^k - 1, a_k e1 at 2^k
+    c = np.zeros((1, 2))
+    c[0, rng.integers(0, 2)] = 1.0
+    return VectorSeries(2, np.repeat(e, 2) - [1, 0] * 20, coeffs), VectorSeries(2, [j], c), n
+
+
+DISC_ORACLE_CASES = [("draw", seed) for seed in range(60)] + [
+    (series, base, n) for series in ("dyadic", "pair")
+    for base in (2, 4, 16) for n in (64, 256, 1024)]
+
+
+@pytest.mark.parametrize("case", DISC_ORACLE_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_disc_matches_all_shift_oracle(case):
+    # the searched block is the all-shift system's blocks of g, bit for bit;
+    # the oracle replays on every row, the harness on the block's rows only
+    f, g, n = _one_variable_draw(case[1]) if case[0] == "draw" else _disc_series_case(*case)
+    cols, fit, x, final = _disc_oracle(f, g, n)
+    alpha = _block_columns(f.exponents[:, None], f.coeffs, g.exponents[:, None],
+                           g.coeffs, (n,))
+    assert np.array_equal(alpha, cols[:, None])
+    rep = orbit_project(f, g, n)
+    assert rep.residuals.tobytes() == fit["residuals"].tobytes()
+    assert rep.coefficients.tobytes() == x.tobytes()
+    assert rep.gram_condition == fit["gram_condition"]
+    assert rep.detail == fit["detail"]
+    assert _ulps(rep.residual_final, final) <= REPLAY_ULPS, (rep.residual_final, final)
 
 
 def test_block_residual_equals_exact_least_squares():
@@ -879,6 +996,17 @@ def test_polydisc_box_must_bound_every_variable(box):
         orbit_project_polydisc(f, one, box)
     with pytest.raises(ValueError, match="2 nonnegative bounds"):
         one_in_orbit_check(f, box)
+
+
+def test_polydisc_chain_is_exact_above_2_53():
+    # 2^55 + 3 is no double: float edges rounded the full box down to 2^55,
+    # below the one column of g's block, which then entered at a sixth level
+    N = 2**55 + 3
+    f = PolySeries(1, 1, [((N,), [1.0])])
+    rep = orbit_project_polydisc(f, PolySeries(1, 1, [((0,), [1.0])]), (N,))
+    assert rep.shifts_used == ((N // 8,), (N // 4,), (N // 2,), (3 * N // 4,), (N,))
+    assert np.array_equal(rep.residuals, [1.0, 1.0, 1.0, 1.0, 0.0])
+    assert rep.detail["chain"] == _CHAIN
 
 
 def test_polydisc_detail_reports_block_and_condition():
