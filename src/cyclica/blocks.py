@@ -5,6 +5,11 @@ overlap because the base spectrum is lacunary.  The recurrent polynomial
 directions span a subspace L of the (N+1)-fold coefficient space, and
 cyclicity is equivalent to L having maximal *local* rank: the dimension of
 {p(z) : p in L} at a generic disc point must equal dim X.
+
+This is the tail-span criterion applied to block stacks: block k flattens
+to one (N+1)*d stack at term position k, and ``coefspace``'s TailModel,
+``x_star`` and split decide consistency, L and the decomposition.  This
+module only builds the stacks and evaluates L.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefspace import cyclicity_single
-from .core import Subspace, Tolerances, VectorSeries, first_proper_tail, numerical_span
+from .coefspace import TailModel, _split, cyclicity_single, x_star
+from .core import Subspace, Tolerances, VectorSeries, first_proper_tail
 from .verdicts import CYCLIC, NON_CYCLIC, NOT_CYCLIC, POSSIBLY_CYCLIC, Verdict
 
 __all__ = [
@@ -73,17 +78,15 @@ class BlockSeries:
         return VectorSeries(self.dim, exps, coeffs)
 
 
-def _flatten(p):
-    return np.asarray(p, dtype=complex).ravel()
-
-
 @dataclass(frozen=True)
 class PolyDirectionModel:
     """Declared recurrent polynomial directions of the block sequence.
 
-    Mirrors the coefficient tail model: blocks at ``transient_indices`` are
-    exceptional, every other block must lie in span(recurrent_polys) inside
-    the (N+1)*d-dimensional coefficient-stack space.
+    The coefficient tail model (``coefspace.TailModel``) of the block
+    stacks: each P_k flattens to one (N+1)*d vector, blocks at the sorted,
+    distinct ``transient_indices`` are exceptional, every other block must
+    lie in span(recurrent_polys).  Indices past the last stored block are
+    not checked.
     """
 
     recurrent_polys: tuple
@@ -95,33 +98,37 @@ class PolyDirectionModel:
             raise ValueError("recurrent set must be nonempty")
         if any(np.all(p == 0) for p in rec):
             raise ValueError("recurrent polynomials must be nonzero")
-        tr = tuple(sorted(int(k) for k in transient_indices))
+        tr = tuple(sorted({int(k) for k in transient_indices}))
+        if tr and tr[0] < 0:
+            raise ValueError("transient indices must be >= 0")
         object.__setattr__(self, "recurrent_polys", rec)
         object.__setattr__(self, "transient_indices", tr)
 
     def check_consistency(self, bs: BlockSeries, tol: Tolerances = Tolerances()):
-        shape = (bs.block_degree + 1, bs.dim)
-        if any(p.shape != shape for p in self.recurrent_polys):
-            raise ValueError(f"recurrent polynomials must have shape {shape}")
-        span = numerical_span([_flatten(p) for p in self.recurrent_polys], tol)
-        skip = set(self.transient_indices)
-        for k, (_, p) in enumerate(bs.blocks):
-            if k in skip:
-                continue
-            v = _flatten(p)
-            r = v - span.basis @ (span.basis.conj().T @ v)
-            if np.linalg.norm(r) > tol.tol_rank * max(np.linalg.norm(v), 1.0):
-                raise ValueError(
-                    f"block {k} leaves span(recurrent_polys) "
-                    f"(residual {np.linalg.norm(r):.3e})"
-                )
+        """``TailModel.check_consistency`` on the block stacks."""
+        f, tm = _stacks(bs, self)
+        tm.check_consistency(f, tol)
+
+
+def _stacks(bs: BlockSeries, model: PolyDirectionModel):
+    """Block k's stack at exponent n_k (position k), and the model over them."""
+    shape = (bs.block_degree + 1, bs.dim)
+    # TailModel checks lengths only: (2, 3) and (3, 2) flatten alike
+    if any(p.shape != shape for p in model.recurrent_polys):
+        raise ValueError(f"recurrent polynomials must have shape {shape}")
+    D = shape[0] * shape[1]
+    f = VectorSeries(D, [n for n, _ in bs.blocks],
+                     np.reshape([p for _, p in bs.blocks], (-1, D)))
+    tra = [(k, f.coeffs[k]) for k in model.transient_indices if k < len(f)]
+    return f, TailModel(D, [p.ravel() for p in model.recurrent_polys], tra)
 
 
 def compute_L(bs: BlockSeries, model: PolyDirectionModel,
               tol: Tolerances = Tolerances()) -> Subspace:
     """L = span of the recurrent polynomial directions, as coefficient stacks."""
-    model.check_consistency(bs, tol)
-    return numerical_span([_flatten(p) for p in model.recurrent_polys], tol)
+    f, tm = _stacks(bs, model)
+    tm.check_consistency(f, tol)
+    return x_star(tm, tol)
 
 
 def local_rank(L: Subspace, dim: int, block_degree: int, samples: int = 8,
@@ -135,20 +142,13 @@ def local_rank(L: Subspace, dim: int, block_degree: int, samples: int = 8,
     if L.dim == 0:
         return 0
     N, d = block_degree, dim
-    rng = np.random.default_rng(seed)
-    best = 0
-    for _ in range(samples):
-        z = 0.8 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        powers = z ** np.arange(N + 1)
-        # evaluation matrix: columns are p_j(z) for the basis stacks
-        ev = np.zeros((d, L.dim), dtype=complex)
-        for c in range(L.dim):
-            stack = L.basis[:, c].reshape(N + 1, d)
-            ev[:, c] = powers @ stack
-        s = np.linalg.svd(ev, compute_uv=False)
-        r = int(np.sum(s >= tol.tol_rank * s[0])) if s.size and s[0] > 0 else 0
-        best = max(best, r)
-    return best
+    u = np.random.default_rng(seed).uniform(size=(samples, 2))
+    z = 0.8 * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+    # evaluation matrices: column c of ev[s] is p_c(z_s) for basis stack c
+    ev = (z[:, None] ** np.arange(N + 1) @ L.basis.reshape(N + 1, -1)).reshape(-1, d, L.dim)
+    s = np.linalg.svd(ev, compute_uv=False)
+    ranks = np.sum(s >= tol.tol_rank * s[:, :1], axis=1) * (s[:, 0] > 0)
+    return int(ranks.max(initial=0))
 
 
 def blocks_cyclicity(bs: BlockSeries, model: PolyDirectionModel,
@@ -156,12 +156,8 @@ def blocks_cyclicity(bs: BlockSeries, model: PolyDirectionModel,
     """Cyclic iff the recurrent polynomial directions have full local rank."""
     if bs.block_degree == 0:
         # blocks are constants: the criterion degenerates to the tail span
-        from .coefspace import TailModel
-
-        rec = [p[0] for p in model.recurrent_polys]
-        tra = [(k, bs.blocks[k][1][0]) for k in model.transient_indices]
-        tm = TailModel(bs.dim, rec, tra)
-        return cyclicity_single(bs.to_series(), tol, model=tm)
+        f, tm = _stacks(bs, model)
+        return cyclicity_single(f, tol, model=tm)
     L = compute_L(bs, model, tol)
     r = local_rank(L, bs.dim, bs.block_degree, seed=seed, tol=tol)
     status = CYCLIC if r == bs.dim else NON_CYCLIC
@@ -170,28 +166,23 @@ def blocks_cyclicity(bs: BlockSeries, model: PolyDirectionModel,
 
 def blocks_decompose(bs: BlockSeries, model: PolyDirectionModel,
                      tol: Tolerances = Tolerances()):
-    """Split f = g + p with g the blockwise projection onto L.
+    """Split f = g + p with the blocks of g in L and those of p off it.
 
-    Each block of g is the orthogonal projection of the corresponding block
-    onto L in coefficient-stack space; p carries the complements, which a
-    consistent model confines to the transient blocks.
+    ``coefspace``'s split on the block stacks: p is each stack's residual
+    off L, zeroed when tiny against ``tol_orth``, and g = f - p.  A
+    consistent model confines p to the transient blocks.  Either part is
+    None when it has no nonzero block.
     """
-    L = compute_L(bs, model, tol)
-    g_blocks, p_blocks = [], []
-    shape = (bs.block_degree + 1, bs.dim)
-    for n, p in bs.blocks:
-        v = _flatten(p)
-        proj = L.basis @ (L.basis.conj().T @ v)
-        rem = v - proj
-        if np.linalg.norm(rem) <= tol.tol_orth * max(np.linalg.norm(v), 1.0):
-            rem = np.zeros_like(rem)
-        if np.any(proj != 0):
-            g_blocks.append((n, proj.reshape(shape)))
-        if np.any(rem != 0):
-            p_blocks.append((n, rem.reshape(shape)))
-    g = BlockSeries(bs.dim, bs.block_degree, g_blocks) if g_blocks else None
-    p = BlockSeries(bs.dim, bs.block_degree, p_blocks) if p_blocks else None
-    return g, p
+    f, _ = _stacks(bs, model)
+    p = _split(f, compute_L(bs, model, tol), tol)
+    shape = (-1, bs.block_degree + 1, bs.dim)
+
+    def unstack(rows):
+        s = VectorSeries(f.dim, f.exponents, rows)  # drops the zero stacks
+        return None if s.is_zero else BlockSeries(
+            bs.dim, bs.block_degree, zip(s.exponents, s.coeffs.reshape(shape)))
+
+    return unstack(f.coeffs - p), unstack(p)
 
 
 def blocks_necessary(bs: BlockSeries, tol: Tolerances = Tolerances()) -> Verdict:

@@ -281,14 +281,13 @@ def _cmd_polydisc(args, config):
         raise InputError("polydisc expects a series with kind 'polydisc'")
     out = {}
     if args.check_c1c2:
-        c1, c2, note = check_c1_c2(series, config.horizon)
+        c1, c2, note = check_c1_c2(series)
         out["c1_multiplicity"] = c1
         out["c2_verdict"] = c2.to_dict()
         out["c1_certificate"] = note
     verdict = None
     if args.analyze:
-        verdict = polydisc_cyclicity(series, config.tolerances, model,
-                                     config.horizon)
+        verdict = polydisc_cyclicity(series, config.tolerances, model)
         out["verdict"] = verdict.to_dict()
     _emit(out, args, config)
     return _verdict_exit(verdict, config) if verdict is not None else 0

@@ -26,7 +26,6 @@ from .core import (
     VectorSeries,
     first_proper_tail,
     numerical_span,
-    project_vector,
     span_of_matrix,
 )
 from .verdicts import (
@@ -71,7 +70,7 @@ class TailModel:
             raise ValueError("recurrent set must be nonempty")
         if any(v.shape != (d,) for v in rec):
             raise ValueError("recurrent vectors must have length dim")
-        if any(np.linalg.norm(v) == 0 for v in rec):
+        if not all(np.any(v != 0) for v in rec):  # a norm can underflow to 0
             raise ValueError("recurrent vectors must be nonzero")
         tra = tuple((int(k), np.asarray(v, dtype=complex)) for k, v in transient)
         if any(v.shape != (d,) for _, v in tra):
@@ -93,22 +92,24 @@ class TailModel:
         """
         if f.dim != self.dim:
             raise ValueError("dimension mismatch between series and tail model")
-        rec = numerical_span(self.recurrent, tol)
-        tra = dict((k, v) for k, v in self.transient)
-        for k in range(len(f)):
-            a = f.coeffs[k]
-            if k in tra:
-                if np.linalg.norm(a - tra[k]) > 1e-8 * max(np.linalg.norm(a), 1.0):
-                    raise ValueError(
-                        f"transient coefficient at position {k} does not match the series"
-                    )
-                continue
-            r = a - project_vector(a, rec)
-            if np.linalg.norm(r) > tol.tol_rank * max(np.linalg.norm(a), 1.0):
-                raise ValueError(
-                    f"coefficient at position {k} leaves span(recurrent) "
-                    f"(residual {np.linalg.norm(r):.3e})"
-                )
+        rec = numerical_span(self.recurrent, tol).basis
+        a = f.coeffs
+        norms = np.linalg.norm(a, axis=1)
+        resid = np.linalg.norm(a - (rec @ (rec.conj().T @ a.T)).T, axis=1)
+        bad = resid > tol.tol_rank * np.maximum(norms, 1.0)
+        # transient positions past the stored terms are not checked
+        tra = [(k, v) for k, v in self.transient if k < len(f)]
+        ks = np.array([k for k, _ in tra], dtype=np.int64)
+        vs = np.reshape([v for _, v in tra], (-1, self.dim))
+        bad[ks] = np.linalg.norm(a[ks] - vs, axis=1) > 1e-8 * np.maximum(norms[ks], 1.0)
+        if not bad.any():
+            return
+        k = int(np.argmax(bad))
+        if k in ks:
+            raise ValueError(f"transient coefficient at position {k} does not match the series")
+        raise ValueError(
+            f"coefficient at position {k} leaves span(recurrent) (residual {resid[k]:.3e})"
+        )
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,8 @@ class Tolerances:
     """Numerical thresholds used across the package.
 
     tol_rank      relative singular-value cutoff for numerical span/rank
-    tol_orth      orthonormality tolerance for subspace bases
+    tol_orth      relative cutoff below which a residual off X_* is zeroed,
+                  against max(|a|, 1) for the coefficient a it splits
     tol_unitary   boundary-unitarity tolerance for inner matrix polynomials
     tol_residual  threshold below which an orbit residual counts as zero
     """

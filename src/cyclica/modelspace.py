@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tolerances, VectorSeries
+from .core import Tolerances, VectorSeries, span_of_matrix
 
 __all__ = [
     "MatrixPolynomial",
@@ -169,16 +169,6 @@ def _theta_columns(T: np.ndarray, N: int) -> np.ndarray:
     t = np.arange(N + 1)
     blocks = padded[t[:, None] - t]  # [t, j] -> T[t - j]
     return blocks.transpose(0, 2, 1, 3).reshape((N + 1) * d, (N + 1) * d)
-
-
-def _orth(m, tol_rank):
-    """Orthonormal basis of the column span with a relative SVD cutoff."""
-    if m.size == 0:
-        return m
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s[0] == 0:
-        return u[:, :0]
-    return u[:, s >= tol_rank * s[0]]
 
 
 def factorize_Ep(p: VectorSeries, tol: Tolerances = Tolerances()) -> PotapovProduct:
@@ -336,7 +326,7 @@ def verify_potapov(pp: PotapovProduct, trials: int = 32, seed: int = 0,
     if generator is not None:
         orbit = _orbit_matrix(generator, n - 1)
         K = model_space_basis(pp, tol)
-        O = _orth(orbit, tol.tol_rank)
+        O = span_of_matrix(orbit.T, len(orbit), tol).basis
         # mutual projection defect between K_Theta and the orbit span
         d1 = float(np.linalg.norm(O - K @ (K.conj().T @ O), 2)) if O.size else 0.0
         d2 = float(np.linalg.norm(K - O @ (O.conj().T @ K), 2)) if K.size else 0.0

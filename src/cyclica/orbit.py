@@ -40,6 +40,7 @@ from math import prod
 import numpy as np
 from scipy.linalg import get_lapack_funcs, solve_triangular
 
+from .constructions import abakumov_weights
 from .core import Tolerances, VectorSeries, backward_shift
 from .polydisc import PolySeries
 
@@ -382,6 +383,8 @@ def tail_diagnostics(f: VectorSeries, probes=None, seed: int = 0) -> TailDiagnos
 
     The diagnostics emit the divergent single-sum partial sums, the
     convergent double-sum partial sums per probe, and the actual pairings.
+    The single-sum terms are ``constructions.abakumov_weights``, which
+    raises ValueError when a tail's squared norm underflows to zero.
     """
     if len(f) < 3:
         raise ValueError("need at least 3 terms for tail diagnostics")
@@ -389,9 +392,8 @@ def tail_diagnostics(f: VectorSeries, probes=None, seed: int = 0) -> TailDiagnos
         probes = _default_probes(f, seed)
     probes = tuple(probes)
     b = np.sum(np.abs(f.coeffs) ** 2, axis=1)
-    tails = np.concatenate([np.cumsum(b[::-1])[::-1][1:], [0.0]])  # sum_{l>k}
     K = len(f) - 1  # last index has an empty tail
-    terms13 = b[:K] / tails[:K]
+    terms13 = abakumov_weights(f)
     partial13 = np.cumsum(terms13)
     # pair (k, l) for l > k reads h at n_l - n_k; other pairs read nothing
     diff = f.exponents[None, :] - f.exponents[:K, None]

@@ -120,7 +120,7 @@ def graded_lex_sorted(f: PolySeries) -> PolySeries:
     )
 
 
-def check_c1_c2(f: PolySeries, horizon: int = 64):
+def check_c1_c2(f: PolySeries):
     """Evaluate both sparseness conditions on the stored spectrum.
 
     Returns (c1 multiplicity, c2 verdict, certificate note).  If some
@@ -146,7 +146,7 @@ def check_c1_c2(f: PolySeries, horizon: int = 64):
 
 
 def polydisc_cyclicity(f: PolySeries, tol: Tolerances = Tolerances(),
-                       model: TailModel = None, horizon: int = 64) -> Verdict:
+                       model: TailModel = None) -> Verdict:
     """Tail-span cyclicity along the enumeration (alpha_j) of the spectrum.
 
     Requires the sparseness conditions to hold (at horizon); a definitive
@@ -156,7 +156,7 @@ def polydisc_cyclicity(f: PolySeries, tol: Tolerances = Tolerances(),
     """
     if len(f) == 0:
         return Verdict(NON_CYCLIC, "exact", detail={"reason": "zero series"})
-    c1, c2, note = check_c1_c2(f, horizon)
+    c1, c2, note = check_c1_c2(f)
     if not bool(c2):
         raise ValueError(
             "componentwise gap divergence fails on this enumeration; "

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,11 +7,14 @@ from hypothesis import strategies as st
 
 from cyclica import (
     TailModel,
+    Tolerances,
     VectorSeries,
     cyclicity_family,
     cyclicity_single,
     decompose,
     necessary_condition,
+    numerical_span,
+    project_vector,
     scalar_series,
     tail_span,
     x_star,
@@ -170,6 +175,83 @@ def test_family_rejects_mixed_dimensions():
     _, m2 = _model_series(2, list(np.eye(2) + 0j), [])
     with pytest.raises(ValueError):
         cyclicity_family([m1, m2])
+
+
+def _loop_check_consistency(model, f, tol=Tolerances()):
+    """Reference consistency check by a loop over the stored coefficients,
+    one projection each."""
+    if f.dim != model.dim:
+        raise ValueError("dimension mismatch between series and tail model")
+    rec = numerical_span(model.recurrent, tol)
+    tra = dict(model.transient)
+    for k in range(len(f)):
+        a = f.coeffs[k]
+        if k in tra:
+            if np.linalg.norm(a - tra[k]) > 1e-8 * max(np.linalg.norm(a), 1.0):
+                raise ValueError(
+                    f"transient coefficient at position {k} does not match the series"
+                )
+            continue
+        r = a - project_vector(a, rec)
+        if np.linalg.norm(r) > tol.tol_rank * max(np.linalg.norm(a), 1.0):
+            raise ValueError(
+                f"coefficient at position {k} leaves span(recurrent) "
+                f"(residual {np.linalg.norm(r):.3e})"
+            )
+
+
+def _check_outcome(check, *args):
+    """None on success, else the exception class and its message up to the
+    residual figure, which names the kind and the position."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return type(exc), re.sub(r" \(residual .*\)$", "", str(exc))
+    return None
+
+
+def _consistency_draw(seed, d, n):
+    """Coefficients in a random span of C^d, a tenth of them pushed off it by
+    1e-12 (within tol_rank) or 1e-6 (not, unless the span is full), and
+    transient terms at random positions up to 3 past the stored ones, each
+    the stored coefficient, a 1e-12 or 1e-6 change of it, or a fresh vector."""
+    rng = np.random.default_rng(seed)
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    rank = int(rng.integers(1, d + 1))
+    rec = cn(int(rng.integers(1, 4)), rank) @ cn(rank, d)
+    c = cn(n, len(rec)) @ rec
+    off = rng.uniform(size=n) < 0.1
+    c[off] += rng.choice([1e-12, 1e-6], size=(int(off.sum()), 1)) * cn(int(off.sum()), d)
+    transient = []
+    for k in np.flatnonzero(rng.uniform(size=n + 3) < 0.2):
+        kind = int(rng.integers(5))
+        v = c[k] if k < n and kind < 4 else cn(d)
+        transient.append((int(k), v + [0.0, 0.0, 1e-12, 1e-6, 0.0][kind] * cn(d)))
+    return TailModel(d, rec, transient), VectorSeries(d, 2 ** np.arange(1, n + 1), c)
+
+
+@given(seed=st.integers(0, 10**6), d=st.integers(1, 4), n=st.integers(0, 12))
+# a coefficient off the span, a changed transient, and both passing
+@example(seed=1, d=2, n=12)
+@example(seed=5, d=1, n=4)
+@example(seed=0, d=1, n=4)
+@settings(max_examples=300, deadline=None)
+def test_check_consistency_matches_loop(seed, d, n):
+    model, f = _consistency_draw(seed, d, n)
+    assert _check_outcome(model.check_consistency, f) == _check_outcome(
+        _loop_check_consistency, model, f)
+
+
+def test_consistency_draws_include_failures():
+    kinds = set()
+    for seed in range(200):
+        model, f = _consistency_draw(seed, 1 + seed % 4, 12)
+        out = _check_outcome(model.check_consistency, f)
+        kinds.add(None if out is None else out[1].split(" at ")[0])
+    assert kinds == {None, "coefficient", "transient coefficient"}
 
 
 def test_tailmodel_validation():

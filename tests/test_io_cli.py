@@ -145,6 +145,19 @@ def test_load_blocks_rejects_short_row(tmp_path):
         load_blocks(blocks, model)
 
 
+@pytest.mark.parametrize("index, code", [(-1, 2), (5, 0)])
+def test_blocks_transient_index_exit_codes(index, code, tmp_path, capsys):
+    # constant blocks: a negative index is bad input, one past the last
+    # block is not checked and leaves the verdict Cyclic under --strict
+    blocks = _write(tmp_path / "b.json", {"dim": 2, "block_degree": 0, "blocks": [
+        {"n": 1, "poly": [[[1, 0], [0, 0]]]}, {"n": 4, "poly": [[[0, 0], [1, 0]]]},
+        {"n": 16, "poly": [[[1, 0], [0, 0]]]}]})
+    model = _write(tmp_path / "m.json", {
+        "recurrent_polys": [[[[1, 0], [0, 0]]], [[[0, 0], [1, 0]]]],
+        "transient_indices": [index]})
+    assert dispatch(["blocks", "--strict", "--input", blocks, "--model", model]) == code
+
+
 def test_dump_report_deterministic_floats():
     text = dump_report({"x": 1 / 3, "z": 1 + 2j})
     # byte-identical on repetition and exact value round trip

@@ -1046,6 +1046,14 @@ def test_lemma13_terms_oracle():
     assert td.lemma13_partial[-1] > td.lemma13_partial[0]
 
 
+def test_tail_diagnostics_rejects_an_underflowing_tail():
+    # 1e-170 is stored, but its squared norm, the last tail, underflows to 0
+    f = scalar_series([1, 2, 4], [1.0, 1.0, 1e-170])
+    assert len(f) == 3
+    with pytest.raises(ValueError, match="zero tail norm"):
+        tail_diagnostics(f)
+
+
 def test_lemma12_partial_sums_cauchy():
     f = dyadic_scalar(K=20)
     td = tail_diagnostics(f)
