@@ -155,8 +155,10 @@ def blocks_cyclicity(bs: BlockSeries, model: PolyDirectionModel,
                      tol: Tolerances = Tolerances(), seed: int = 0) -> Verdict:
     """Cyclic iff the recurrent polynomial directions have full local rank."""
     if bs.block_degree == 0:
-        # blocks are constants: the criterion degenerates to the tail span
+        # blocks are constants: the criterion degenerates to the tail span,
+        # which reads only the model, so check the model first
         f, tm = _stacks(bs, model)
+        tm.check_consistency(f, tol)
         return cyclicity_single(f, tol, model=tm)
     L = compute_L(bs, model, tol)
     r = local_rank(L, bs.dim, bs.block_degree, seed=seed, tol=tol)

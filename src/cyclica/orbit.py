@@ -20,12 +20,17 @@ lacunarity keeps tiny, and not the box, which on the polydisc grows as a
 product; it reaches boxes of 1e11 columns and more.  On the disc the box is
 the shifts 0..budget, and g's block is about half of it.  One assembler
 (``_assemble``) builds the compressed system straight from the exponents on
-those columns.  The block is factored once by Householder QR of the
-column-scaled system with its columns in the order in which they enter
-(shift n at budget n on the disc, the first sub-box of the chain that holds
-alpha on the polydisc), deleting a direction within sine ``tol_rank`` of
-the kept span; the one factor yields the nonincreasing residual curve, the
-endpoint coefficients and a condition estimate.  ``one_in_orbit_check``
+those columns.  The block is factored once, by a QR of the column-scaled
+system with its columns in the order in which they enter (shift n at budget
+n on the disc, the first sub-box of the chain that holds alpha on the
+polydisc), deleting a direction within sine ``tol_rank`` of the kept span;
+the one factor yields the nonincreasing residual curve, the endpoint
+coefficients and a condition estimate.  The QR follows the block's shape:
+its diagonal rows already form a triangle, so LAPACK's triangular-pentagonal
+tpqrt reduces only the shared rows onto it, about 2 n_r m^2 flops for n_r
+shared rows and m columns where dense Householder QR spends about
+2 m^2 (n_r + m) - 2 m^3 / 3; real f and g give a real block, factored in
+real arithmetic.  ``one_in_orbit_check``
 thresholds the residual of the constant 1 at the full polydisc box.
 ``residual_final`` replays the coefficients on the uncompressed orbit
 system, over the rows that the block's columns and g touch: the only rows
@@ -140,7 +145,10 @@ def _assemble(T, coeffs, Tg, gcoeffs, alpha):
     Returns (row, col, data) of C's entries, sorted by row and then column,
     with the shared rows numbered in A's order; p2 per column (summed in
     term order); b_C; and ``replay(x)``, the norm of A x - b over A's rows.
+    data and b_C are real when every coefficient of f and g is.
     """
+    if not (coeffs.imag.any() or gcoeffs.imag.any()):
+        coeffs, gcoeffs = coeffs.real, gcoeffs.real  # real data, real block
     col, t, c, rows = _entries(T, coeffs != 0, alpha)
     gj, gc = np.nonzero(gcoeffs != 0)
     ne, a, gval = len(col), coeffs[t, c], gcoeffs[gj, gc]
@@ -156,7 +164,7 @@ def _assemble(T, coeffs, Tg, gcoeffs, alpha):
     shared, row = kept[arow[:ne]], number[arow[:ne]]
     p2 = np.bincount(col[~shared], np.abs(a[~shared]) ** 2, minlength=len(alpha))
     order = np.argsort(row[shared], kind="stable")  # columns stay in order
-    bc = np.zeros(np.count_nonzero(kept), dtype=complex)
+    bc = np.zeros(np.count_nonzero(kept), dtype=gval.dtype)
     bc[number[arow[ne:]]] = gval
 
     def replay(x):
@@ -177,16 +185,26 @@ def _geqrf(M):
     return geqrf(M, lwork=int(lwork(*M.shape)[0].real), overwrite_a=True)[0]
 
 
-def _qr_skipping(M, cut):
-    """QR of M = [unit columns | b], deleting each column within sine ``cut``
-    of the span of the columns kept before it.
+def _tpqrt(A, B):
+    """QR of [A; B], A upper triangular and n x n, by LAPACK tpqrt, in place
+    when both are Fortran-ordered; R overwrites A.  Below 128 columns one
+    unblocked panel (tpqrt2), above it panels of 32: geqrf's own crossover
+    (NX = 128)."""
+    tpqrt = get_lapack_funcs("tpqrt", (A, B))
+    n = A.shape[1]
+    return tpqrt(0, n if n < 128 else 32, A, B, overwrite_a=True, overwrite_b=True)[0]
+
+
+def _qr_skipping(A, B, cut):
+    """QR of [A; B] = [unit columns | b], A upper triangular, deleting each
+    column within sine ``cut`` of the span of the columns kept before it.
 
     With unit columns, |R_kk| is that sine.  A deleted column leaves an
     upper Hessenberg block behind it, which is factored again.  Returns R
     (upper triangle; the last kept column is b) and the kept column indices.
     """
-    R = _geqrf(M)
-    keep = np.arange(M.shape[1] - 1)
+    R = _tpqrt(A, B)
+    keep = np.arange(A.shape[1] - 1)
     k = 0
     while True:
         small = np.flatnonzero(np.abs(R.diagonal()[k:len(keep)]) <= cut)
@@ -204,9 +222,12 @@ def _solve_levels(row, col, data, p2, bc, level, levels, cut):
     sorted by row, the columns entering by ``level`` (one per column,
     0 <= level < levels).
 
-    One Householder QR of the column-scaled [C/s | b], with the columns
-    sorted by level, deletes every direction within sine ``cut`` of the
-    kept span.  The residual over the columns up to level L is
+    One QR of the column-scaled system, with the columns sorted by level,
+    deletes every direction within sine ``cut`` of the kept span.  It
+    factors [A; B] by tpqrt: A = [D 0; 0 0], D = diag(sqrt(p2) / s), is
+    already upper triangular, and B = [C/s | b] holds only the shared rows,
+    so only those are reduced.  The arithmetic is real when C and b_C are.
+    The residual over the columns up to level L is
     sqrt(|R_mm|^2 + sum of |c_j|^2 over the kept columns above L),
     nonincreasing in L by construction.  Returns the ``OrbitReport`` fields
     of the solve: these residuals, the coefficients of the block's columns
@@ -223,12 +244,15 @@ def _solve_levels(row, col, data, p2, bc, level, levels, cut):
     at = np.full(len(p2), -1)
     at[cols] = np.arange(m)
     e = at[col] >= 0
-    # one spare zero row: R keeps its row m when the block has no row
-    M = np.zeros((nr + m + 1, m + 1), dtype=complex, order="F")
-    M[row[e], at[col[e]]] = data[e] / s[col[e]]
-    M[nr + np.arange(m), np.arange(m)] = np.sqrt(p2[cols]) / s[cols]
-    M[:nr, m] = bc
-    R, acc = _qr_skipping(M, cut)
+    # A = [D 0; 0 0], the diagonal rows, whose zero last row keeps R's row
+    # m; B = [C/s | b], the shared rows (one zero row when there are none)
+    dtype = np.result_type(data, bc)
+    A = np.zeros((m + 1, m + 1), dtype=dtype, order="F")
+    A[np.arange(m), np.arange(m)] = np.sqrt(p2[cols]) / s[cols]
+    B = np.zeros((max(nr, 1), m + 1), dtype=dtype, order="F")
+    B[row[e], at[col[e]]] = data[e] / s[col[e]]
+    B[:nr, m] = bc
+    R, acc = _qr_skipping(A, B, cut)
     k, acc = len(acc), cols[acc]
     c = R[:k, k]
     drop = np.bincount(level[acc], np.abs(c) ** 2, minlength=levels)

@@ -134,6 +134,18 @@ def test_degree_zero_noncyclic_matches_single():
     assert bool(cyclicity_single(bs.to_series())) == bool(v)
 
 
+def test_degree_zero_checks_the_model_against_the_blocks():
+    # block 1 is e2, off the declared span(e1): rejected at N = 0 as at N >= 1
+    e1, e2 = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
+    bs = BlockSeries(2, 0, [(1, e1), (4, e2), (16, e1)])
+    model = PolyDirectionModel([e1])
+    with pytest.raises(ValueError, match="coefficient at position 1 leaves span"):
+        model.check_consistency(bs)
+    with pytest.raises(ValueError, match="coefficient at position 1 leaves span"):
+        blocks_cyclicity(bs, model)
+    assert not blocks_cyclicity(bs, PolyDirectionModel([e1], transient_indices=(1,)))
+
+
 # -- consistency and decomposition --------------------------------------------
 
 

@@ -21,11 +21,13 @@ from cyclica import (
     scalar_series,
     tail_diagnostics,
 )
+from cyclica import orbit
 from cyclica.core import Tolerances
 from cyclica.orbit import (
     _CHAIN,
     _assemble,
     _block_columns,
+    _geqrf,
     _qr_skipping,
     _solve_levels,
 )
@@ -249,8 +251,12 @@ def test_base16_orbit_keeps_every_direction():
 def test_qr_skipping_deletes_interior_directions(rng):
     # orthonormal u_j; column 2 has sine 1e-10 to the span of columns 0-1
     # and column 4 repeats column 3, so both go; column 5 has sine 1e-8 and
-    # stays.  The factor must equal, up to unimodular row factors, the
-    # Householder QR of the kept columns and b.
+    # stays.  The factor must equal, up to unimodular row factors, the QR
+    # of the kept columns and b by the same tpqrt, M entering as B below a
+    # zero triangle A.  Column 5's row of R is known only to about
+    # eps / 1e-8 by any backward-stable QR (the stacked geqrf on M's rows
+    # permuted differs from numpy's QR by 1e-8 there), so the oracle shares
+    # the reduction of columns 0 and 1 with the factor under test.
     U = np.linalg.qr(rng.standard_normal((12, 8))
                      + 1j * rng.standard_normal((12, 8)))[0]
     cols = [U[:, 0], U[:, 1], (U[:, 0] + 1e-10 * U[:, 2]) / np.hypot(1, 1e-10),
@@ -258,10 +264,149 @@ def test_qr_skipping_deletes_interior_directions(rng):
             U[:, 5], U[:, 6]]
     b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     M = np.column_stack(cols + [b])
-    R, keep = _qr_skipping(np.asfortranarray(M), 1e-9)
+    R, keep = _qr_skipping(np.zeros((9, 9), dtype=complex, order="F"),
+                           np.asfortranarray(M), 1e-9)
     assert keep.tolist() == [0, 1, 3, 5, 6, 7]
-    oracle = np.linalg.qr(M[:, keep.tolist() + [8]])[1]
+    kept = np.asfortranarray(M[:, keep.tolist() + [8]])
+    oracle = get_lapack_funcs("tpqrt", (kept,))(
+        0, 7, np.zeros((7, 7), dtype=complex, order="F"), kept)[0]
     assert np.allclose(np.abs(np.triu(R[:7, :7])), np.abs(oracle), atol=1e-12)
+
+
+def _stacked_qr_skipping(A, B, cut):
+    """Reference for ``_qr_skipping``: geqrf of the stacked M = [B; A], the
+    shared rows over the diagonal rows and their zero last row, with the
+    same deletions and Hessenberg refactors."""
+    R = _geqrf(np.asfortranarray(np.vstack([B, A])))
+    keep = np.arange(A.shape[1] - 1)
+    k = 0
+    while True:
+        small = np.flatnonzero(np.abs(R.diagonal()[k:len(keep)]) <= cut)
+        if not small.size:
+            return R, keep
+        k += small[0]
+        keep = np.delete(keep, k)
+        R = np.delete(R[: len(keep) + 2], k, axis=1)
+        R[k:, k:] = _geqrf(np.triu(R[k:, k:], -1))
+
+
+def _assert_matches_stacked_qr(monkeypatch, block, level, levels, curve_tol=1e-13,
+                               sines=True):
+    """`_solve_levels` on a block against the same solve through the stacked
+    geqrf: the same kept columns and detail, the residual curve to
+    ``curve_tol`` ||b|| and, if ``sines``, |R_kk| to 1e-13.  Returns the
+    fit."""
+    factors, fits = {}, {}
+    for name, qr in (("stacked", _stacked_qr_skipping), ("tp", _qr_skipping)):
+        def record(A, B, cut, name=name, qr=qr):
+            factors[name] = qr(A, B, cut)
+            return factors[name]
+        with monkeypatch.context() as m:
+            m.setattr(orbit, "_qr_skipping", record)
+            fits[name] = _solve_levels(*block, level, levels, Tolerances().tol_rank)
+    (R0, keep0), (R1, keep1) = factors["stacked"], factors["tp"]
+    assert np.array_equal(keep0, keep1)
+    assert fits["stacked"]["detail"] == fits["tp"]["detail"]
+    if sines:
+        n = len(keep1) + 1
+        diag = np.abs(np.abs(R0.diagonal()[:n]) - np.abs(R1.diagonal()[:n]))
+        assert diag.max() <= 1e-13, diag.max()
+    curve = np.abs(fits["stacked"]["residuals"] - fits["tp"]["residuals"])
+    assert curve.max() <= curve_tol * np.linalg.norm(block[4]), curve.max()
+    return fits["tp"]
+
+
+def _disc_block(f, g, n):
+    """g's block of the disc orbit system at budget n and its columns."""
+    T, Tg = f.exponents[:, None], g.exponents[:, None]
+    alpha = _block_columns(T, f.coeffs, Tg, g.coeffs, (n,))
+    return _assemble(T, f.coeffs, Tg, g.coeffs, alpha)[0], alpha[:, 0]
+
+
+# (series, base, budget) of the orbit-disc benchmark's cycle
+ORBIT_DISC_CYCLE = [
+    ("dyadic", 2, 64), ("dyadic", 4, 96), ("dyadic", 16, 128), ("pair", 2, 128),
+    ("dyadic", 2, 160), ("pair", 4, 192), ("dyadic", 4, 256), ("dyadic", 16, 256),
+    ("pair", 16, 64), ("dyadic", 16, 192), ("pair", 2, 256), ("dyadic", 2, 128),
+    ("dyadic", 4, 1024), ("pair", 16, 512), ("pair", 4, 96)]
+
+
+@pytest.mark.parametrize("case", ORBIT_DISC_CYCLE, ids=lambda c: "-".join(map(str, c)))
+def test_block_qr_matches_stacked_geqrf_on_disc_cycle(monkeypatch, case):
+    f, g, n = _disc_series_case(*case)
+    block, cols = _disc_block(f, g, n)
+    _assert_matches_stacked_qr(monkeypatch, block, cols, n + 1)
+
+
+@pytest.mark.parametrize("budget", [48, 96])
+def test_block_qr_matches_stacked_geqrf_with_deletions(monkeypatch, budget):
+    # scaled Gram condition about 1e20: two backward-stable QRs part by more
+    # than 1e-13 here.  At budget 48 the stacked geqrf's |R_66| is 1.5e-13
+    # off a 60-digit Gram-Schmidt, tpqrt's 1e-17; at 96 sines below 1e-8
+    # differ by up to 2.6e-10 and the curve by 4.3e-13.  So the same kept
+    # columns, and the curve to the 40-digit oracle's 1e-12 ||g||.
+    f, g = _ill_conditioned_orbit()
+    block, cols = _disc_block(f, g, budget)
+    fit = _assert_matches_stacked_qr(monkeypatch, block, cols, budget + 1, curve_tol=1e-12,
+                                     sines=False)
+    if budget == 96:
+        assert fit["detail"]["accepted_directions"] < len(cols), fit["detail"]
+
+
+def test_block_qr_matches_stacked_geqrf_without_shared_rows(monkeypatch):
+    # S*^n (2 z^3) over every shift and g = 0: every row is private to one
+    # column, so B has no row but its zero pad, and A is R already
+    f, g = scalar_series([3], [2.0]), _zero(1)
+    (row, col, data, p2, bc), _ = _assemble(f.exponents[:, None], f.coeffs, g.exponents[:, None],
+                                            g.coeffs, _box_columns((5,)))
+    assert len(bc) == 0 and len(row) == 0 and np.count_nonzero(p2) == 4
+    fit = _assert_matches_stacked_qr(monkeypatch, (row, col, data, p2, bc),
+                                     np.arange(6), 6)
+    assert fit["detail"] == {"block": (4, 4), "accepted_directions": 4}
+    assert not fit["residuals"].any() and not fit["coefficients"].any()
+
+
+@pytest.mark.parametrize("ncols", [127, 128, 129])
+def test_block_qr_matches_stacked_geqrf_at_the_panel_crossover(monkeypatch, ncols):
+    # [C/s | b] with ncols columns: tpqrt takes one unblocked panel below
+    # 128 columns and panels of 32 from 128 on
+    rng = np.random.default_rng(ncols)
+    m = ncols - 1
+    pairs = np.sort([rng.choice(m, size=2, replace=False) for _ in range(m // 2)], axis=1)
+    row, col = np.repeat(np.arange(m // 2), 2), pairs.ravel()
+    data = rng.standard_normal(len(row)) + 1j * rng.standard_normal(len(row))
+    bc = np.zeros(m // 2, dtype=complex)
+    bc[:5] = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    block = (row, col, data, rng.uniform(0.01, 1.0, size=m), bc)
+    fit = _assert_matches_stacked_qr(monkeypatch, block, np.arange(m), m)
+    assert fit["detail"] == {"block": (m // 2 + m, m), "accepted_directions": m}
+
+
+def _real_draw(seed):
+    """`_one_variable_draw` with the real parts of f's and g's coefficients."""
+    f, g, n = _one_variable_draw(seed)
+    return (VectorSeries(f.dim, f.exponents, f.coeffs.real),
+            VectorSeries(g.dim, g.exponents, g.coeffs.real), n)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_real_block_matches_complex_solve(seed):
+    # real f and g give a real block, factored in real arithmetic; cast to
+    # complex, the same block goes through the complex factorization
+    f, g, n = _real_draw(seed)
+    (row, col, data, p2, bc), cols = _disc_block(f, g, n)
+    assert data.dtype == bc.dtype == np.float64
+    real = _solve_levels(row, col, data, p2, bc, cols, n + 1, Tolerances().tol_rank)
+    cplx = _solve_levels(row, col, data.astype(complex), p2, bc.astype(complex), cols,
+                         n + 1, Tolerances().tol_rank)
+    gn = g.norm()
+    assert real["detail"] == cplx["detail"]
+    assert np.max(np.abs(real["residuals"] - cplx["residuals"]), initial=0) <= 1e-13 * gn
+    assert np.max(np.abs(real["coefficients"] - cplx["coefficients"]),
+                  initial=0) <= 1e-13 * gn
+    rep = orbit_project(f, g, n)
+    assert rep.coefficients.dtype == complex
+    assert rep.residuals.tobytes() == real["residuals"].tobytes()
 
 
 def test_gram_condition_is_the_cholesky_estimate():
