@@ -131,9 +131,9 @@ def compute_L(bs: BlockSeries, model: PolyDirectionModel,
     return x_star(tm, tol)
 
 
-def local_rank(L: Subspace, dim: int, block_degree: int, samples: int = 8,
-               seed: int = 0, tol: Tolerances = Tolerances()) -> int:
-    """max over random disc points z of dim{p(z) : p in L}.
+def local_rank(L: Subspace, dim: int, block_degree: int, seed: int = 0,
+               tol: Tolerances = Tolerances()) -> int:
+    """max over 8 seeded random disc points z of dim{p(z) : p in L}.
 
     The evaluation rank of an analytic family is constant off a finite set,
     so a handful of seeded samples attains the maximum outside events of
@@ -142,7 +142,7 @@ def local_rank(L: Subspace, dim: int, block_degree: int, samples: int = 8,
     if L.dim == 0:
         return 0
     N, d = block_degree, dim
-    u = np.random.default_rng(seed).uniform(size=(samples, 2))
+    u = np.random.default_rng(seed).uniform(size=(8, 2))
     z = 0.8 * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
     # evaluation matrices: column c of ev[s] is p_c(z_s) for basis stack c
     ev = (z[:, None] ** np.arange(N + 1) @ L.basis.reshape(N + 1, -1)).reshape(-1, d, L.dim)
@@ -195,7 +195,7 @@ def blocks_necessary(bs: BlockSeries, tol: Tolerances = Tolerances()) -> Verdict
     """
     rows = np.array([p for _, p in bs.blocks]).reshape(-1, bs.dim)
     starts = [m * (bs.block_degree + 1) for m in range(len(bs) // 2 + 1)]
-    hit = first_proper_tail(rows, bs.dim, tol, starts)
+    hit = first_proper_tail(rows, tol, starts)
     if hit is None:
         return Verdict(POSSIBLY_CYCLIC, "at-horizon")
     return Verdict(NOT_CYCLIC, "at-horizon", witness=hit[0],

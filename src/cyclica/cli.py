@@ -130,7 +130,7 @@ def _cmd_spectrum(args, config):
         out["difference_multiplicity"] = difference_multiplicity(s, K)
     if args.residues is not None:
         N = args.residues
-        out["residues_hit"] = sorted(residues_hit(s, N, 1, K))
+        out["residues_hit"] = sorted(residues_hit(s, N, K))
         out["admits_SstarN"] = spectrum_admits_SstarN(s, N, K).to_dict()
     _emit(out, args, config)
     return 0
@@ -188,9 +188,8 @@ def _cmd_multishift(args, config):
         return 0
     if args.power is None:
         raise InputError("multishift requires --power N or --af")
-    series, model = load_series(args.input)
-    verdict = sstarN_cyclicity(series, args.power, tol, model=model,
-                               horizon=config.horizon)
+    series, _ = load_series(args.input)
+    verdict = sstarN_cyclicity(series, args.power, tol, horizon=config.horizon)
     _emit({"power": args.power, "verdict": verdict.to_dict()}, args, config)
     return _verdict_exit(verdict, config)
 

@@ -26,7 +26,6 @@ from .core import (
     VectorSeries,
     first_proper_tail,
     numerical_span,
-    span_of_matrix,
 )
 from .verdicts import (
     CYCLIC,
@@ -61,9 +60,8 @@ class TailModel:
     dim: int
     recurrent: tuple
     transient: tuple = ()
-    spectrum: object = None  # optional IntegerSpectrum
 
-    def __init__(self, dim, recurrent, transient=(), spectrum=None):
+    def __init__(self, dim, recurrent, transient=()):
         d = int(dim)
         rec = tuple(np.asarray(v, dtype=complex) for v in recurrent)
         if not rec:
@@ -75,13 +73,14 @@ class TailModel:
         tra = tuple((int(k), np.asarray(v, dtype=complex)) for k, v in transient)
         if any(v.shape != (d,) for _, v in tra):
             raise ValueError("transient vectors must have length dim")
+        if not all(np.isfinite(v).all() for v in rec + tuple(v for _, v in tra)):
+            raise ValueError("tail model vectors must be finite")
         ks = [k for k, _ in tra]
         if any(b <= a for a, b in zip(ks, ks[1:])) or any(k < 0 for k in ks):
             raise ValueError("transient positions must be strictly increasing and >= 0")
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "recurrent", rec)
         object.__setattr__(self, "transient", tra)
-        object.__setattr__(self, "spectrum", spectrum)
 
     def check_consistency(self, f: VectorSeries, tol: Tolerances = Tolerances()):
         """Stored coefficients must match the declared structure.
@@ -131,8 +130,8 @@ def tail_span(f, m: int, tol: Tolerances = Tolerances()) -> Subspace:
     """
     if isinstance(f, TailModel):
         vecs = list(f.recurrent) + [v for k, v in f.transient if k >= m]
-        return span_of_matrix(vecs, f.dim, tol)
-    return span_of_matrix(list(f.coeffs[m:]), f.dim, tol)
+        return numerical_span(vecs, tol)
+    return numerical_span(f.coeffs[m:], tol)
 
 
 def x_star(model, tol: Tolerances = Tolerances()) -> Subspace:
@@ -143,7 +142,7 @@ def x_star(model, tol: Tolerances = Tolerances()) -> Subspace:
     """
     if isinstance(model, TailModel):
         return numerical_span(model.recurrent, tol)
-    return span_of_matrix(list(model.coeffs[len(model) // 2 :]), model.dim, tol)
+    return numerical_span(model.coeffs[len(model) // 2 :], tol)
 
 
 def _split(f: VectorSeries, xs: Subspace, tol: Tolerances):
@@ -204,10 +203,7 @@ def cyclicity_family(family, tol: Tolerances = Tolerances()) -> Verdict:
         raise ValueError(f"mixed dimensions in family: {sorted(dims)}")
     d = dims.pop()
     exact = all(isinstance(m, TailModel) for m in family)
-    vecs = []
-    for m in family:
-        vecs.extend(x_star(m, tol).basis.T)
-    union = span_of_matrix(vecs, d, tol)
+    union = numerical_span(np.vstack([x_star(m, tol).basis.T for m in family]), tol)
     mode = "exact" if exact else "at-horizon"
     status = CYCLIC if union.is_full else NON_CYCLIC
     return Verdict(status, mode, detail={"dim_union": union.dim, "dim": d})
@@ -240,15 +236,15 @@ def necessary_condition(family, tol: Tolerances = Tolerances()) -> Verdict:
     for mem in family:
         if isinstance(mem, TailModel):
             positions += [np.inf] * len(mem.recurrent) + [k for k, _ in mem.transient]
-            rows += list(mem.recurrent) + [v for _, v in mem.transient]
+            rows.append(np.array(mem.recurrent + tuple(v for _, v in mem.transient)))
         else:
             positions += range(len(mem))
-            rows += list(mem.coeffs)
-        tail += list(tail_span(mem, last, tol).basis.T)
+            rows.append(mem.coeffs)
+        tail.append(tail_span(mem, last, tol).basis.T)
     order = np.argsort(positions, kind="stable")
     starts = np.searchsorted(np.asarray(positions, dtype=float)[order], np.arange(last + 1))
-    hit = first_proper_tail(np.asarray(rows)[order], d, tol, starts,
-                            last=span_of_matrix(tail, d, tol))
+    hit = first_proper_tail(np.vstack(rows)[order], tol, starts,
+                            last=numerical_span(np.vstack(tail), tol))
     mode = "exact" if exact else "at-horizon"
     if hit is None:
         return Verdict(POSSIBLY_CYCLIC, mode)

@@ -130,11 +130,6 @@ class CrtSequenceSpec:
     """
 
     divisor_set: DivisorClosedSet
-    prime_count: int = PRIME_TABLE_SIZE
-
-    def __post_init__(self):
-        if self.prime_count < 1:
-            raise ValueError("prime_count must be >= 1")
 
     def alpha(self, p: int) -> int:
         # closure members divide the generators, so the generators suffice
@@ -150,15 +145,14 @@ class CrtSequenceSpec:
     @cached_property
     def _exponents(self) -> tuple:
         """(p, alpha_p) for each prime of the table, in table order."""
-        return tuple((p, self.alpha(p)) for p in primes(self.prime_count))
+        return tuple((p, self.alpha(p)) for p in primes(PRIME_TABLE_SIZE))
 
     def _check_k(self, k):
         if k < 1:
             raise ValueError("k must be >= 1")
-        if k > self.prime_count:
+        if k > PRIME_TABLE_SIZE:
             raise ValueError(
-                f"k = {k} exceeds the prime table ({self.prime_count} primes); "
-                "enlarge prime_count explicitly"
+                f"k = {k} exceeds the prime table ({PRIME_TABLE_SIZE} primes)"
             )
 
     def a(self, k: int) -> int:

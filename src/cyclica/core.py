@@ -53,17 +53,6 @@ class Tolerances:
                 raise ValueError(f"{name} must lie in (0, 1), got {v}")
 
 
-def _as_vector(v, dim=None):
-    a = np.asarray(v, dtype=complex)
-    if a.ndim != 1:
-        raise ValueError(f"expected a 1-d complex vector, got shape {a.shape}")
-    if dim is not None and a.shape[0] != dim:
-        raise ValueError(f"vector has length {a.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(a.real) & np.isfinite(a.imag)):
-        raise ValueError("vector entries must be finite")
-    return a
-
-
 class VectorSeries:
     """Truncated power series sum_k a_k z^{n_k} with coefficients a_k in C^d.
 
@@ -227,50 +216,52 @@ class Subspace:
         return self.dim == self.dim_ambient
 
 
-def numerical_span(vectors, tol: Tolerances = Tolerances()) -> Subspace:
-    """Orthonormal basis of span(vectors) with an SVD rank cutoff.
+def _as_rows(rows):
+    """An (n, d) complex array of finite rows; a 1-d or ragged input raises."""
+    a = np.asarray(rows, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError(f"expected an (n, d) array of rows, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("vector entries must be finite")
+    return a
 
+
+def numerical_span(rows, tol: Tolerances = Tolerances()) -> Subspace:
+    """Orthonormal basis of the span of the rows, with an SVD rank cutoff.
+
+    ``rows`` is an (n, d) array or a list of n length-d vectors; d is read
+    from its second axis, so n = 0 gives the zero subspace of C^d.
     Singular values below ``tol.tol_rank`` times the largest are treated as
-    zero.  Deterministic for a fixed input order.
+    zero.  Deterministic for a fixed row order.
     """
-    vectors = list(vectors)
-    if not vectors:
-        raise ValueError("cannot infer ambient dimension from an empty list; "
-                         "construct Subspace(d) directly")
-    d = len(np.atleast_1d(vectors[0]))
-    m = np.column_stack([_as_vector(v, d) for v in vectors])
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    m = _as_rows(rows)
+    d = m.shape[1]
+    u, s, _ = np.linalg.svd(m.T, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return Subspace(d)
     rank = int(np.sum(s >= tol.tol_rank * s[0]))
     return Subspace(d, u[:, :rank])
 
 
-def span_of_matrix(rows, dim, tol: Tolerances = Tolerances()) -> Subspace:
-    """Like numerical_span but tolerates an empty collection given the ambient dim."""
-    rows = list(rows)
-    if not rows:
-        return Subspace(dim)
-    return numerical_span(rows, tol)
+def first_proper_tail(rows, tol: Tolerances, starts, last=None):
+    """The first of the nested windows ``rows[starts[i]:]`` not spanning C^d.
 
+    ``rows`` is an (n, d) array or a list of n length-d vectors, and d is
+    read from its second axis.  ``starts`` is nondecreasing.  The last
+    window is decided by ``last``, its span as the caller computes it (a
+    family joins its members' own spans), by default :func:`numerical_span`
+    of the window, as ``coefspace.x_star`` decides its window.  The others
+    are ranked on unit-length rows (a span ignores row lengths) with the
+    fixed cutoff ``tol_rank``, far above the rounding floor of every window.
+    By interlacing that rank never grows as rows are dropped, so bisection
+    finds the first deficient window with O(log len(starts)) SVDs.
 
-def first_proper_tail(rows, dim, tol: Tolerances, starts, last=None):
-    """The first of the nested windows ``rows[starts[i]:]`` not spanning C^dim.
-
-    ``starts`` is nondecreasing.  The last window is decided by ``last``, its
-    span as the caller computes it (a family joins its members' own spans),
-    by default :func:`span_of_matrix` of the window, as ``coefspace.x_star``
-    decides its window.  The others are ranked on unit-length rows (a span
-    ignores row lengths) with the fixed cutoff ``tol_rank``, far above the
-    rounding floor of every window.  By interlacing that rank never grows as
-    rows are dropped, so bisection finds the first deficient window with
-    O(log len(starts)) SVDs.
-
-    Returns None when the last window spans C^dim, else (index, rank).
+    Returns None when the last window spans C^d, else (index, rank).
     """
-    rows = np.asarray(rows, dtype=complex).reshape(-1, dim)
+    rows = _as_rows(rows)
+    dim = rows.shape[1]
     if last is None:
-        last = span_of_matrix(rows[starts[-1]:], dim, tol)
+        last = numerical_span(rows[starts[-1]:], tol)
     if last.is_full:
         return None
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
@@ -289,5 +280,7 @@ def first_proper_tail(rows, dim, tol: Tolerances, starts, last=None):
 
 def project_vector(v, s: Subspace) -> np.ndarray:
     """Orthogonal projection of v onto s; idempotent and norm-contracting."""
-    v = _as_vector(v, s.dim_ambient)
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (s.dim_ambient,) or not np.isfinite(v).all():
+        raise ValueError(f"expected a finite vector of length {s.dim_ambient}, got {v.shape}")
     return s.basis @ (s.basis.conj().T @ v)

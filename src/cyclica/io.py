@@ -18,6 +18,8 @@ spectrum) or one of
     {"kind": "factorial_plus_k"}
     {"kind": "crt", "generators": [g, ...]}
 
+whose numbers must be JSON integers.
+
 A blocks file and its model file:
 
     {"dim": d, "block_degree": N,
@@ -113,7 +115,7 @@ def series_from_dict(data: dict):
         if key not in data:
             raise InputError(f"series file is missing the {key!r} field")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # bool is an int subclass, not a JSON integer
         raise InputError(f"'dim' must be a positive integer, got {dim!r}")
     kind = data.get("kind", "disc")
     if kind not in ("disc", "polydisc"):
@@ -123,12 +125,13 @@ def series_from_dict(data: dict):
         raise InputError("'terms' must be a list of objects")
     if kind == "polydisc":
         poly_dim = data.get("poly_dim")
-        if not isinstance(poly_dim, int) or poly_dim < 1:
+        if type(poly_dim) is not int or poly_dim < 1:
             raise InputError("'poly_dim' must be a positive integer for polydisc series")
         parsed = []
         for i, t in enumerate(terms):
             e = t.get("exp")
-            if not isinstance(e, list) or len(e) != poly_dim:
+            if (not isinstance(e, list) or len(e) != poly_dim
+                    or not all(type(c) is int for c in e)):
                 raise InputError(f"terms[{i}]: 'exp' must be a list of {poly_dim} integers")
             parsed.append((tuple(e), _coeff_from_pairs(t.get("coeff", []), dim, f"terms[{i}]")))
         try:
@@ -139,7 +142,7 @@ def series_from_dict(data: dict):
         exps, coeffs = [], []
         for i, t in enumerate(terms):
             e = t.get("exp")
-            if not isinstance(e, int) or e < 0:
+            if type(e) is not int or e < 0:
                 raise InputError(f"terms[{i}]: 'exp' must be a nonnegative integer")
             exps.append(e)
             coeffs.append(_coeff_from_pairs(t.get("coeff", []), dim, f"terms[{i}]"))
@@ -184,6 +187,14 @@ def load_series(path):
     return series_from_dict(_read_json(path))
 
 
+def _integers(value, key):
+    """``value`` when it is a JSON integer or a list of them; a float or a
+    bool is not truncated to one."""
+    if not all(type(v) is int for v in (value if isinstance(value, list) else [value])):
+        raise InputError(f"{key!r} must hold integers, got {value!r}")
+    return value
+
+
 def load_spectrum(path) -> IntegerSpectrum:
     """A spectrum file, or the exponents of a disc series file."""
     data = _read_json(path)
@@ -197,14 +208,14 @@ def load_spectrum(path) -> IntegerSpectrum:
     kind = data.get("kind")
     try:
         if kind == "explicit":
-            return IntegerSpectrum.explicit(data["values"])
+            return IntegerSpectrum.explicit(_integers(data["values"], "values"))
         if kind == "geometric":
-            return IntegerSpectrum.geometric(data["base"])
+            return IntegerSpectrum.geometric(_integers(data["base"], "base"))
         if kind == "factorial_plus_k":
             return IntegerSpectrum.factorial_plus_k()
         if kind == "crt":
             return IntegerSpectrum.crt(
-                CrtSequenceSpec(DivisorClosedSet(data["generators"]))
+                CrtSequenceSpec(DivisorClosedSet(_integers(data["generators"], "generators")))
             )
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad spectrum file: {exc}") from exc

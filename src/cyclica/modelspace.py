@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tolerances, VectorSeries, span_of_matrix
+from .core import Tolerances, VectorSeries, numerical_span
 
 __all__ = [
     "MatrixPolynomial",
@@ -261,11 +261,11 @@ def model_space_basis(pp: PotapovProduct, tol: Tolerances = Tolerances()):
     return u[:, rank:]
 
 
-def verify_potapov(pp: PotapovProduct, trials: int = 32, seed: int = 0,
+def verify_potapov(pp: PotapovProduct, seed: int = 0,
                    tol: Tolerances = Tolerances(), generator: VectorSeries = None):
     """Structural checks on an assembled product; failures live in the report.
 
-    Checks: boundary unitarity at sampled circle points; det Theta equal to
+    Checks: boundary unitarity at 32 seeded circle points; det Theta equal to
     a unimodular constant times z^{n_factors}; dim Ker Theta(0)* = 1; the
     nested-factor condition (Theta(0) singular with a one-dimensional kernel,
     i.e. the partial product is injective on the orthocomplement of the last
@@ -279,7 +279,7 @@ def verify_potapov(pp: PotapovProduct, trials: int = 32, seed: int = 0,
     report = {}
 
     defect = 0.0
-    for m in theta(np.exp(2j * np.pi * rng.uniform(size=trials))):
+    for m in theta(np.exp(2j * np.pi * rng.uniform(size=32))):
         defect = max(defect, float(np.abs(m.conj().T @ m - np.eye(d)).max()))
     report["unitarity_defect"] = defect
     report["unitary_on_boundary"] = defect < tol.tol_unitary
@@ -326,7 +326,7 @@ def verify_potapov(pp: PotapovProduct, trials: int = 32, seed: int = 0,
     if generator is not None:
         orbit = _orbit_matrix(generator, n - 1)
         K = model_space_basis(pp, tol)
-        O = span_of_matrix(orbit.T, len(orbit), tol).basis
+        O = numerical_span(orbit.T, tol).basis
         # mutual projection defect between K_Theta and the orbit span
         d1 = float(np.linalg.norm(O - K @ (K.conj().T @ O), 2)) if O.size else 0.0
         d2 = float(np.linalg.norm(K - O @ (O.conj().T @ K), 2)) if K.size else 0.0

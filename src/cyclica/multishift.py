@@ -67,21 +67,22 @@ def psi_unreshape(rs: ReshapedSeries) -> VectorSeries:
     return VectorSeries(d, exps, s.coeffs.reshape(-1, d), rs.truncation_degree)
 
 
-def _window_span_verdict(vectors, full_dim, tol):
+def _window_span_verdict(rows, tol):
     """Tail spans over the windows of a stacked coefficient enumeration.
 
-    Cyclic-at-horizon iff the span of {vectors[k] : k >= m} is all of
-    C^full_dim for every window start m up to half the enumeration.
+    Cyclic-at-horizon iff the span of {rows[k] : k >= m} is all of C^D, D
+    the length of a row, for every window start m up to half the
+    enumeration.
     """
-    n = len(vectors)
+    n = len(rows)
     if n == 0:
         return Verdict(NON_CYCLIC, "at-horizon", witness=0,
                        detail={"reason": "empty enumeration"})
-    hit = first_proper_tail(vectors, full_dim, tol, range(n // 2 + 1))
+    hit = first_proper_tail(rows, tol, range(n // 2 + 1))
     if hit is None:
         return Verdict(CYCLIC, "at-horizon")
     return Verdict(NON_CYCLIC, "at-horizon", witness=hit[0],
-                   detail={"dim_tail_span": hit[1], "dim": full_dim})
+                   detail={"dim_tail_span": hit[1], "dim": len(rows[0])})
 
 
 D_MIN = 1.2
@@ -119,39 +120,34 @@ def _check_reshaped_lacunary(rs: ReshapedSeries):
 
 
 def sstarN_cyclicity(f: VectorSeries, N: int, tol: Tolerances = Tolerances(),
-                     model=None, spectrum=None, horizon: int = 64) -> Verdict:
+                     spectrum=None, horizon: int = 64) -> Verdict:
     """Cyclicity of f for the N-th power of the backward shift.
 
     For a scalar series on a generator-backed spectrum (pass ``spectrum``),
     the residue-class argument applies and can return a Proven verdict.
     Otherwise the stored truncation is reshaped and the stacked tail spans
-    are checked window-by-window (at-horizon).  ``model`` may carry a
-    generator spectrum as its ``spectrum`` field.
+    are checked window-by-window (at-horizon).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if spectrum is None and model is not None:
-        spectrum = model.spectrum
     if f.dim == 1 and spectrum is not None:
         v = spectrum_admits_SstarN(spectrum, N, horizon)
         status = CYCLIC if bool(v) else NON_CYCLIC
         return Verdict(status, v.mode, witness=v.witness, detail=dict(v.detail))
     rs = psi_reshape(f, N)
     _check_reshaped_lacunary(rs)
-    return _window_span_verdict(rs.series.coeffs, f.dim * N, tol)
+    return _window_span_verdict(rs.series.coeffs, tol)
 
 
 def sstarN_cyclicity_spectral(spectrum: IntegerSpectrum, N: int, horizon: int = 32,
-                              coeffs=None, seed: int = 0,
-                              tol: Tolerances = Tolerances()) -> Verdict:
+                              seed: int = 0, tol: Tolerances = Tolerances()) -> Verdict:
     """Stacked-span verdict for a scalar series given only its spectrum.
 
     Builds the reshaped coefficient stacks from (block index, residue) pairs
     via streaming arithmetic, so factorial-scale exponents are never
-    materialized.  Coefficients default to seeded nonzero random values.
+    materialized.  The coefficients are seeded nonzero random values.
     """
-    return _stacked_verdict(_block_residues(spectrum, N, horizon), N, coeffs,
-                            seed, tol)
+    return _stacked_verdict(_block_residues(spectrum, N, horizon), N, seed, tol)
 
 
 def _block_residues(spectrum: IntegerSpectrum, N: int, horizon: int):
@@ -168,21 +164,18 @@ def _block_residues(spectrum: IntegerSpectrum, N: int, horizon: int):
     return pairs
 
 
-def _stacked_verdict(pairs, N, coeffs, seed, tol):
-    """Windowed span verdict of the stacked vectors: coefficient k lands in
-    slot r of block q for pairs[k] = (q, r)."""
-    if coeffs is None:
-        rng = np.random.default_rng(seed)
-        K = len(pairs)
-        coeffs = rng.uniform(0.5, 1.5, size=K) * np.exp(
-            2j * np.pi * rng.uniform(size=K)
-        )
+def _stacked_verdict(pairs, N, seed, tol):
+    """Windowed span verdict of the stacked vectors: a seeded random
+    coefficient k lands in slot r of block q for pairs[k] = (q, r)."""
+    rng = np.random.default_rng(seed)
+    K = len(pairs)
+    coeffs = rng.uniform(0.5, 1.5, size=K) * np.exp(2j * np.pi * rng.uniform(size=K))
     # the block keys are factorial-scale Python integers, beyond int64, so
     # the stacks are merged in a dict rather than by VectorSeries
     blocks = {}
     for k, (q, r) in enumerate(pairs):
         blocks.setdefault(q, np.zeros(N, dtype=complex))[r] += coeffs[k]
-    return _window_span_verdict([blocks[q] for q in sorted(blocks)], N, tol)
+    return _window_span_verdict([blocks[q] for q in sorted(blocks)], tol)
 
 
 def _generic_rank(supports, N):
@@ -207,8 +200,7 @@ def _generic_rank(supports, N):
 
 
 def residue_crosscheck(spectrum: IntegerSpectrum, N: int, horizon: int = 32,
-                       seed: int = 0, coeffs=None,
-                       tol: Tolerances = Tolerances()) -> bool:
+                       seed: int = 0, tol: Tolerances = Tolerances()) -> bool:
     """The residue verdict and the stacked-span verdict must agree.
 
     Both sides run over the same block enumeration at the same horizon: the
@@ -218,7 +210,7 @@ def residue_crosscheck(spectrum: IntegerSpectrum, N: int, horizon: int = 32,
     stacked coefficient vectors.
     """
     pairs = _block_residues(spectrum, N, horizon)
-    v_stack = _stacked_verdict(pairs, N, coeffs, seed, tol)
+    v_stack = _stacked_verdict(pairs, N, seed, tol)
     supports = {}
     for q, r in pairs:
         supports.setdefault(q, set()).add(r)
@@ -265,7 +257,7 @@ def bounded_block_family_cyclicity(family, N: int,
     order = np.argsort(keys, kind="stable")
     rows = np.concatenate([rs.series.coeffs for rs in reshaped])[order]
     all_blocks, starts = np.unique(keys[order], return_index=True)
-    hit = first_proper_tail(rows, d * N, tol, starts[: len(all_blocks) // 2 + 1])
+    hit = first_proper_tail(rows, tol, starts[: len(all_blocks) // 2 + 1])
     if hit is None:
         return Verdict(CYCLIC, "at-horizon")
     return Verdict(NON_CYCLIC, "at-horizon", witness=int(all_blocks[hit[0]]),

@@ -379,15 +379,16 @@ class TailDiagnostics:
     probes: tuple
 
 
-def _default_probes(f: VectorSeries, seed: int = 0, count: int = 4):
-    probes = [backward_shift(f, n) for n in range(1, count + 1)]
-    rng = np.random.default_rng(seed)
+def _default_probes(f: VectorSeries):
+    """S*^n f for n = 1..4 and four seeded random probes on f's differences."""
+    probes = [backward_shift(f, n) for n in range(1, 5)]
+    rng = np.random.default_rng(0)
     diffs = sorted(
         {int(b - a) for a in f.exponents for b in f.exponents if b > a}
     )[:64]
     if not diffs:
         diffs = [1]
-    for _ in range(count):
+    for _ in range(4):
         weights = 2.0 ** (-np.arange(len(diffs)) / 2.0)
         c = weights * (rng.standard_normal(len(diffs)) + 1j * rng.standard_normal(len(diffs)))
         coeffs = np.zeros((len(diffs), f.dim), dtype=complex)
@@ -396,7 +397,7 @@ def _default_probes(f: VectorSeries, seed: int = 0, count: int = 4):
     return tuple(p for p in probes if not p.is_zero)
 
 
-def tail_diagnostics(f: VectorSeries, probes=None, seed: int = 0) -> TailDiagnostics:
+def tail_diagnostics(f: VectorSeries, probes=None) -> TailDiagnostics:
     """Convergence/divergence bookkeeping behind the weak-remainder argument.
 
     For each k the remainder r_k = sum_{l>k} (a_l / ||a_k||) z^{n_l - n_k}
@@ -413,7 +414,7 @@ def tail_diagnostics(f: VectorSeries, probes=None, seed: int = 0) -> TailDiagnos
     if len(f) < 3:
         raise ValueError("need at least 3 terms for tail diagnostics")
     if probes is None:
-        probes = _default_probes(f, seed)
+        probes = _default_probes(f)
     probes = tuple(probes)
     b = np.sum(np.abs(f.coeffs) ** 2, axis=1)
     K = len(f) - 1  # last index has an empty tail

@@ -96,7 +96,7 @@ class PolySeries:
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
 
     def spectrum(self) -> MultiSpectrum:
-        return MultiSpectrum(self.multi_exponents, self.poly_dim)
+        return MultiSpectrum(self.multi_exponents)
 
 
 def poly_backward_shift(f: PolySeries, alpha) -> PolySeries:

@@ -151,12 +151,11 @@ def difference_multiplicity(s: IntegerSpectrum, horizon: int) -> int:
     return max(counts.values(), default=0)
 
 
-def residues_hit(s: IntegerSpectrum, modulus: int, from_k: int = 1, window: int = 32):
-    """{n_k mod N : from_k <= k < from_k + window}."""
+def residues_hit(s: IntegerSpectrum, modulus: int, window: int = 32):
+    """{n_k mod N : 1 <= k <= window}."""
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    last = s._horizon(from_k + window - 1)
-    return {s.residue(k, modulus) for k in range(from_k, last + 1)}
+    return {s.residue(k, modulus) for k in range(1, s._horizon(window) + 1)}
 
 
 def spectrum_admits_SstarN(s: IntegerSpectrum, N: int, horizon: int = 64) -> Verdict:
@@ -177,25 +176,17 @@ def spectrum_admits_SstarN(s: IntegerSpectrum, N: int, horizon: int = 64) -> Ver
             PROVEN, "proven",
             detail={"argument": f"n_k = k (mod {N}) for every k >= {N - 1}"},
         )
-    if s.kind == "crt":
-        closure = s.crt_spec.divisor_set.closure
-        if N in closure:
-            return Verdict(
-                PROVEN, "proven",
-                detail={"argument": f"{N} lies in the divisor closure"},
-            )
-        miss = _missing_residue_witness(s, N, horizon)
-        if miss is not None:
-            m, missing = miss
-            return Verdict(NO_WITNESS, "at-horizon", witness=m,
-                           detail={"missing_residues": sorted(missing)})
-        return Verdict(NO_WITNESS, "proven", witness=None,
-                       detail={"argument": f"{N} outside the divisor closure"})
+    if s.kind == "crt" and N in s.crt_spec.divisor_set.closure:
+        return Verdict(PROVEN, "proven",
+                       detail={"argument": f"{N} lies in the divisor closure"})
     miss = _missing_residue_witness(s, N, horizon)
     if miss is not None:
         m, missing = miss
         return Verdict(NO_WITNESS, "at-horizon", witness=m,
                        detail={"missing_residues": sorted(missing)})
+    if s.kind == "crt":
+        return Verdict(NO_WITNESS, "proven", witness=None,
+                       detail={"argument": f"{N} outside the divisor closure"})
     return Verdict(YES_AT_HORIZON, "at-horizon", detail={"horizon": horizon})
 
 
@@ -244,21 +235,22 @@ class MultiSpectrum:
     """
 
     entries: tuple
-    poly_dim: int
 
-    def __init__(self, entries, poly_dim=None):
+    def __init__(self, entries):
         ents = tuple(tuple(int(c) for c in e) for e in entries)
         if not ents:
             raise ValueError("MultiSpectrum needs at least one entry")
-        n = poly_dim if poly_dim is not None else len(ents[0])
-        if any(len(e) != n for e in ents):
+        if any(len(e) != len(ents[0]) for e in ents):
             raise ValueError("all multi-indices must have the same length")
         if any(c < 0 for e in ents for c in e):
             raise ValueError("multi-indices must be nonnegative")
         if len(set(ents)) != len(ents):
             raise ValueError("multi-indices must be pairwise distinct")
         object.__setattr__(self, "entries", ents)
-        object.__setattr__(self, "poly_dim", int(n))
+
+    @property
+    def poly_dim(self):
+        return len(self.entries[0])
 
     def __len__(self):
         return len(self.entries)

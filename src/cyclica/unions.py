@@ -12,7 +12,7 @@ declared-value ledger for the degree of cyclicity round out the module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -141,7 +141,7 @@ def stacked_sufficient(phis, tol: Tolerances = Tolerances()) -> Verdict:
     # them over the shifted base and rejects an exponent below the shift
     exps = np.concatenate([p.exponents - i for i, p in enumerate(phis)])
     stacks = VectorSeries(d * r, exps, block_diag(*[p.coeffs for p in phis])).coeffs
-    hit = first_proper_tail(stacks, d * r, tol, range(len(stacks) // 2 + 1))
+    hit = first_proper_tail(stacks, tol, range(len(stacks) // 2 + 1))
     if hit is None:
         return Verdict(CYCLIC_SUFFICIENT, "at-horizon")
     return Verdict(INCONCLUSIVE, "at-horizon", witness=hit[0],
@@ -149,16 +149,16 @@ def stacked_sufficient(phis, tol: Tolerances = Tolerances()) -> Verdict:
 
 
 def construct_prescribed_spectra(spectra, seed: int = 0, horizon: int = 16,
-                                 tol: Tolerances = Tolerances(),
-                                 max_attempts: int = 16):
+                                 tol: Tolerances = Tolerances()):
     """A cyclic d-tuple whose i-th component has exactly the i-th spectrum.
 
     Coefficients are drawn seeded-uniformly on complex circles with a
-    square-summable radial profile; the candidate is accepted when
-    ``cyclicity_single`` finds the last half of the stacked coefficients
-    along the union enumeration spanning C^d (the tails are nested, so every
-    earlier tail does too; an at-horizon certificate).  Spectra must be generator-backed
-    (infinite); a finite explicit list violates the precondition.
+    square-summable radial profile, up to 16 times; the first candidate is
+    accepted for which ``cyclicity_single`` finds the last half of the
+    stacked coefficients along the union enumeration spanning C^d (the tails
+    are nested, so every earlier tail does too; an at-horizon certificate).
+    Spectra must be generator-backed (infinite); a finite explicit list
+    violates the precondition.
 
     Returns (stacked VectorSeries, list of scalar components, Verdict).
     """
@@ -172,7 +172,7 @@ def construct_prescribed_spectra(spectra, seed: int = 0, horizon: int = 16,
     rng = np.random.default_rng(seed)
     exps_per = [s.terms(horizon) for s in spectra]
     union = sorted({e for ex in exps_per for e in ex})
-    for attempt in range(max_attempts):
+    for attempt in range(16):
         comps = []
         for i, ex in enumerate(exps_per):
             radial = 2.0 ** (-np.arange(1, len(ex) + 1, dtype=float))
@@ -187,7 +187,7 @@ def construct_prescribed_spectra(spectra, seed: int = 0, horizon: int = 16,
                         detail={"seed": seed, "attempt": attempt})
             return stacked, comps, v
     raise RuntimeError(
-        f"no cyclic candidate found after {max_attempts} draws; "
+        "no cyclic candidate found after 16 draws; "
         "the prescribed spectra may interleave degenerately"
     )
 
@@ -205,7 +205,6 @@ class DcLedger:
     values: dict
     subset_relations: tuple = ()
     sum_relations: tuple = ()
-    notes: dict = field(default_factory=dict)
 
 
 def dc_checks(ledger: DcLedger):

@@ -219,7 +219,7 @@ def test_criterion_4_factorization(capsys):
             pp = factorize_Ep(p)
         except (DegenerateInputError, NotCyclicGeneratorError):
             continue  # not an independent orbit; redraw
-        rep = verify_potapov(pp, trials=32, seed=attempts, generator=p)
+        rep = verify_potapov(pp, seed=attempts, generator=p)
         checks = (
             rep["unitarity_defect"] < 1e-8
             and rep["det_ok"]

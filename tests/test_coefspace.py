@@ -263,6 +263,15 @@ def test_tailmodel_validation():
         TailModel(1, [np.ones(1)], [(2, np.ones(1)), (1, np.ones(1))])
 
 
+def test_tailmodel_rejects_nonfinite_vectors():
+    # a NaN transient would pass check_consistency: NaN comparisons are False
+    e1, e2 = np.eye(2)
+    with pytest.raises(ValueError, match="finite"):
+        TailModel(2, [e1, e2], [(0, np.array([np.nan, 0.0]))])
+    with pytest.raises(ValueError, match="finite"):
+        TailModel(2, [e1, np.array([0.0, np.inf])])
+
+
 # -- one tail rule for every tail-span check ----------------------------------
 
 

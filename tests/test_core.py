@@ -154,12 +154,27 @@ def test_empty_span_has_dim_zero():
     assert isinstance(s, Subspace)
 
 
+def test_span_of_no_rows_is_the_zero_subspace():
+    s = numerical_span(np.zeros((0, 3)))
+    assert (s.dim_ambient, s.dim) == (3, 0)
+
+
+# a 1-d, ragged or empty list has no second axis to read d from
+@pytest.mark.parametrize("rows", [np.ones(3), [np.ones(3), np.ones(2)], [],
+                                  [[1.0, np.nan]]])
+def test_span_rejects_malformed_rows(rows):
+    with pytest.raises(ValueError):
+        numerical_span(rows)
+    with pytest.raises(ValueError):
+        first_proper_tail(rows, Tolerances(), [0])
+
+
 # -- nested tail spans --------------------------------------------------------
 
 
 def _window_ranks(rows, dim, tol, starts):
     """Every window's rank by a linear scan under first_proper_tail's rule:
-    span_of_matrix for the last window, unit rows and the cutoff tol_rank
+    numerical_span for the last window, unit rows and the cutoff tol_rank
     for the others."""
     ranks = []
     for s in starts[:-1]:
@@ -189,7 +204,7 @@ def test_first_proper_tail_matches_linear_scan(seed, dim, n):
     starts = sorted(rng.integers(0, n + 1, size=int(rng.integers(1, 8))))
     tol = Tolerances()
     ranks = _window_ranks(rows, dim, tol, starts)
-    hit = first_proper_tail(rows, dim, tol, starts)
+    hit = first_proper_tail(rows, tol, starts)
     if ranks[-1] == dim:
         assert hit is None
         return
@@ -200,21 +215,21 @@ def test_first_proper_tail_matches_linear_scan(seed, dim, n):
 
 
 def test_first_proper_tail_empty_rows():
-    assert first_proper_tail(np.zeros((0, 2)), 2, Tolerances(), [0]) == (0, 0)
-    assert first_proper_tail([], 3, Tolerances(), [0, 0]) == (0, 0)
+    assert first_proper_tail(np.zeros((0, 2)), Tolerances(), [0]) == (0, 0)
+    assert first_proper_tail(np.zeros((0, 3)), Tolerances(), [0, 0]) == (0, 0)
 
 
 def test_first_proper_tail_zero_last_window():
     e1, e2 = np.eye(2)
     rows = [e1, e2, 0 * e1, 0 * e1]
-    assert first_proper_tail(rows, 2, Tolerances(), [0, 1, 2, 3]) == (1, 1)
-    assert first_proper_tail(rows, 2, Tolerances(), [0, 2, 3]) == (1, 0)
-    assert first_proper_tail(np.zeros((4, 2)), 2, Tolerances(), [0, 1, 2]) == (0, 0)
+    assert first_proper_tail(rows, Tolerances(), [0, 1, 2, 3]) == (1, 1)
+    assert first_proper_tail(rows, Tolerances(), [0, 2, 3]) == (1, 0)
+    assert first_proper_tail(np.zeros((4, 2)), Tolerances(), [0, 1, 2]) == (0, 0)
 
 
 def test_first_proper_tail_fewer_rows_than_dim(rng):
     rows = rng.standard_normal((2, 3))
-    assert first_proper_tail(rows, 3, Tolerances(), [0, 1]) == (0, 2)
+    assert first_proper_tail(rows, Tolerances(), [0, 1]) == (0, 2)
 
 
 def test_first_proper_tail_large_early_row_does_not_hide_a_full_tail(rng):
@@ -222,4 +237,4 @@ def test_first_proper_tail_large_early_row_does_not_hide_a_full_tail(rng):
     # the last window is full, so every tail is
     rows = rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2))
     rows[0] = [1e12, 0.0]
-    assert first_proper_tail(rows, 2, Tolerances(), range(7)) is None
+    assert first_proper_tail(rows, Tolerances(), range(7)) is None

@@ -74,6 +74,11 @@ def test_series_round_trip_tail_model():
         {"dim": 1, "terms": [{"exp": -1, "coeff": [[1, 0]]}]},
         {"dim": 1, "terms": [{"exp": 2, "coeff": [[1, 0]]}, {"exp": 1, "coeff": [[1, 0]]}]},
         {"dim": 2, "terms": [{"exp": 1, "coeff": [[1, 0]]}]},  # short coeff
+        # a bool or a float is not a JSON integer, and is not read as one
+        {"dim": True, "terms": [{"exp": 1, "coeff": [[1, 0]]}]},
+        {"dim": 1, "terms": [{"exp": True, "coeff": [[1, 0]]}]},
+        {"dim": 1, "kind": "polydisc", "poly_dim": 2,
+         "terms": [{"exp": [2.5, 3], "coeff": [[1, 0]]}]},
     ],
 )
 def test_malformed_series_rejected(mutant):
@@ -117,6 +122,11 @@ def test_load_spectrum_from_disc_series(tmp_path):
         ({"kind": "geometric"}, "bad spectrum file"),
         ({"kind": "lacunary"}, "unknown spectrum kind"),
         ({"dim": 1, "kind": "polydisc", "poly_dim": 2, "terms": []}, "no 1-D spectrum"),
+        # a number that is not a JSON integer is never truncated to one
+        ({"kind": "explicit", "values": [1.5, 3, 9.9]}, "'values' must hold integers"),
+        ({"kind": "geometric", "base": 2.9}, "'base' must hold integers"),
+        ({"kind": "geometric", "base": True}, "'base' must hold integers"),
+        ({"kind": "crt", "generators": [4.5, 6]}, "'generators' must hold integers"),
     ],
 )
 def test_load_spectrum_rejects(tmp_path, data, match):
@@ -307,6 +317,9 @@ REJECTED = {
     "term_not_object": ["analyze", "--input", "{term_not_object}"],
     "transient_without_index": ["analyze", "--input", "{transient_without_index}"],
     "spectrum_file_list": ["spectrum", "--input", "{json_list}"],
+    "spectrum_generator_not_integer": ["spectrum", "--input", "{crt_float}",
+                                       "--residues", "3"],
+    "transient_not_finite": ["analyze", "--strict", "--input", "{transient_nan}"],
     "unions_check_without_input": ["unions", "check"],
     "unions_construct_without_spectra": ["unions", "construct"],
     "tolerance_out_of_range": ["analyze", "--input", "{series}", "--tol-rank", "2"],
@@ -330,6 +343,14 @@ def test_rejected_input_exits_2(name, tmp_path, capsys):
             "tail_model": {"recurrent": [[[1, 0]]], "transient": [{"coeff": [[1, 0]]}]},
         },
         "json_list": [1, 2],
+        "crt_float": {"kind": "crt", "generators": [4.5, 6]},
+        "transient_nan": {
+            "dim": 2,
+            "terms": [{"exp": 2, "coeff": [[1, 0], [0, 0]]},
+                      {"exp": 4, "coeff": [[0, 0], [1, 0]]}],
+            "tail_model": {"recurrent": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                           "transient": [{"index": 0, "coeff": [[np.nan, 0], [0, 0]]}]},
+        },
     }
     paths = {k: _write(tmp_path / f"{k}.json", v) for k, v in files.items()}
     argv = [a.format(**paths, missing_dir=tmp_path / "missing") for a in REJECTED[name]]
