@@ -2,11 +2,13 @@
 
 Subcommands: analyze, spectrum, construct, multishift, unions, blocks,
 factorize, orbit, polydisc.  All randomness is seeded (flag --seed, env var
-CYCLICA_SEED takes precedence); reports are deterministic JSON with the
-configuration echoed.  Exit codes: 0 success, 1 when --strict is set and the
-verdict is non-cyclic, 2 on input errors: a malformed file, an
-out-of-range flag or an output path that cannot be written, reported as one
-``error:`` line.  File formats are read by
+CYCLICA_SEED takes precedence, read on every call); reports are
+deterministic JSON with the configuration echoed.  The argument parser
+depends on no input, so it is built once per process and reused by every
+:func:`dispatch`; it holds no results.  Exit codes: 0 success, 1 when
+--strict is set and the verdict is non-cyclic, 2 on input errors: a
+malformed file, an out-of-range flag or an output path that cannot be
+written, reported as one ``error:`` line.  File formats are read by
 :mod:`cyclica.io`.
 """
 
@@ -16,7 +18,7 @@ import argparse
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
-from functools import partial
+from functools import cache
 
 import numpy as np
 
@@ -28,9 +30,6 @@ from .constructions import (
     CrtSequenceSpec,
     DivisorClosedSet,
     crc_sequence,
-    crt_sequence_residue,
-    crt_sequence_value,
-    factorial_residue,
     factorial_sequence,
 )
 from .core import Tolerances, VectorSeries
@@ -46,6 +45,7 @@ from .io import (
 from .multishift import af_membership, sstarN_cyclicity
 from .polydisc import check_c1_c2, polydisc_cyclicity
 from .spectrum import (
+    IntegerSpectrum,
     difference_multiplicity,
     lacunarity_ratio,
     residues_hit,
@@ -151,7 +151,7 @@ def _cmd_construct(args, config):
                              for c in crc_sequence(points, k)) for k in ks]
     else:
         if args.generator == "factorial":
-            value, residue = factorial_sequence, factorial_residue
+            s = IntegerSpectrum.factorial_plus_k()
         else:
             if not args.set:
                 raise InputError("construct crt requires --set")
@@ -159,15 +159,18 @@ def _cmd_construct(args, config):
                 gens = [int(x) for x in args.set.split(",")]
             except ValueError:
                 raise InputError(f"--set must be comma-separated integers, got {args.set!r}")
-            spec = CrtSequenceSpec(DivisorClosedSet(gens))
-            value = partial(crt_sequence_value, spec)
-            residue = partial(crt_sequence_residue, spec)
+            s = IntegerSpectrum.crt(CrtSequenceSpec(DivisorClosedSet(gens)))
         header = ("index", "value" if args.mod is None else "residue")
-        try:
-            rows = [(k, value(k) if args.mod is None else residue(k, args.mod))
-                    for k in ks]
-        except OverflowError as exc:
-            raise InputError(str(exc)) from exc
+        if args.mod is not None:
+            column = s.residues(args.mod, args.count)
+        elif args.generator == "factorial":
+            try:
+                column = [factorial_sequence(k) for k in ks]
+            except OverflowError as exc:
+                raise InputError(str(exc)) from exc
+        else:
+            column = s.terms(args.count)
+        rows = list(zip(ks, column))
     if args.out:
         write_csv(args.out, header, rows)
     else:
@@ -294,6 +297,7 @@ def _cmd_polydisc(args, config):
 
 # -- parser -----------------------------------------------------------------
 
+@cache
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="cyclica",

@@ -27,9 +27,11 @@ __all__ = [
     "primes",
     "factorial_sequence",
     "factorial_residue",
+    "factorial_residues",
     "DivisorClosedSet",
     "CrtSequenceSpec",
     "crt_sequence_residue",
+    "crt_sequence_residues",
     "crt_sequence_value",
     "CrcPointSet",
     "crc_sequence",
@@ -73,18 +75,32 @@ def factorial_sequence(k: int) -> int:
     return math.factorial(k + 1) + k
 
 
-def factorial_residue(k: int, modulus: int) -> int:
-    """((k+1)! + k) mod modulus, streamed so the factorial never materializes."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def _factorials_mod(count: int, modulus: int) -> list:
+    """[(k+1)! mod modulus for k = 1..count], one product per k."""
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    fact = 1
-    for i in range(2, k + 2):
-        fact = (fact * i) % modulus
-        if fact == 0:
+    out, fact = [], 1
+    for k in range(1, count + 1):
+        fact = fact * (k + 1) % modulus
+        if fact == 0:  # and so is every later factorial
+            out += [0] * (count - k + 1)
             break
-    return (fact + k) % modulus
+        out.append(fact)
+    return out
+
+
+def factorial_residues(count: int, modulus: int) -> list:
+    """[((k+1)! + k) mod modulus for k = 1..count] in one pass, so the
+    factorials never materialize."""
+    return [(f + k) % modulus
+            for k, f in enumerate(_factorials_mod(count, modulus), 1)]
+
+
+def factorial_residue(k: int, modulus: int) -> int:
+    """((k+1)! + k) mod modulus: the last entry of :func:`factorial_residues`."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return factorial_residues(k, modulus)[-1]
 
 
 @dataclass(frozen=True)
@@ -126,7 +142,8 @@ class CrtSequenceSpec:
     and r_k is the canonical residue with r_k = k (mod a_k) and
     r_k = 0 (mod b) for every b in B_k.  The primes of a_k and of B_k are
     disjoint, so with M = prod B_k one pairing gives
-    r_k = M * (k * M^-1 mod a_k).
+    r_k = M * (k * M^-1 mod a_k).  :meth:`offsets` streams r_1, ..., r_K;
+    :meth:`r` is its last entry.
     """
 
     divisor_set: DivisorClosedSet
@@ -145,7 +162,10 @@ class CrtSequenceSpec:
     @cached_property
     def _exponents(self) -> tuple:
         """(p, alpha_p) for each prime of the table, in table order."""
-        return tuple((p, self.alpha(p)) for p in primes(PRIME_TABLE_SIZE))
+        # a prime above every generator divides none of them
+        top = max(self.divisor_set.generators, default=0)
+        return tuple((p, self.alpha(p) if p <= top else 0)
+                     for p in primes(PRIME_TABLE_SIZE))
 
     def _check_k(self, k):
         if k < 1:
@@ -164,8 +184,36 @@ class CrtSequenceSpec:
         return tuple(p for p, e in self._exponents[:k] if e == 0)
 
     def r(self, k: int) -> int:
-        a_k, m = self.a(k), math.prod(self.b(k))
-        return m * (k * pow(m, -1, a_k) % a_k)
+        self._check_k(k)
+        return self.offsets(k)[-1]
+
+    def offsets(self, count: int) -> list:
+        """[r_1, ..., r_count] in one pass.
+
+        From k - 1 to k, a_k gains one factor p_i for every earlier prime
+        with alpha_{p_i} >= k and p_k^min(k, alpha_{p_k}) for the new one,
+        or M gains p_k; M mod a_k is carried along, so each step inverts a
+        number below a_k instead of rebuilding both products.
+        """
+        if count:
+            self._check_k(count)
+        out = []
+        a, m, m_mod_a = 1, 1, 0
+        powered = []  # (p_i, alpha_{p_i}) for the primes of a_k so far
+        for k, (p, e) in enumerate(self._exponents[:count], 1):
+            grow = math.prod(q for q, eq in powered if eq >= k)
+            if e:
+                grow *= p ** min(k, e)
+                powered.append((p, e))
+            else:
+                m *= p
+            if grow > 1:
+                a *= grow
+                m_mod_a = m % a
+            else:
+                m_mod_a = m_mod_a * p % a
+            out.append(m * (k * pow(m_mod_a, -1, a) % a))
+        return out
 
 
 def crt_sequence_value(spec: CrtSequenceSpec, k: int) -> int:
@@ -174,12 +222,17 @@ def crt_sequence_value(spec: CrtSequenceSpec, k: int) -> int:
     return math.factorial(k + 1) + spec.r(k)
 
 
+def crt_sequence_residues(spec: CrtSequenceSpec, count: int, modulus: int) -> list:
+    """[n_k mod modulus for k = 1..count] in one pass over :meth:`offsets`,
+    without materializing (k+1)! at full size."""
+    return [(f + r) % modulus
+            for f, r in zip(_factorials_mod(count, modulus), spec.offsets(count))]
+
+
 def crt_sequence_residue(spec: CrtSequenceSpec, k: int, modulus: int) -> int:
-    """n_k mod modulus without materializing (k+1)! at full size."""
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
+    """n_k mod modulus: the last entry of :func:`crt_sequence_residues`."""
     spec._check_k(k)
-    return (factorial_residue(k, modulus) - k + spec.r(k)) % modulus
+    return crt_sequence_residues(spec, k, modulus)[-1]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ The series format:
                     "transient": [{"index": k, "coeff": coeff}, ...]}}
 
 Exponent lists must be strictly increasing (disc) or duplicate-free
-(polydisc).
+(polydisc); ``dim``, ``poly_dim``, the exponents, ``truncation_degree``
+and a transient's ``index`` must be JSON integers.
 
 A spectrum file is either a disc series file (its exponents are the
 spectrum) or one of
@@ -26,7 +27,9 @@ A blocks file and its model file:
      "blocks": [{"n": n_k, "poly": [coeff, ...]}, ...]}
     {"recurrent_polys": [[coeff, ...], ...], "transient_indices": [k, ...]}
 
-where each polynomial lists its N + 1 coefficients, constant term first.
+where each polynomial lists its N + 1 coefficients, constant term first,
+and ``dim``, ``block_degree``, each ``n`` and the transient indices must be
+JSON integers.
 A malformed file raises :class:`InputError`.  All floating-point output
 uses 17 significant digits so that reports are byte-identical across runs.
 """
@@ -148,13 +151,14 @@ def series_from_dict(data: dict):
             coeffs.append(_coeff_from_pairs(t.get("coeff", []), dim, f"terms[{i}]"))
         if any(b <= a for a, b in zip(exps, exps[1:])):
             raise InputError("'terms' exponents must be strictly increasing")
+        trunc = data.get("truncation_degree")
+        if trunc is not None:
+            _integers(trunc, "truncation_degree")
         try:
             series = VectorSeries(
-                dim, exps,
-                np.array(coeffs).reshape(len(exps), dim),
-                data.get("truncation_degree"),
+                dim, exps, np.array(coeffs).reshape(len(exps), dim), trunc
             )
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:  # TypeError: a list as the degree
             raise InputError(str(exc)) from exc
     model = None
     if "tail_model" in data and data["tail_model"] is not None:
@@ -164,7 +168,8 @@ def series_from_dict(data: dict):
         try:
             rec = [_coeff_from_pairs(v, dim, "tail_model.recurrent") for v in tm["recurrent"]]
             tra = [
-                (t["index"], _coeff_from_pairs(t["coeff"], dim, "tail_model.transient"))
+                (_integers(t["index"], "index"),
+                 _coeff_from_pairs(t["coeff"], dim, "tail_model.transient"))
                 for t in tm.get("transient", [])
             ]
             model = TailModel(dim, rec, tra)
@@ -231,15 +236,15 @@ def load_blocks(path, model_path):
     """Parse a blocks file and its model file; returns (BlockSeries, model)."""
     data, mdata = _read_json(path), _read_json(model_path)
     try:
-        dim = data["dim"]
-        bs = BlockSeries(dim, data["block_degree"], [
-            (b["n"], _poly_from_rows(b["poly"], dim, f"blocks[{i}].poly"))
+        dim = _integers(data["dim"], "dim")
+        bs = BlockSeries(dim, _integers(data["block_degree"], "block_degree"), [
+            (_integers(b["n"], "n"), _poly_from_rows(b["poly"], dim, f"blocks[{i}].poly"))
             for i, b in enumerate(data["blocks"])
         ])
         model = PolyDirectionModel(
             [_poly_from_rows(p, dim, f"recurrent_polys[{i}]")
              for i, p in enumerate(mdata["recurrent_polys"])],
-            mdata.get("transient_indices", ()),
+            _integers(mdata.get("transient_indices", []), "transient_indices"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad blocks input: {exc}") from exc

@@ -143,9 +143,9 @@ def sstarN_cyclicity_spectral(spectrum: IntegerSpectrum, N: int, horizon: int = 
                               seed: int = 0, tol: Tolerances = Tolerances()) -> Verdict:
     """Stacked-span verdict for a scalar series given only its spectrum.
 
-    Builds the reshaped coefficient stacks from (block index, residue) pairs
-    via streaming arithmetic, so factorial-scale exponents are never
-    materialized.  The coefficients are seeded nonzero random values.
+    Builds the reshaped coefficient stacks from the exact (block index,
+    residue) pairs divmod(n_k, N).  The coefficients are seeded nonzero
+    random values.
     """
     return _stacked_verdict(_block_residues(spectrum, N, horizon), N, seed, tol)
 
@@ -155,13 +155,9 @@ def _block_residues(spectrum: IntegerSpectrum, N: int, horizon: int):
     spectrum's length."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    pairs = []
-    for k in range(1, spectrum._horizon(horizon) + 1):
-        r = spectrum.residue(k, N)
-        # exact block key; arbitrary-precision integers keep this cheap at
-        # the horizons in use, and residues stay streamed
-        pairs.append(((spectrum.term(k) - r) // N, r))
-    return pairs
+    # exact block keys; arbitrary-precision integers keep this cheap at the
+    # horizons in use
+    return [divmod(n, N) for n in spectrum.terms(spectrum._horizon(horizon))]
 
 
 def _stacked_verdict(pairs, N, seed, tol):

@@ -10,6 +10,7 @@ n_1 < n_2 < ... notation.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -34,9 +35,10 @@ class IntegerSpectrum:
     """A strictly increasing sequence of nonnegative integer exponents.
 
     Backed either by an explicit list or by one of three named lazy
-    generators.  Generator evaluation is deterministic and restartable, and
-    residues modulo N are streamed so that factorial-scale exponents never
-    need to be materialized unless explicitly requested via ``term``.
+    generators.  Generator evaluation is deterministic and restartable.
+    :meth:`residues` streams n_1, ..., n_K modulo N in one pass for every
+    kind, one product per step, so factorial-scale exponents are never
+    materialized unless explicitly requested via ``term`` or ``terms``.
     """
 
     def __init__(self, kind, *, values=None, base=None, crt_spec=None):
@@ -90,42 +92,57 @@ class IntegerSpectrum:
     def is_finite(self):
         return self.kind == "explicit"
 
-    def term(self, k: int) -> int:
-        """The k-th exponent (1-indexed), as an exact integer."""
+    def _check_index(self, k):
         if k < 1:
             raise IndexError("spectra are 1-indexed")
+        if self.kind == "explicit" and k > len(self.values):
+            raise IndexError(f"spectrum has only {len(self.values)} terms")
+
+    def term(self, k: int) -> int:
+        """The k-th exponent (1-indexed), as an exact integer."""
+        self._check_index(k)
         if self.kind == "explicit":
-            if k > len(self.values):
-                raise IndexError(f"spectrum has only {len(self.values)} terms")
             return self.values[k - 1]
         if self.kind == "geometric":
             return self.base**k
         if self.kind == "factorial_plus_k":
             # arbitrary-precision on explicit request
-            import math
-
             return math.factorial(k + 1) + k
         return constructions.crt_sequence_value(self.crt_spec, k)
 
     def terms(self, horizon: int):
+        if self.kind == "crt":
+            return [math.factorial(k + 1) + r
+                    for k, r in enumerate(self.crt_spec.offsets(horizon), 1)]
         return [self.term(k) for k in range(1, horizon + 1)]
 
-    def residue(self, k: int, modulus: int) -> int:
-        """term(k) mod modulus via streaming modular arithmetic."""
+    def residues(self, modulus: int, horizon: int) -> list:
+        """[n_k mod modulus for k = 1..K] in one pass, K the horizon cut to
+        the spectrum's length."""
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
+        K = self._horizon(horizon)
+        if self.kind == "explicit":
+            return [v % modulus for v in self.values[:K]]
         if self.kind == "geometric":
-            return pow(self.base, k, modulus)
+            out, x = [], 1
+            for _ in range(K):
+                x = x * self.base % modulus
+                out.append(x)
+            return out
         if self.kind == "factorial_plus_k":
-            return constructions.factorial_residue(k, modulus)
-        if self.kind == "crt":
-            return constructions.crt_sequence_residue(self.crt_spec, k, modulus)
-        return self.term(k) % modulus
+            return constructions.factorial_residues(K, modulus)
+        return constructions.crt_sequence_residues(self.crt_spec, K, modulus)
+
+    def residue(self, k: int, modulus: int) -> int:
+        """term(k) mod modulus: the last entry of :meth:`residues`."""
+        self._check_index(k)
+        return self.residues(modulus, k)[-1]
 
     def _horizon(self, horizon):
         if self.kind == "explicit":
-            return min(horizon, len(self.values))
-        return horizon
+            horizon = min(horizon, len(self.values))
+        return max(horizon, 0)
 
 
 def lacunarity_ratio(s: IntegerSpectrum, horizon: int) -> float:
@@ -153,9 +170,7 @@ def difference_multiplicity(s: IntegerSpectrum, horizon: int) -> int:
 
 def residues_hit(s: IntegerSpectrum, modulus: int, window: int = 32):
     """{n_k mod N : 1 <= k <= window}."""
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    return {s.residue(k, modulus) for k in range(1, s._horizon(window) + 1)}
+    return set(s.residues(modulus, window))
 
 
 def spectrum_admits_SstarN(s: IntegerSpectrum, N: int, horizon: int = 64) -> Verdict:
@@ -194,7 +209,7 @@ def _missing_residue_witness(s, N, horizon):
     """First tail start m (<= horizon/2) whose residues miss a class mod N."""
     K = s._horizon(horizon)
     # tails are nested: tail m misses exactly the classes last seen before m
-    last = {s.residue(k, N): k for k in range(1, K + 1)}
+    last = {r: k for k, r in enumerate(s.residues(N, K), 1)}
     m = min(last.get(r, 0) for r in range(N)) + 1
     # only tails of length >= K/2 are meaningful evidence
     if m > max(K // 2, 1):

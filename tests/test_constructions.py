@@ -9,6 +9,7 @@ from cyclica import (
     CrcPointSet,
     CrtSequenceSpec,
     DivisorClosedSet,
+    IntegerSpectrum,
     abakumov_weights,
     crc_sequence,
     crt_sequence_residue,
@@ -17,7 +18,12 @@ from cyclica import (
     factorial_sequence,
     scalar_series,
 )
-from cyclica.constructions import primes
+from cyclica.constructions import (
+    PRIME_TABLE_SIZE,
+    crt_sequence_residues,
+    factorial_residues,
+    primes,
+)
 
 
 def test_primes_oracle():
@@ -107,6 +113,60 @@ def test_crt_r_matches_iterative_pairing(gens):
     spec = CrtSequenceSpec(DivisorClosedSet(gens))
     for k in range(1, 65):
         assert spec.r(k) == _iterative_crt_r(spec, k), k
+
+
+STREAM_GENERATORS = [[1], [2, 3], [4, 6], [12], [8, 9, 25], [30, 49], [64],
+                     [2, 3, 5, 7, 11, 13], [1613, 1619]]
+STREAM_MODULI = [1, 2, 3, 5, 6, 7, 12, 97, 1024]
+
+
+@pytest.mark.parametrize("gens", STREAM_GENERATORS)
+def test_crt_streams_match_per_index_definitions(gens):
+    # offsets and residues in one pass against the pairing of every r_k and
+    # the exact n_k = (k+1)! + r_k reduced at the end
+    spec = CrtSequenceSpec(DivisorClosedSet(gens))
+    K = PRIME_TABLE_SIZE
+    oracle = [_iterative_crt_r(spec, k) for k in range(1, K + 1)]
+    assert spec.offsets(K) == oracle
+    assert spec.offsets(0) == []
+    s = IntegerSpectrum.crt(spec)
+    exact = [math.factorial(k + 1) + r for k, r in enumerate(oracle, 1)]
+    assert s.terms(K) == exact
+    for N in STREAM_MODULI:
+        assert s.residues(N, K) == [n % N for n in exact], N
+    assert crt_sequence_residues(spec, 40, 7) == [n % 7 for n in exact[:40]]
+
+
+def test_other_streams_match_per_index_definitions():
+    K = 256
+    factorial = [math.factorial(k + 1) + k for k in range(1, K + 1)]
+    explicit = [3, 5, 12, 40, 41, 1000, 2**70 + 1]  # shorter than the horizon
+    for N in STREAM_MODULI:
+        assert factorial_residues(K, N) == [n % N for n in factorial], N
+        assert IntegerSpectrum.factorial_plus_k().residues(N, K) == [
+            n % N for n in factorial]
+        for base in (2, 3, 10):
+            assert IntegerSpectrum.geometric(base).residues(N, K) == [
+                base**k % N for k in range(1, K + 1)]
+        assert IntegerSpectrum.explicit(explicit).residues(N, K) == [
+            n % N for n in explicit]
+
+
+def test_per_index_forms_are_stream_entries():
+    spec = CrtSequenceSpec(DivisorClosedSet([4, 6]))
+    for k in (1, 2, 17, 256):
+        assert spec.r(k) == _iterative_crt_r(spec, k)
+        assert crt_sequence_residue(spec, k, 7) == (
+            math.factorial(k + 1) + spec.r(k)) % 7
+        assert factorial_residue(k, 7) == (math.factorial(k + 1) + k) % 7
+    s = IntegerSpectrum.explicit([2, 9])
+    assert s.residue(2, 4) == 1
+    with pytest.raises(IndexError):
+        s.residue(3, 4)  # past the end, not the last residue of a cut stream
+    with pytest.raises(ValueError, match="prime table"):
+        spec.offsets(PRIME_TABLE_SIZE + 1)
+    with pytest.raises(ValueError, match="modulus"):
+        IntegerSpectrum.geometric(2).residues(0, 4)
 
 
 def test_crt_alpha_oracle():

@@ -28,6 +28,8 @@ CASES = {
                       "--out", CSV],
     "construct_crt": ["construct", "crt", "--count", "10", "--set", "2,3",
                       "--out", CSV],
+    "construct_crt_mod": ["construct", "crt", "--set", "4,6", "--count", "64",
+                          "--mod", "7", "--out", CSV],
     "construct_factorial": ["construct", "factorial", "--count", "12",
                             "--mod", "97", "--out", CSV],
     "blocks": ["blocks", "--input", "blocks.json",
@@ -38,12 +40,16 @@ CASES = {
                                 "--power", "3"],
     "multishift_power_witness": ["multishift", "--input", "power_witness.json",
                                  "--power", "2"],
+    "multishift_af_crt": ["multishift", "--input", "crt46.json", "--af",
+                          "--nmax", "12"],
     "orbit": ["orbit", "--input", "power_cyclic.json", "--target",
               "orbit_target.json", "--max-shift", "200", "--csv", CSV],
     "polydisc": ["polydisc", "--input", "polydisc.json", "--check-c1c2",
                  "--analyze"],
     "spectrum": ["spectrum", "--input", "geometric2.json", "--lacunarity",
                  "--diff-mult", "--residues", "5"],
+    "spectrum_crt": ["spectrum", "--input", "crt46.json", "--lacunarity",
+                     "--diff-mult", "--residues", "5"],
     "unions_construct": ["unions", "construct",
                          "--spectra", "geometric2.json,geometric3.json"],
 }

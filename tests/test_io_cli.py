@@ -168,6 +168,39 @@ def test_blocks_transient_index_exit_codes(index, code, tmp_path, capsys):
     assert dispatch(["blocks", "--strict", "--input", blocks, "--model", model]) == code
 
 
+_BLOCKS = {"dim": 2, "block_degree": 0, "blocks": [
+    {"n": 1, "poly": [[[1, 0], [0, 0]]]}, {"n": 4, "poly": [[[0, 0], [1, 0]]]}]}
+_BLOCKS_MODEL = {"recurrent_polys": [[[[1, 0], [0, 0]]], [[[0, 0], [1, 0]]]],
+                 "transient_indices": []}
+# field -> (series file, None) or (blocks file, model file), with that field
+# holding a number that is not a JSON integer
+NOT_INTEGER = {
+    "truncation_degree": ({"dim": 1, "truncation_degree": 4.7,
+                           "terms": [{"exp": 1, "coeff": [[1, 0]]}]}, None),
+    "index": ({"dim": 1, "terms": [{"exp": 1, "coeff": [[1, 0]]}],
+               "tail_model": {"recurrent": [[[1, 0]]],
+                              "transient": [{"index": 0.9, "coeff": [[1, 0]]}]}}, None),
+    "dim": ({**_BLOCKS, "dim": 2.5}, _BLOCKS_MODEL),
+    "block_degree": ({**_BLOCKS, "block_degree": 1.5}, _BLOCKS_MODEL),
+    "n": ({**_BLOCKS, "blocks": [{"n": 4.7, "poly": [[[1, 0], [0, 0]]]}]},
+          _BLOCKS_MODEL),
+    "transient_indices": (_BLOCKS, {**_BLOCKS_MODEL, "transient_indices": [0.5]}),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NOT_INTEGER))
+def test_non_integer_field_exits_2(field, tmp_path, capsys):
+    # truncated by int(), each of these numbers ran as the integer below it
+    data, model = NOT_INTEGER[field]
+    path = _write(tmp_path / "in.json", data)
+    if model is None:
+        argv = ["analyze", "--input", path]
+    else:
+        argv = ["blocks", "--input", path, "--model", _write(tmp_path / "m.json", model)]
+    assert dispatch(argv) == 2
+    assert f"'{field}' must hold integers" in capsys.readouterr().err
+
+
 def test_dump_report_deterministic_floats():
     text = dump_report({"x": 1 / 3, "z": 1 + 2j})
     # byte-identical on repetition and exact value round trip
@@ -320,6 +353,7 @@ REJECTED = {
     "spectrum_generator_not_integer": ["spectrum", "--input", "{crt_float}",
                                        "--residues", "3"],
     "transient_not_finite": ["analyze", "--strict", "--input", "{transient_nan}"],
+    "truncation_degree_list": ["analyze", "--input", "{truncation_list}"],
     "unions_check_without_input": ["unions", "check"],
     "unions_construct_without_spectra": ["unions", "construct"],
     "tolerance_out_of_range": ["analyze", "--input", "{series}", "--tol-rank", "2"],
@@ -344,6 +378,7 @@ def test_rejected_input_exits_2(name, tmp_path, capsys):
         },
         "json_list": [1, 2],
         "crt_float": {"kind": "crt", "generators": [4.5, 6]},
+        "truncation_list": {**_SERIES, "truncation_degree": [5]},
         "transient_nan": {
             "dim": 2,
             "terms": [{"exp": 2, "coeff": [[1, 0], [0, 0]]},
@@ -359,3 +394,44 @@ def test_rejected_input_exits_2(name, tmp_path, capsys):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+# -- one parser per process ---------------------------------------------------
+
+
+def test_parser_is_built_once_and_holds_no_result(tmp_path, capsys, monkeypatch):
+    from cyclica.cli import _build_parser
+
+    monkeypatch.delenv("CYCLICA_SEED", raising=False)
+    noncyclic = str(GOLDEN / "tail_model.json")
+    dispatch(["analyze", "--input", noncyclic])
+    builds = _build_parser.cache_info().misses
+    # --strict in one call does not carry over to the next
+    assert dispatch(["analyze", "--strict", "--input", noncyclic]) == 1
+    assert dispatch(["analyze", "--input", noncyclic]) == 0
+    # nor does a --report path
+    report = tmp_path / "r.json"
+    assert dispatch(["analyze", "--input", noncyclic, "--report", str(report)]) == 0
+    report.unlink()
+    assert dispatch(["analyze", "--input", noncyclic]) == 0
+    assert not report.exists()
+    # a rejected argv leaves the parser usable
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["analyze", "--horizon", "many", "--input", noncyclic])
+    assert exc.value.code == 2
+    assert dispatch(["analyze", "--strict", "--input", noncyclic]) == 1
+    assert _build_parser.cache_info().misses == builds
+
+
+def test_seed_env_is_read_on_every_call(tmp_path, capsys, monkeypatch):
+    argv = ["spectrum", "--input", str(GOLDEN / "geometric2.json"), "--seed", "3"]
+    seeds = []
+    for env in ("5", "9", None):
+        if env is None:
+            monkeypatch.delenv("CYCLICA_SEED", raising=False)
+        else:
+            monkeypatch.setenv("CYCLICA_SEED", env)
+        capsys.readouterr()
+        assert dispatch(argv) == 0
+        seeds.append(json.loads(capsys.readouterr().out)["config"]["seed"])
+    assert seeds == [5, 9, 3]
