@@ -132,9 +132,16 @@ class PotapovProduct:
 
     def __init__(self, dim, factors):
         d = int(dim)
-        fs = tuple(np.asarray(x, dtype=complex) / np.linalg.norm(x) for x in factors)
+        factors = list(factors)
+        fs = tuple(np.asarray(x, dtype=complex) for x in factors)
         if any(x.shape != (d,) for x in fs):
             raise ValueError("factor vectors must have length dim")
+        norms = [np.linalg.norm(x) for x in factors]
+        # 0 for a zero vector, inf or nan for a non-finite one; also 0 or inf
+        # when the squares of the entries underflow or overflow
+        if not all(0 < n < np.inf for n in norms):
+            raise ValueError("factor vector must be nonzero and finite")
+        fs = tuple(x / n for x, n in zip(fs, norms))
         theta = MatrixPolynomial.identity(d)
         for x in fs:
             theta = theta @ MatrixPolynomial.blaschke_factor(x)

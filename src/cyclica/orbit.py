@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 from .constructions import abakumov_weights
 from .core import Tolerances, VectorSeries, backward_shift
@@ -83,7 +83,7 @@ def _runs(keys):
     row's first occurrence leads its run."""
     by_key = np.lexsort(keys.T)
     sk, run = keys[by_key], np.ones(len(keys), dtype=bool)
-    run[1:] = np.any(sk[1:] != sk[:-1], axis=1)
+    run[1:] = (sk[1:] != sk[:-1]).any(axis=1)
     return by_key, run
 
 
@@ -92,8 +92,8 @@ def _entries(T, nz, alpha):
     in that order, and its row (multi-index, component): entry (alpha, t, c)
     lies on row (T_t - alpha, c) when alpha <= T_t and a_{t,c} != 0."""
     beta = T[None] - alpha[:, None]
-    i, t, c = np.nonzero(np.all(beta >= 0, axis=2)[..., None] & nz[None])
-    return i, t, c, np.column_stack([beta[i, t], c])
+    i, t, c = ((beta >= 0).all(axis=2)[..., None] & nz[None]).nonzero()
+    return i, t, c, np.concatenate([beta[i, t], c[:, None]], axis=1)
 
 
 def _block_columns(T, coeffs, Tg, gcoeffs, box):
@@ -109,12 +109,12 @@ def _block_columns(T, coeffs, Tg, gcoeffs, box):
     row sharing: every column reaching one of its rows is in it.
     """
     box, nz = np.asarray(box, dtype=np.int64), coeffs != 0
-    gj, gc = np.nonzero(gcoeffs != 0)
-    rows = np.column_stack([Tg[gj], gc])
+    gj, gc = (gcoeffs != 0).nonzero()
+    rows = np.concatenate([Tg[gj], gc[:, None]], axis=1)
     alpha = np.zeros((0, len(box)), dtype=np.int64)
     while len(rows):
         cand = T[None] - rows[:, None, :-1]
-        ok = nz[:, rows[:, -1]].T & np.all((cand >= 0) & (cand <= box), axis=2)
+        ok = nz[:, rows[:, -1]].T & ((cand >= 0) & (cand <= box)).all(axis=2)
         cols = np.concatenate([alpha, cand[ok]])
         by_key, run = _runs(cols)
         first = by_key[run]
@@ -150,20 +150,20 @@ def _assemble(T, coeffs, Tg, gcoeffs, alpha):
     if not (coeffs.imag.any() or gcoeffs.imag.any()):
         coeffs, gcoeffs = coeffs.real, gcoeffs.real  # real data, real block
     col, t, c, rows = _entries(T, coeffs != 0, alpha)
-    gj, gc = np.nonzero(gcoeffs != 0)
+    gj, gc = (gcoeffs != 0).nonzero()
     ne, a, gval = len(col), coeffs[t, c], gcoeffs[gj, gc]
-    keys = np.concatenate([rows, np.column_stack([Tg[gj], gc])])
+    keys = np.concatenate([rows, np.concatenate([Tg[gj], gc[:, None]], axis=1)])
     by_key, run = _runs(keys)
     first = by_key[run]
     opened = np.bincount(first, minlength=len(keys)).cumsum() - 1  # rows opened so far
     arow = np.empty(len(keys), dtype=np.int64)  # A's row of each key
-    arow[by_key] = opened[first][np.cumsum(run) - 1]
+    arow[by_key] = opened[first][run.cumsum() - 1]
     kept = np.bincount(arow[:ne], minlength=len(first)) > 1
     kept[arow[ne:]] = True
-    number = np.cumsum(kept) - 1
+    number = kept.cumsum() - 1
     shared, row = kept[arow[:ne]], number[arow[:ne]]
     p2 = np.bincount(col[~shared], np.abs(a[~shared]) ** 2, minlength=len(alpha))
-    order = np.argsort(row[shared], kind="stable")  # columns stay in order
+    order = row[shared].argsort(kind="stable")  # columns stay in order
     bc = np.zeros(np.count_nonzero(kept), dtype=gval.dtype)
     bc[number[arow[ne:]]] = gval
 
@@ -231,7 +231,9 @@ def _solve_levels(row, col, data, p2, bc, level, levels, cut):
     sqrt(|R_mm|^2 + sum of |c_j|^2 over the kept columns above L),
     nonincreasing in L by construction.  Returns the ``OrbitReport`` fields
     of the solve: these residuals, the coefficients of the block's columns
-    by back substitution, the LAPACK trcon estimate, squared, of the
+    by back substitution (LAPACK trtrs, called on R's leading block as
+    scipy's solve_triangular calls it, so with the same bits but without its
+    argument checks), the LAPACK trcon estimate, squared, of the
     infinity-norm condition number of R (the 1-norm one of the Cholesky
     factor R^H of the scaled Gram matrix) and ``detail``: ``block``, the
     block size (rows, diagonal rows included; columns), and
@@ -239,7 +241,7 @@ def _solve_levels(row, col, data, p2, bc, level, levels, cut):
     """
     s = np.sqrt(p2 + np.bincount(col, np.abs(data) ** 2, minlength=len(p2)))
     cols = np.flatnonzero(s > 0)  # a zero column has nothing to add
-    cols = cols[np.argsort(level[cols], kind="stable")]
+    cols = cols[level[cols].argsort(kind="stable")]
     nr, m = len(bc), len(cols)
     at = np.full(len(p2), -1)
     at[cols] = np.arange(m)
@@ -256,10 +258,14 @@ def _solve_levels(row, col, data, p2, bc, level, levels, cut):
     k, acc = len(acc), cols[acc]
     c = R[:k, k]
     drop = np.bincount(level[acc], np.abs(c) ** 2, minlength=levels)
-    tail = np.append(np.cumsum(drop[:0:-1])[::-1], 0.0)  # sum over levels above
+    tail = np.append(drop[:0:-1].cumsum()[::-1], 0.0)  # sum over levels above
+    trtrs, trcon = get_lapack_funcs(("trtrs", "trcon"), (R,))
     x = np.zeros(len(p2), dtype=complex)
-    x[acc] = solve_triangular(R[:k, :k], c, check_finite=False) / s[acc]
-    rcond = get_lapack_funcs("trcon", (R,))(R[:k, :k], norm="I", uplo="U")[0]
+    if k:  # trtrs rejects an empty system
+        # R[:k, :k] is not Fortran-contiguous (a 1 x 1 block gives the same
+        # bits either way): solve its transpose R^T, lower triangular, transposed
+        x[acc] = trtrs(R[:k, :k].T, c, lower=1, trans=1)[0] / s[acc]
+    rcond = trcon(R[:k, :k], norm="I", uplo="U")[0]
     return dict(residuals=np.sqrt(np.abs(R[k, k]) ** 2 + tail), coefficients=x,
                 gram_condition=float(rcond ** -2) if rcond > 0 else float("inf"),
                 detail={"block": (nr + m, m), "accepted_directions": k})
@@ -325,7 +331,7 @@ def orbit_project_polydisc(f: PolySeries, g: PolySeries, box,
     holds ``block``, ``accepted_directions``, ``columns_at_full_box`` (the
     box's column count, a Python int) and ``chain``.
     """
-    if not f.terms:
+    if not len(f):
         raise ValueError("cannot project onto the orbit of the zero series")
     if f.dim != g.dim or f.poly_dim != g.poly_dim:
         raise ValueError("dimension mismatch between series")
@@ -342,7 +348,7 @@ def orbit_project_polydisc(f: PolySeries, g: PolySeries, box,
     # the first sub-box holding alpha: the largest first index over the axes
     level = np.zeros(len(alpha), dtype=np.int64)
     for axis, edges in enumerate(zip(*boxes)):
-        level = np.maximum(level, np.searchsorted(edges, alpha[:, axis]))
+        level = np.maximum(level, np.array(edges).searchsorted(alpha[:, axis]))
     fit = _solve_levels(*block, level, len(boxes), tol.tol_rank)
     fit["residual_final"] = replay(fit["coefficients"])
     fit["detail"].update(support=alpha, columns_at_full_box=prod(b + 1 for b in box),

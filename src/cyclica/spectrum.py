@@ -14,6 +14,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import constructions
 from .verdicts import NO_WITNESS, PROVEN, YES_AT_HORIZON, Verdict
 
@@ -272,16 +274,17 @@ class MultiSpectrum:
 
 
 def polydisc_c1(ms: MultiSpectrum) -> int:
-    """max over beta != 0 in Z_+^n of #{(alpha, alpha') : alpha - alpha' = beta}."""
-    counts = Counter()
-    for a in ms.entries:
-        for b in ms.entries:
-            if a == b:
-                continue
-            diff = tuple(x - y for x, y in zip(a, b))
-            if all(c >= 0 for c in diff):
-                counts[diff] += 1
-    return max(counts.values(), default=0)
+    """max over beta != 0 in Z_+^n of #{(alpha, alpha') : alpha - alpha' = beta}.
+
+    One table of all differences alpha - alpha', in object dtype so that it
+    stays exact for entries of any size; the entries are distinct, so the
+    nonzero differences are those off the diagonal, and only the
+    componentwise nonnegative ones are counted.
+    """
+    E = np.array(ms.entries, dtype=object)
+    D = E[:, None] - E[None]
+    D = D[(D >= 0).all(axis=2) & ~np.eye(len(E), dtype=bool)]
+    return max(Counter(map(tuple, D.tolist())).values(), default=0)
 
 
 def polydisc_c2(ms: MultiSpectrum):

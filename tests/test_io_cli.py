@@ -332,6 +332,16 @@ def test_polydisc_subcommand(tmp_path, capsys):
     assert report["verdict"]["status"] == "Cyclic"
 
 
+def test_polydisc_c1_above_int64(tmp_path, capsys):
+    # the 2x2 grid at 2^64 has the differences (1, 0) and (0, 1) twice each
+    terms = [{"exp": [2**64 + i, j], "coeff": [[2.0 ** -(2 * i + j), 0.0]]}
+             for j in (0, 1) for i in (0, 1)]
+    path = _write(tmp_path / "big.json",
+                  {"dim": 1, "kind": "polydisc", "poly_dim": 2, "terms": terms})
+    assert dispatch(["polydisc", "--input", path, "--check-c1c2"]) == 0
+    assert json.loads(capsys.readouterr().out)["c1_multiplicity"] == 2
+
+
 def test_unknown_subcommand_fails(capsys):
     with pytest.raises(SystemExit):
         dispatch(["frobnicate"])

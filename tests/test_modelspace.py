@@ -115,6 +115,29 @@ def test_factorize_rejects_zero():
         factorize_Ep(VectorSeries(2, [], np.zeros((0, 2))))
 
 
+BAD_FACTORS = {
+    "zero": [0.0, 0.0],
+    "inf": [np.inf, 1.0],
+    "nan": [np.nan, 1.0],
+    "complex_inf": [1.0, complex(0.0, np.inf)],
+    "norm_underflows": [1e-200, 0.0],
+}
+
+
+@pytest.mark.parametrize("x", BAD_FACTORS.values(), ids=BAD_FACTORS.keys())
+def test_product_rejects_zero_or_nonfinite_factor(x):
+    # checked before normalizing: no NaN factor and no RuntimeWarning
+    with pytest.raises(ValueError, match="nonzero and finite"):
+        PotapovProduct(2, [[1.0, 1.0], x])
+    with pytest.raises(ValueError, match="nonzero and finite"):
+        synthesize_from_vectors([x])
+
+
+def test_product_checks_length_before_norm():
+    with pytest.raises(ValueError, match="length dim"):
+        PotapovProduct(2, [[0.0, 0.0, 0.0]])
+
+
 def test_factorize_zero_constant_term():
     # p = z + z^2: orbit is triangular in the leading coefficient, hence
     # independent even without a constant term, and the product verifies

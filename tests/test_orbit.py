@@ -7,7 +7,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_lapack_funcs, solve_triangular
 from scipy.sparse.csgraph import connected_components
 
 from cyclica import (
@@ -407,6 +407,60 @@ def test_real_block_matches_complex_solve(seed):
     rep = orbit_project(f, g, n)
     assert rep.coefficients.dtype == complex
     assert rep.residuals.tobytes() == real["residuals"].tobytes()
+
+
+def _assert_back_substitution_is_solve_triangular(monkeypatch, block, level, levels):
+    """`_solve_levels`' coefficients against scipy's solve_triangular on the
+    factor that the solve makes, bit for bit.  Returns R and the kept
+    columns."""
+    factors = []
+
+    def record(A, B, cut):
+        factors.append(_qr_skipping(A, B, cut))
+        return factors[-1]
+
+    monkeypatch.setattr(orbit, "_qr_skipping", record)
+    fit = _solve_levels(*block, level, levels, Tolerances().tol_rank)
+    (R, keep), = factors
+    row, col, data, p2, bc = block
+    s = np.sqrt(p2 + np.bincount(col, np.abs(data) ** 2, minlength=len(p2)))
+    cols = np.flatnonzero(s > 0)
+    acc = cols[np.argsort(level[cols], kind="stable")][keep]
+    k = len(keep)
+    ref = np.zeros(len(p2), dtype=complex)
+    ref[acc] = solve_triangular(R[:k, :k], R[:k, k]) / s[acc]
+    assert fit["coefficients"].tobytes() == ref.tobytes()
+    return R, keep
+
+
+@pytest.mark.parametrize("case", ORBIT_DISC_CYCLE, ids=lambda c: "-".join(map(str, c)))
+def test_back_substitution_is_solve_triangular_on_disc_cycle(monkeypatch, case):
+    f, g, n = _disc_series_case(*case)
+    block, cols = _disc_block(f, g, n)
+    R, keep = _assert_back_substitution_is_solve_triangular(monkeypatch, block, cols, n + 1)
+    assert R.flags.f_contiguous and not R[: len(keep), : len(keep)].flags.f_contiguous
+
+
+@pytest.mark.parametrize("budget", [48, 96])
+def test_back_substitution_is_solve_triangular_with_deletions(monkeypatch, budget):
+    # at 96 a deletion rebuilds R by np.delete in C order, so R[:k, :k] is
+    # contiguous in neither order; at 48 every column is kept, R as tpqrt left it
+    f, g = _ill_conditioned_orbit()
+    block, cols = _disc_block(f, g, budget)
+    R, keep = _assert_back_substitution_is_solve_triangular(monkeypatch, block, cols,
+                                                            budget + 1)
+    if budget == 96:
+        assert len(keep) < len(cols) and R.flags.c_contiguous
+    else:
+        assert len(keep) == len(cols) and R.flags.f_contiguous
+
+
+def test_back_substitution_is_solve_triangular_on_one_column(monkeypatch):
+    # S*^0 (2 z^3) against z^3: one column, and R[:1, :1] is Fortran-contiguous
+    f, g = scalar_series([3], [2.0]), scalar_series([3], [1.0 - 3.0j])
+    block, cols = _disc_block(f, g, 0)
+    R, keep = _assert_back_substitution_is_solve_triangular(monkeypatch, block, cols, 1)
+    assert len(keep) == 1 and R[:1, :1].flags.f_contiguous
 
 
 def test_gram_condition_is_the_cholesky_estimate():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,6 +193,62 @@ def test_polydisc_c1_oracle_grid():
     # the 2x2 grid has the difference (1,0) twice
     ms = MultiSpectrum([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert polydisc_c1(ms) == 2
+
+
+def _c1_pair_loop(ms):
+    """Reference C1: every ordered pair of distinct entries in Python, its
+    difference counted when it is componentwise nonnegative."""
+    counts = Counter()
+    for a in ms.entries:
+        for b in ms.entries:
+            if a == b:
+                continue
+            diff = tuple(x - y for x, y in zip(a, b))
+            if all(c >= 0 for c in diff):
+                counts[diff] += 1
+    return max(counts.values(), default=0)
+
+
+def _grid_multispectrum(seed):
+    """1-30 distinct entries in Z_+^d, d = 1..4, drawn from a grid small
+    enough that differences repeat, in a random enumeration order."""
+    rng = np.random.default_rng(seed)
+    d, n = 1 + seed % 4, int(rng.integers(1, 31))
+    side = int(np.ceil(n ** (1 / d))) + 1
+    flat = rng.choice(side**d, size=n, replace=False)
+    return [tuple(int(c) for c in e) for e in zip(*np.unravel_index(flat, (side,) * d))]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_polydisc_c1_matches_pair_loop(seed):
+    entries = _grid_multispectrum(seed)
+    ms = MultiSpectrum(entries)
+    c1 = _c1_pair_loop(ms)
+    assert polydisc_c1(ms) == c1
+    # exact above 2^63: a common shift and a positive scale keep every count
+    big = MultiSpectrum([tuple(2**64 + 2**70 * c for c in e) for e in entries])
+    assert polydisc_c1(big) == _c1_pair_loop(big) == c1
+
+
+def test_polydisc_c1_oracle_draws_repeat_differences():
+    # the grids are dense: most draws have some difference more than once
+    repeats = sum(_c1_pair_loop(MultiSpectrum(_grid_multispectrum(s))) > 1
+                  for s in range(60))
+    assert repeats >= 40, repeats
+
+
+@pytest.mark.parametrize("entries", [[(7,)], [(2**64, 3)], [(1, 0), (0, 1)],
+                                     [(2**64, 0), (0, 2**64)]],
+                         ids=["one-1d", "one-big", "antichain", "antichain-big"])
+def test_polydisc_c1_without_comparable_pairs(entries):
+    # one entry, or no two entries ordered componentwise: no difference at all
+    ms = MultiSpectrum(entries)
+    assert polydisc_c1(ms) == _c1_pair_loop(ms) == 0
+
+
+def test_polydisc_c1_has_no_empty_spectrum():
+    with pytest.raises(ValueError, match="at least one entry"):
+        MultiSpectrum([])
 
 
 def test_polydisc_c2_verdicts():
