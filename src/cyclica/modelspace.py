@@ -109,13 +109,23 @@ class MatrixPolynomial:
     def blaschke_factor(cls, x):
         """(1 - P) + z P with P the projection onto the unit vector x."""
         x = np.asarray(x, dtype=complex)
-        n = np.linalg.norm(x)
-        if n == 0:
-            raise ValueError("factor vector must be nonzero")
-        x = x / n
+        x = x / _factor_norm(x)
         P = np.outer(x, x.conj())
         I = np.eye(x.shape[0], dtype=complex)
         return cls(x.shape[0], np.stack([I - P, P]))
+
+
+def _factor_norm(x):
+    """The norm of a factor vector, or ValueError when it lies outside
+    (0, inf): 0 for a zero vector, inf or nan for a non-finite one, and
+    also 0 or inf when the squares of finite, nonzero entries underflow or
+    overflow."""
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(x)
+    if not 0 < n < np.inf:
+        raise ValueError(f"factor vector must be nonzero and finite, with a norm that "
+                         f"neither underflows to 0 nor overflows to inf (norm {n})")
+    return n
 
 
 @dataclass(frozen=True)
@@ -136,11 +146,7 @@ class PotapovProduct:
         fs = tuple(np.asarray(x, dtype=complex) for x in factors)
         if any(x.shape != (d,) for x in fs):
             raise ValueError("factor vectors must have length dim")
-        norms = [np.linalg.norm(x) for x in factors]
-        # 0 for a zero vector, inf or nan for a non-finite one; also 0 or inf
-        # when the squares of the entries underflow or overflow
-        if not all(0 < n < np.inf for n in norms):
-            raise ValueError("factor vector must be nonzero and finite")
+        norms = [_factor_norm(x) for x in factors]
         fs = tuple(x / n for x, n in zip(fs, norms))
         theta = MatrixPolynomial.identity(d)
         for x in fs:

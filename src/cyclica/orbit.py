@@ -30,8 +30,12 @@ its diagonal rows already form a triangle, so LAPACK's triangular-pentagonal
 tpqrt reduces only the shared rows onto it, about 2 n_r m^2 flops for n_r
 shared rows and m columns where dense Householder QR spends about
 2 m^2 (n_r + m) - 2 m^3 / 3; real f and g give a real block, factored in
-real arithmetic.  ``one_in_orbit_check``
-thresholds the residual of the constant 1 at the full polydisc box.
+real arithmetic.  Lacunarity leaves about half the shared rows touched by
+two columns and not by g, and where tpqrt runs blocked ``_fold_pairs``
+first folds them into the triangle, one Givens rotation each: the
+compression's next exact step, so n_r counts only the shared rows left.
+``one_in_orbit_check`` thresholds the residual of the constant 1 at the
+full polydisc box.
 ``residual_final`` replays the coefficients on the uncompressed orbit
 system, over the rows that the block's columns and g touch: the only rows
 where the residual can be nonzero.
@@ -185,14 +189,57 @@ def _geqrf(M):
     return geqrf(M, lwork=int(lwork(*M.shape)[0].real), overwrite_a=True)[0]
 
 
+# geqrf's own crossover to blocked panels (NX = 128), in columns of [A; B]:
+# tpqrt runs blocked from here on, and only there do the pair rows pay to fold
+_BLOCKED = 128
+
+
 def _tpqrt(A, B):
     """QR of [A; B], A upper triangular and n x n, by LAPACK tpqrt, in place
-    when both are Fortran-ordered; R overwrites A.  Below 128 columns one
-    unblocked panel (tpqrt2), above it panels of 32: geqrf's own crossover
-    (NX = 128)."""
+    when both are Fortran-ordered; R overwrites A.  Below ``_BLOCKED``
+    columns one unblocked panel (tpqrt2), from there on panels of 32."""
     tpqrt = get_lapack_funcs("tpqrt", (A, B))
     n = A.shape[1]
-    return tpqrt(0, n if n < 128 else 32, A, B, overwrite_a=True, overwrite_b=True)[0]
+    nb = n if n < _BLOCKED else min(n, 32)
+    return tpqrt(0, nb, A, B, overwrite_a=True, overwrite_b=True)[0]
+
+
+def _fold_pairs(A, row, pos, v, bc):
+    """Fold shared rows into the diagonal triangle A by Givens rotations,
+    exactly, before tpqrt reduces the rest.
+
+    A = [D 0; 0 0] with D diagonal; the shared rows are given by their
+    entries (row, pos, v), sorted by row, pos the column's position in A.
+    A row is folded when it has two entries, a at i and b at j > i, no
+    entry of g, and row i of A is still diagonal: the first such row of
+    each i, unless i is also the j of another such first row.  For every x,
+    |d_i x_i|^2 + |a x_i + b x_j|^2 = |rho x_i + (conj(a) b / rho) x_j|^2
+    + |(d_i b / rho) x_j|^2 with rho = hypot(d_i, |a|), so row i becomes
+    (rho, conj(a) b / rho) and the last term joins row j's diagonal, which
+    stays diagonal.  Returns the entries and b_C of the rows left, in
+    order and numbered from 0.
+    """
+    m = len(A) - 1
+    d = A.diagonal()[:m].real
+    two = (np.bincount(row, minlength=len(bc)) == 2) & (bc == 0)
+    k = np.flatnonzero(two[row])[::2]  # the first entry of each such row
+    swap = pos[k] > pos[k + 1]
+    lo, hi = k + swap, k + 1 - swap
+    i, j, a = pos[lo], pos[hi], v[lo]
+    rho = np.hypot(d[i], np.abs(a))
+    ok = np.flatnonzero(rho > 0)  # a is 0 only where it underflowed
+    ok = ok[np.unique(i[ok], return_index=True)[1]]  # first row of each i
+    right = np.zeros(m, dtype=bool)
+    right[j[ok]] = True
+    ok = ok[~right[i[ok]]]
+    i, j, a, b, rho = i[ok], j[ok], a[ok], v[hi[ok]], rho[ok]
+    t2 = np.bincount(j, np.abs(d[i] * b / rho) ** 2, minlength=m)
+    # d views A's diagonal: every right-hand side is read before A is written
+    A[i, i], A[i, j], A[j, j] = rho, a.conj() * b / rho, np.sqrt(d[j] ** 2 + t2[j])
+    left = np.ones(len(bc), dtype=bool)
+    left[row[k[ok]]] = False
+    on = left[row]
+    return (left.cumsum() - 1)[row[on]], pos[on], v[on], bc[left]
 
 
 def _qr_skipping(A, B, cut):
@@ -226,7 +273,10 @@ def _solve_levels(row, col, data, p2, bc, level, levels, cut):
     deletes every direction within sine ``cut`` of the kept span.  It
     factors [A; B] by tpqrt: A = [D 0; 0 0], D = diag(sqrt(p2) / s), is
     already upper triangular, and B = [C/s | b] holds only the shared rows,
-    so only those are reduced.  The arithmetic is real when C and b_C are.
+    so only those are reduced.  From ``_BLOCKED`` columns of [A; B] on,
+    tpqrt's own crossover to blocked panels, ``_fold_pairs`` first folds
+    into A the shared rows with two entries and none of g that it can, and
+    B holds the rest.  The arithmetic is real when C and b_C are.
     The residual over the columns up to level L is
     sqrt(|R_mm|^2 + sum of |c_j|^2 over the kept columns above L),
     nonincreasing in L by construction.  Returns the ``OrbitReport`` fields
@@ -251,9 +301,12 @@ def _solve_levels(row, col, data, p2, bc, level, levels, cut):
     dtype = np.result_type(data, bc)
     A = np.zeros((m + 1, m + 1), dtype=dtype, order="F")
     A[np.arange(m), np.arange(m)] = np.sqrt(p2[cols]) / s[cols]
-    B = np.zeros((max(nr, 1), m + 1), dtype=dtype, order="F")
-    B[row[e], at[col[e]]] = data[e] / s[col[e]]
-    B[:nr, m] = bc
+    row, pos, v = row[e], at[col[e]], data[e] / s[col[e]]
+    if m + 1 >= _BLOCKED:
+        row, pos, v, bc = _fold_pairs(A, row, pos, v, bc)
+    B = np.zeros((max(len(bc), 1), m + 1), dtype=dtype, order="F")
+    B[row, pos] = v
+    B[:len(bc), m] = bc
     R, acc = _qr_skipping(A, B, cut)
     k, acc = len(acc), cols[acc]
     c = R[:k, k]

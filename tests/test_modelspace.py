@@ -121,6 +121,7 @@ BAD_FACTORS = {
     "nan": [np.nan, 1.0],
     "complex_inf": [1.0, complex(0.0, np.inf)],
     "norm_underflows": [1e-200, 0.0],
+    "norm_overflows": [1e200, 1e200],
 }
 
 
@@ -131,6 +132,23 @@ def test_product_rejects_zero_or_nonfinite_factor(x):
         PotapovProduct(2, [[1.0, 1.0], x])
     with pytest.raises(ValueError, match="nonzero and finite"):
         synthesize_from_vectors([x])
+
+
+@pytest.mark.parametrize("x", list(BAD_FACTORS.values()) + [[np.nan, 0.0], [1e-200, 1e-200]],
+                         ids=list(BAD_FACTORS) + ["nan_zero", "both_underflow"])
+def test_blaschke_factor_rejects_a_norm_outside_0_inf(x):
+    # the norm is 0, inf or nan: a NaN factor, or the identity when the
+    # norm overflowed, used to come back in place of an error
+    with pytest.raises(ValueError, match="underflows to 0 nor overflows to inf"):
+        MatrixPolynomial.blaschke_factor(x)
+
+
+def test_blaschke_factor_of_a_large_vector():
+    # squares up to 1e300 stay finite: the factor of the direction (1, 1)
+    got = MatrixPolynomial.blaschke_factor([1e150, 1e150])
+    ref = MatrixPolynomial.blaschke_factor([1.0, 1.0])
+    assert got.degree == 1
+    assert np.allclose(got.coeffs, ref.coeffs, atol=1e-15)
 
 
 def test_product_checks_length_before_norm():

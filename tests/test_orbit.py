@@ -1104,11 +1104,11 @@ def _disc_oracle(f, g, n):
     return cols, fit, x, replay(x)
 
 
-def _disc_series_case(series, base, n):
+def _disc_series_case(series, base, n, seed=None):
     """The orbit-disc benchmark's shapes: 20 terms with seeded phases,
     dyadic (scalar) or the merged pair (f, S*f) in C^2, and g the constant
-    or a low monomial in one component."""
-    rng = np.random.default_rng([base, n])
+    or a low monomial in one component; ``seed`` draws other phases and g."""
+    rng = np.random.default_rng([base, n] + ([] if seed is None else [seed]))
     a = base ** -np.arange(1.0, 21) * np.exp(2j * np.pi * rng.uniform(size=20))
     e, j = 2 ** np.arange(1, 21), int(rng.integers(0, 4))
     if series == "dyadic":
@@ -1164,6 +1164,252 @@ def test_block_residual_equals_exact_least_squares():
         assert abs(resid - float(exact)) <= 1e-14 * g.norm(), (sub, resid, exact)
         if sub == (3, 4):
             assert abs(rep.residual_final - float(exact)) <= 1e-14 * g.norm()
+
+
+# -- the pair-row fold ---------------------------------------------------------
+
+
+def _unfolded(A, row, pos, v, bc):
+    """Reference for ``_fold_pairs``: every shared row stays in B for tpqrt,
+    as before the fold."""
+    return row, pos, v, bc
+
+
+def _recorded(monkeypatch, run, fold=True):
+    """run() with the fold (or, if not ``fold``, the unfolded reference);
+    returns its result, the kept columns of each solve and each B that
+    tpqrt reduced."""
+    keeps, Bs = [], []
+    qr, tp = orbit._qr_skipping, orbit._tpqrt
+
+    def record_qr(A, B, cut):
+        R, keep = qr(A, B, cut)
+        keeps.append(keep)
+        return R, keep
+
+    def record_tp(A, B):
+        Bs.append(B.copy())
+        return tp(A, B)
+
+    with monkeypatch.context() as m:
+        m.setattr(orbit, "_qr_skipping", record_qr)
+        m.setattr(orbit, "_tpqrt", record_tp)
+        if not fold:
+            m.setattr(orbit, "_fold_pairs", _unfolded)
+        out = run()
+    return out, keeps, Bs
+
+
+def _assert_fold_matches_unfolded(monkeypatch, run, gn, curve_tol=1e-13, final_tol=1e-14):
+    """An orbit projection with the fold against the unfolded reference:
+    the same kept columns and detail, the curve to ``curve_tol`` ||g|| and
+    ``residual_final`` to ``final_tol`` ||g||.  Returns the folded report
+    and the row counts of B at tpqrt, folded and unfolded."""
+    ref, keeps0, B0 = _recorded(monkeypatch, run, fold=False)
+    rep, keeps1, B1 = _recorded(monkeypatch, run)
+    assert len(keeps0) == len(keeps1)
+    for k0, k1 in zip(keeps0, keeps1):
+        assert np.array_equal(k0, k1)
+    assert rep.detail.keys() == ref.detail.keys()
+    for key in rep.detail:
+        assert np.array_equal(rep.detail[key], ref.detail[key]), key
+    curve = np.max(np.abs(rep.residuals - ref.residuals))
+    assert curve <= curve_tol * gn, curve
+    final = abs(rep.residual_final - ref.residual_final)
+    assert final <= final_tol * gn, final
+    return rep, [len(B) for B in B1], [len(B) for B in B0]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", ORBIT_DISC_CYCLE, ids=lambda c: "-".join(map(str, c)))
+def test_fold_matches_unfolded_on_disc_cycle(monkeypatch, case, seed):
+    f, g, n = _disc_series_case(*case, seed=seed)
+    rep, rows, rows0 = _assert_fold_matches_unfolded(
+        monkeypatch, lambda: orbit_project(f, g, n), g.norm())
+    # the fold runs where tpqrt runs blocked, and only there
+    if rep.detail["block"][1] + 1 >= orbit._BLOCKED:
+        assert rows[0] < rows0[0], (rows, rows0)
+    else:
+        assert rows == rows0
+
+
+@pytest.mark.parametrize("budget, rows", [(1024, 130), (2048, 258)])
+def test_fold_matches_unfolded_on_criterion_1(monkeypatch, budget, rows):
+    # half of the 258 (514) shared rows go to tpqrt
+    f = dyadic_scalar(K=20)
+    g = scalar_series([0], [1.0])
+    _, got, ref = _assert_fold_matches_unfolded(
+        monkeypatch, lambda: orbit_project(f, g, budget), g.norm())
+    assert ref == [2 * rows - 2] and got == [rows], (got, ref)
+
+
+def test_fold_halves_the_pair_block(monkeypatch):
+    # the merged pair at budget 512 with g = e1: 259 shared rows, 64 folded
+    f = _disc_series_case("pair", 16, 512)[0]
+    g = VectorSeries(2, [0], [[1.0, 0.0]])
+    rep, _, Bs = _recorded(monkeypatch, lambda: orbit_project(f, g, 512))
+    assert rep.detail["block"] == (259 + 257, 257)
+    assert [len(B) for B in Bs] == [195]
+
+
+@pytest.mark.parametrize("box", [(2**8, 3**4), (2**10, 3**5), (2**12, 3**7),
+                                 (2**13, 3**8), (2**14, 3**9)])
+@pytest.mark.parametrize("eta", [(0, 0), (1, 0), (0, 1), (1, 1)])
+def test_fold_matches_unfolded_on_criterion_8(monkeypatch, eta, box):
+    # the blocks reach 128 columns from (2^13, 3^8) on
+    g = PolySeries(2, 1, [(eta, [1.0])])
+    rep, rows, rows0 = _assert_fold_matches_unfolded(
+        monkeypatch, lambda: orbit_project_polydisc(CRITERION_8, g, box), g.norm())
+    assert (rows[0] < rows0[0]) == (rep.detail["block"][1] + 1 >= orbit._BLOCKED)
+
+
+def test_fold_matches_unfolded_with_deletions(monkeypatch):
+    # the ill-conditioned orbit at budget 128 (95 live shifts, 9 deleted),
+    # folded from 32 columns on: the curve to the 40-digit oracle's
+    # 1e-12 ||g||.  z^3 lies in the orbit span, so both endpoints are
+    # rounding (2.7e-12 folded, 3.3e-12 not), held to the dense-QR optimum
+    # as in test_endpoint_reaches_optimum_on_ill_conditioned_orbit
+    f, g = _ill_conditioned_orbit()
+    monkeypatch.setattr(orbit, "_BLOCKED", 32)
+    rep, rows, rows0 = _assert_fold_matches_unfolded(
+        monkeypatch, lambda: orbit_project(f, g, 128), g.norm(), curve_tol=1e-12,
+        final_tol=np.inf)
+    assert rep.detail["accepted_directions"] < 95 and rows[0] < rows0[0]
+    o = _scaled_qr(_dense_orbit_matrix(f, 128, 100), _dense_target(g, 100))[2]
+    assert o - 1e-12 <= rep.residual_final <= o + 1e-10, (rep.residual_final, o)
+
+
+# shared rows of an 8-column block, entries (row, col), and which are
+# folded when the columns enter in C order: each row's comment says why.
+# Entering in another order, other rows fold (FOLDED), some with their
+# left column in level order after their right one in C order.
+FOLD_EDGES = [
+    (0, 0), (0, 2),  # folded: column 0 (p2 = 0) is the left column
+    (1, 0), (1, 3),  # the second row on left column 0
+    (2, 2), (2, 4),  # a chain: its left column 2 is row 0's right one
+    (3, 4), (3, 5),  # a row of g
+    (4, 5), (4, 6),  # folded
+    (5, 1), (5, 6), (5, 7),  # three entries
+    (6, 3), (6, 6),  # folded: column 6 absorbs two folds
+    (7, 6), (7, 7),  # a chain: its left column 6 is rows 4's and 6's right one
+]
+FOLD_LEVELS = {"C": np.arange(8), "permuted": np.array([3, 0, 5, 1, 7, 2, 6, 4]),
+               "reversed": np.arange(8)[::-1]}
+FOLDED = {"C": [0, 4, 6], "permuted": [1, 4, 7], "reversed": [1, 2, 7]}
+
+
+def _edge_block(dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    row, col = np.array(FOLD_EDGES).T
+    data = rng.standard_normal(len(row))
+    if dtype is complex:
+        data = data + 1j * rng.standard_normal(len(row))
+    p2 = rng.uniform(0.1, 1.0, size=8)
+    p2[0] = 0.0
+    bc = np.zeros(8, dtype=dtype)
+    bc[3] = 1.5
+    bc[5] = -0.5
+    return row, col, data, p2, bc
+
+
+def _dense_block_fit(block, level, levels):
+    """Dense least squares of [C; diag(sqrt p2)] x ~ [b_C; 0] over the
+    columns up to each level: the residuals and the coefficients at the
+    last level."""
+    row, col, data, p2, bc = block
+    m = len(p2)
+    M = np.zeros((len(bc) + m, m), dtype=complex)
+    M[row, col] = data
+    M[len(bc) + np.arange(m), np.arange(m)] = np.sqrt(p2)
+    b = np.concatenate([bc, np.zeros(m)])
+    curve = []
+    for L in range(levels):
+        cols = np.flatnonzero(level <= L)
+        x = np.linalg.lstsq(M[:, cols], b, rcond=None)[0]
+        curve.append(np.linalg.norm(M[:, cols] @ x - b))
+    return np.array(curve), x
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("order", FOLD_LEVELS)
+def test_fold_edge_cases(monkeypatch, dtype, order):
+    monkeypatch.setattr(orbit, "_BLOCKED", 1)  # fold every block
+    block = _edge_block(dtype)
+    level = FOLD_LEVELS[order]
+    cut = Tolerances().tol_rank
+    ref, keep0, _ = _recorded(monkeypatch, lambda: _solve_levels(*block, level, 8, cut),
+                              fold=False)
+    fit, keep1, (B,) = _recorded(monkeypatch, lambda: _solve_levels(*block, level, 8, cut))
+    assert np.array_equal(keep0[0], keep1[0])
+    assert fit["detail"] == ref["detail"] == {"block": (16, 8), "accepted_directions": 8}
+    # the rows left reach tpqrt in their order, g's two among them
+    assert B.dtype == np.result_type(dtype, float)
+    assert np.array_equal(B[:, 8][B[:, 8] != 0], [1.5, -0.5])
+    at = np.argsort(np.argsort(level))  # each column's position in level order
+    left = [r for r in range(8) if r not in FOLDED[order]]
+    assert len(B) == len(left)
+    for b, r in zip(B, left):
+        cols = [c for rr, c in FOLD_EDGES if rr == r]
+        assert np.array_equal(np.flatnonzero(b[:8]), np.sort(at[cols])), r
+    gn = np.linalg.norm(block[4])
+    assert np.max(np.abs(fit["residuals"] - ref["residuals"])) <= 1e-13 * gn
+    x0 = np.abs(ref["coefficients"]).max()
+    assert np.max(np.abs(fit["coefficients"] - ref["coefficients"])) <= 1e-13 * x0
+    assert fit["gram_condition"] == pytest.approx(ref["gram_condition"], rel=1e-10)
+    curve, x = _dense_block_fit(block, level, 8)
+    assert np.max(np.abs(fit["residuals"] - curve)) <= 1e-13 * gn
+    assert np.max(np.abs(fit["coefficients"] - x)) <= 1e-12 * x0
+
+
+def test_fold_skips_a_row_on_a_zero_left_column(monkeypatch):
+    # row 0's left entry is 0 (as when a scaled entry underflows) and its
+    # column has no private row: rho = 0, so the row stays in B
+    monkeypatch.setattr(orbit, "_BLOCKED", 1)
+    block = (np.array([0, 0, 1, 1, 1]), np.array([0, 1, 0, 1, 2]),
+             np.array([0.0, 1.0, 1.0, 1.0, 1.0]), np.array([0.0, 0.5, 0.5]),
+             np.array([0.0, 1.0]))
+    level = np.arange(3)
+    fit, _, (B,) = _recorded(monkeypatch, lambda: _solve_levels(
+        *block, level, 3, Tolerances().tol_rank))
+    assert len(B) == 2
+    curve, x = _dense_block_fit(block, level, 3)
+    assert np.max(np.abs(fit["residuals"] - curve)) <= 1e-14
+    assert np.max(np.abs(fit["coefficients"] - x)) <= 1e-14
+
+
+def test_fold_is_exact_on_a_rational_block(monkeypatch):
+    # oracle: the least squares of [C; diag(sqrt p2)] x ~ [b_C; 0] over the
+    # columns up to each level by the normal equations in exact arithmetic;
+    # rows 0 and 3 are folded, row 1 is a chain, row 2 a row of g
+    import sympy
+
+    monkeypatch.setattr(orbit, "_BLOCKED", 1)
+    R = sympy.Rational
+    entries = [(0, 0, R(1)), (0, 1, R(1, 2)), (1, 1, R(-3, 4)), (1, 2, R(2)),
+               (2, 2, R(1, 3)), (2, 4, R(1)), (3, 3, R(5, 4)), (3, 4, R(-1, 2)),
+               (4, 0, R(1, 4)), (4, 3, R(1, 8)), (4, 4, R(3, 2))]
+    roots = [R(0), R(1, 2), R(1), R(2, 3), R(1, 4)]  # sqrt p2, column 0 has p2 = 0
+    bc = [R(0), R(0), R(3, 2), R(0), R(-1, 2)]
+    row, col, data = (np.array(v) for v in zip(*entries))
+    block = (row.astype(np.int64), col.astype(np.int64), data.astype(float),
+             np.array([float(r**2) for r in roots]), np.array([float(b) for b in bc]))
+    fit, _, (B,) = _recorded(monkeypatch, lambda: _solve_levels(
+        *block, np.arange(5), 5, Tolerances().tol_rank))
+    assert len(B) == 3
+    gn = float(sympy.sqrt(sum(b**2 for b in bc)))
+    C = sympy.zeros(5, 5)
+    for r, c, v in entries:
+        C[r, c] = v
+    M = C.col_join(sympy.diag(*roots))
+    b = sympy.Matrix(bc + [0] * 5)
+    for L in range(5):
+        A = M[:, : L + 1]
+        x = (A.T * A).LUsolve(A.T * b)
+        exact = sympy.sqrt((b - A * x).dot(b - A * x))
+        assert abs(fit["residuals"][L] - float(exact)) <= 1e-14 * gn, (L, fit["residuals"][L])
+    got = fit["coefficients"]
+    assert np.max(np.abs(got - np.array([float(v) for v in x]))) <= 1e-13 * float(
+        max(abs(v) for v in x))
 
 
 def test_polydisc_orbit_sharing_no_row_with_target():
