@@ -31,9 +31,10 @@ tpqrt reduces only the shared rows onto it, about 2 n_r m^2 flops for n_r
 shared rows and m columns where dense Householder QR spends about
 2 m^2 (n_r + m) - 2 m^3 / 3; real f and g give a real block, factored in
 real arithmetic.  Lacunarity leaves about half the shared rows touched by
-two columns and not by g, and where tpqrt runs blocked ``_fold_pairs``
-first folds them into the triangle, one Givens rotation each: the
-compression's next exact step, so n_r counts only the shared rows left.
+two columns and not by g, and on all but the smallest blocks
+``_fold_pairs`` first folds them into the triangle, one Givens rotation
+each: the compression's next exact step, so n_r counts only the shared
+rows left.
 ``one_in_orbit_check`` thresholds the residual of the constant 1 at the
 full polydisc box.
 ``residual_final`` replays the coefficients on the uncompressed orbit
@@ -189,19 +190,21 @@ def _geqrf(M):
     return geqrf(M, lwork=int(lwork(*M.shape)[0].real), overwrite_a=True)[0]
 
 
-# geqrf's own crossover to blocked panels (NX = 128), in columns of [A; B]:
-# tpqrt runs blocked from here on, and only there do the pair rows pay to fold
-_BLOCKED = 128
-
-
 def _tpqrt(A, B):
     """QR of [A; B], A upper triangular and n x n, by LAPACK tpqrt, in place
-    when both are Fortran-ordered; R overwrites A.  Below ``_BLOCKED``
-    columns one unblocked panel (tpqrt2), from there on panels of 32."""
+    when both are Fortran-ordered; R overwrites A.  Below 128 columns one
+    unblocked panel (tpqrt2), above it panels of 32: geqrf's own crossover
+    (NX = 128)."""
     tpqrt = get_lapack_funcs("tpqrt", (A, B))
     n = A.shape[1]
-    nb = n if n < _BLOCKED else min(n, 32)
-    return tpqrt(0, nb, A, B, overwrite_a=True, overwrite_b=True)[0]
+    return tpqrt(0, n if n < 128 else 32, A, B, overwrite_a=True, overwrite_b=True)[0]
+
+
+# columns from which _solve_levels folds.  The fold's ~40 numpy calls cost
+# about 0.1 ms, as much as the whole solve of an orbit-polydisc block (at
+# most 8 columns); folding every orbit-disc block (33 columns and more) ran
+# faster end to end than folding only from 128 columns on
+_FOLD_COLUMNS = 32
 
 
 def _fold_pairs(A, row, pos, v, bc):
@@ -273,10 +276,10 @@ def _solve_levels(row, col, data, p2, bc, level, levels, cut):
     deletes every direction within sine ``cut`` of the kept span.  It
     factors [A; B] by tpqrt: A = [D 0; 0 0], D = diag(sqrt(p2) / s), is
     already upper triangular, and B = [C/s | b] holds only the shared rows,
-    so only those are reduced.  From ``_BLOCKED`` columns of [A; B] on,
-    tpqrt's own crossover to blocked panels, ``_fold_pairs`` first folds
-    into A the shared rows with two entries and none of g that it can, and
-    B holds the rest.  The arithmetic is real when C and b_C are.
+    so only those are reduced.  From ``_FOLD_COLUMNS`` columns on,
+    ``_fold_pairs`` first folds into A the shared rows with two entries and
+    none of g that it can, and B holds the rest.  The arithmetic is real
+    when C and b_C are.
     The residual over the columns up to level L is
     sqrt(|R_mm|^2 + sum of |c_j|^2 over the kept columns above L),
     nonincreasing in L by construction.  Returns the ``OrbitReport`` fields
@@ -302,7 +305,7 @@ def _solve_levels(row, col, data, p2, bc, level, levels, cut):
     A = np.zeros((m + 1, m + 1), dtype=dtype, order="F")
     A[np.arange(m), np.arange(m)] = np.sqrt(p2[cols]) / s[cols]
     row, pos, v = row[e], at[col[e]], data[e] / s[col[e]]
-    if m + 1 >= _BLOCKED:
+    if m >= _FOLD_COLUMNS:
         row, pos, v, bc = _fold_pairs(A, row, pos, v, bc)
     B = np.zeros((max(len(bc), 1), m + 1), dtype=dtype, order="F")
     B[row, pos] = v

@@ -1226,11 +1226,9 @@ def test_fold_matches_unfolded_on_disc_cycle(monkeypatch, case, seed):
     f, g, n = _disc_series_case(*case, seed=seed)
     rep, rows, rows0 = _assert_fold_matches_unfolded(
         monkeypatch, lambda: orbit_project(f, g, n), g.norm())
-    # the fold runs where tpqrt runs blocked, and only there
-    if rep.detail["block"][1] + 1 >= orbit._BLOCKED:
-        assert rows[0] < rows0[0], (rows, rows0)
-    else:
-        assert rows == rows0
+    # every cycle block has at least 33 columns, so each is folded
+    assert rep.detail["block"][1] >= orbit._FOLD_COLUMNS
+    assert rows[0] < rows0[0], (rows, rows0)
 
 
 @pytest.mark.parametrize("budget, rows", [(1024, 130), (2048, 258)])
@@ -1256,21 +1254,23 @@ def test_fold_halves_the_pair_block(monkeypatch):
                                  (2**13, 3**8), (2**14, 3**9)])
 @pytest.mark.parametrize("eta", [(0, 0), (1, 0), (0, 1), (1, 1)])
 def test_fold_matches_unfolded_on_criterion_8(monkeypatch, eta, box):
-    # the blocks reach 128 columns from (2^13, 3^8) on
+    # the blocks reach 32 columns from (2^12, 3^7) on
     g = PolySeries(2, 1, [(eta, [1.0])])
     rep, rows, rows0 = _assert_fold_matches_unfolded(
         monkeypatch, lambda: orbit_project_polydisc(CRITERION_8, g, box), g.norm())
-    assert (rows[0] < rows0[0]) == (rep.detail["block"][1] + 1 >= orbit._BLOCKED)
+    if rep.detail["block"][1] >= orbit._FOLD_COLUMNS:
+        assert rows[0] < rows0[0], (rows, rows0)
+    else:
+        assert rows == rows0
 
 
 def test_fold_matches_unfolded_with_deletions(monkeypatch):
-    # the ill-conditioned orbit at budget 128 (95 live shifts, 9 deleted),
-    # folded from 32 columns on: the curve to the 40-digit oracle's
-    # 1e-12 ||g||.  z^3 lies in the orbit span, so both endpoints are
-    # rounding (2.7e-12 folded, 3.3e-12 not), held to the dense-QR optimum
-    # as in test_endpoint_reaches_optimum_on_ill_conditioned_orbit
+    # the ill-conditioned orbit at budget 128 (95 live shifts, 9 deleted):
+    # the curve to the 40-digit oracle's 1e-12 ||g||.  z^3 lies in the
+    # orbit span, so both endpoints are rounding (2.4e-12 folded, 3.3e-12
+    # not), held to the dense-QR optimum as in
+    # test_endpoint_reaches_optimum_on_ill_conditioned_orbit
     f, g = _ill_conditioned_orbit()
-    monkeypatch.setattr(orbit, "_BLOCKED", 32)
     rep, rows, rows0 = _assert_fold_matches_unfolded(
         monkeypatch, lambda: orbit_project(f, g, 128), g.norm(), curve_tol=1e-12,
         final_tol=np.inf)
@@ -1333,7 +1333,7 @@ def _dense_block_fit(block, level, levels):
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("order", FOLD_LEVELS)
 def test_fold_edge_cases(monkeypatch, dtype, order):
-    monkeypatch.setattr(orbit, "_BLOCKED", 1)  # fold every block
+    monkeypatch.setattr(orbit, "_FOLD_COLUMNS", 1)  # fold the 8-column block
     block = _edge_block(dtype)
     level = FOLD_LEVELS[order]
     cut = Tolerances().tol_rank
@@ -1364,7 +1364,7 @@ def test_fold_edge_cases(monkeypatch, dtype, order):
 def test_fold_skips_a_row_on_a_zero_left_column(monkeypatch):
     # row 0's left entry is 0 (as when a scaled entry underflows) and its
     # column has no private row: rho = 0, so the row stays in B
-    monkeypatch.setattr(orbit, "_BLOCKED", 1)
+    monkeypatch.setattr(orbit, "_FOLD_COLUMNS", 1)
     block = (np.array([0, 0, 1, 1, 1]), np.array([0, 1, 0, 1, 2]),
              np.array([0.0, 1.0, 1.0, 1.0, 1.0]), np.array([0.0, 0.5, 0.5]),
              np.array([0.0, 1.0]))
@@ -1383,7 +1383,7 @@ def test_fold_is_exact_on_a_rational_block(monkeypatch):
     # rows 0 and 3 are folded, row 1 is a chain, row 2 a row of g
     import sympy
 
-    monkeypatch.setattr(orbit, "_BLOCKED", 1)
+    monkeypatch.setattr(orbit, "_FOLD_COLUMNS", 1)
     R = sympy.Rational
     entries = [(0, 0, R(1)), (0, 1, R(1, 2)), (1, 1, R(-3, 4)), (1, 2, R(2)),
                (2, 2, R(1, 3)), (2, 4, R(1)), (3, 3, R(5, 4)), (3, 4, R(-1, 2)),
