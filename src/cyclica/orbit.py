@@ -30,11 +30,15 @@ its diagonal rows already form a triangle, so LAPACK's triangular-pentagonal
 tpqrt reduces only the shared rows onto it, about 2 n_r m^2 flops for n_r
 shared rows and m columns where dense Householder QR spends about
 2 m^2 (n_r + m) - 2 m^3 / 3; real f and g give a real block, factored in
-real arithmetic.  Lacunarity leaves about half the shared rows touched by
-two columns and not by g, and on all but the smallest blocks
-``_fold_pairs`` first folds them into the triangle, one Givens rotation
-each: the compression's next exact step, so n_r counts only the shared
-rows left.
+real arithmetic.  On all but the smallest blocks two more exact steps of
+the compression come first.  ``_merge_twins`` merges identical shared
+rows into one: a C^d-valued orbit repeats its rows across the
+components (in the merged pair (f, S*f), row (e, c) equals row
+(e - 1, c + 1)), so a vector-valued orbit reaches the fold with the rows
+of a scalar one.  Lacunarity then leaves about half of the rows touched by
+two columns and not by g, and ``_fold_pairs`` folds them into the
+triangle, one Givens rotation each, so n_r counts only the shared rows
+left.
 ``one_in_orbit_check`` thresholds the residual of the constant 1 at the
 full polydisc box.
 ``residual_final`` replays the coefficients on the uncompressed orbit
@@ -45,7 +49,7 @@ where the residual can be nonzero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import fsum, prod, sqrt
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -108,27 +112,42 @@ def _block_columns(T, coeffs, Tg, gcoeffs, box):
 
     The search runs level by level from g's nonzero rows (Tg_j, c): a row
     (r, c) is reached by the columns alpha = T_t - r with a_{t,c} != 0 and
-    0 <= alpha <= box, and a column alpha reaches its entries' rows.  Only
-    columns are deduplicated, seen ones first by ``_runs``: a row reached
-    again proposes only columns already seen.  The result is closed under
-    row sharing: every column reaching one of its rows is in it.
+    0 <= alpha <= box, and a column alpha reaches its entries' rows.  Each
+    level is searched one component at a time, from the terms nonzero in
+    it, so a C^d-valued f whose terms each have one nonzero component (as
+    the merged pair (f, S*f)) proposes no more candidates than a scalar
+    one; one unsigned comparison tests both ends of the box, a negative
+    alpha wrapping above it.  Only columns are deduplicated, seen ones
+    first by ``_runs``: a row reached again proposes only columns already
+    seen.  The result is closed under row sharing: every column reaching
+    one of its rows is in it.
     """
-    box, nz = np.asarray(box, dtype=np.int64), coeffs != 0
-    gj, gc = (gcoeffs != 0).nonzero()
-    rows = np.concatenate([Tg[gj], gc[:, None]], axis=1)
-    alpha = np.zeros((0, len(box)), dtype=np.int64)
-    while len(rows):
-        cand = T[None] - rows[:, None, :-1]
-        ok = nz[:, rows[:, -1]].T & ((cand >= 0) & (cand <= box)).all(axis=2)
-        cols = np.concatenate([alpha, cand[ok]])
-        by_key, run = _runs(cols)
+    # multi-indices are held by axis, (poly_dim, n): the broadcasts then
+    # run along the terms and the rows, not along the few axes.  No column
+    # exceeds an exponent of f, so clipping the box below 2^63 is exact, and
+    # a negative alpha, read unsigned, lies above it
+    box = np.array([min(b, 2**63 - 1) for b in box], dtype=np.uint64)[:, None, None]
+    nz = coeffs != 0
+    TT = np.ascontiguousarray(T.T)
+    terms = [TT[:, on] for on in nz.T]  # per component, the T_t with a_{t,c} != 0
+    rows = [Tg[on].T for on in (gcoeffs != 0).T]  # per component, the rows r
+    alpha = np.zeros((len(TT), 0), dtype=np.int64)
+    while True:
+        cands = [Tc[:, None] - r[:, :, None] for Tc, r in zip(terms, rows)]
+        cols = np.concatenate([alpha] + [c.reshape(len(c), -1)[
+            :, np.flatnonzero((c.view(np.uint64) <= box).all(axis=0))] for c in cands],
+            axis=1)
+        by_key, run = _runs(cols.T)
         first = by_key[run]
-        new = cols[first[first >= len(alpha)]]
-        if not len(new):
+        new = cols[:, first[first >= alpha.shape[1]]]
+        if not new.shape[1]:
             break
-        alpha = np.concatenate([alpha, new])
-        rows = _entries(T, nz, new)[3]
-    return alpha[np.lexsort(alpha.T[::-1])]
+        alpha = np.concatenate([alpha, new], axis=1)
+        beta = TT[:, None] - new[:, :, None]
+        i, t = (beta >= 0).all(axis=0).nonzero()
+        beta, on = beta[:, i, t], nz[t]
+        rows = [beta[:, on_c] for on_c in on.T]
+    return alpha.T[np.lexsort(alpha[::-1])]
 
 
 def _assemble(T, coeffs, Tg, gcoeffs, alpha):
@@ -173,11 +192,13 @@ def _assemble(T, coeffs, Tg, gcoeffs, alpha):
     bc[number[arow[ne:]]] = gval
 
     def replay(x):
-        # A x - b in A's row order, each row's products summed in column order
+        # A x - b, each row's products summed in column order; the squares
+        # of its parts summed exactly (fsum), so the norm does not depend on
+        # the order of the rows, nor on rows where A x - b is 0
         r = np.zeros(len(first), dtype=complex)
         np.add.at(r, arow[:ne], a * x[col])
         r[arow[ne:]] -= gval
-        return float(np.linalg.norm(r))
+        return sqrt(fsum(np.square(r.view(np.float64))))
 
     return (row[shared][order], col[shared][order], a[shared][order], p2, bc), replay
 
@@ -200,11 +221,64 @@ def _tpqrt(A, B):
     return tpqrt(0, n if n < 128 else 32, A, B, overwrite_a=True, overwrite_b=True)[0]
 
 
-# columns from which _solve_levels folds.  The fold's ~40 numpy calls cost
-# about 0.1 ms, as much as the whole solve of an orbit-polydisc block (at
-# most 8 columns); folding every orbit-disc block (33 columns and more) ran
-# faster end to end than folding only from 128 columns on
+# columns from which _solve_levels merges twins and folds.  The fold's ~40
+# numpy calls cost about 0.1 ms, as much as the whole solve of an
+# orbit-polydisc block (at most 8 columns); folding every orbit-disc block
+# (33 columns and more) ran faster end to end than folding only from 128
+# columns on
 _FOLD_COLUMNS = 32
+
+
+def _fingerprints(row, pos, v, n):
+    """One float per shared row, equal on identical rows: the sum of
+    v (pos + phi) over the row's entries (re + im of a complex v), in entry
+    order by one bincount, so identical rows sum the same terms in the same
+    order.  Rows that differ may collide; ``_merge_twins`` checks."""
+    x = v.real + v.imag if v.dtype.kind == "c" else v
+    return np.bincount(row, x * (pos + 0.6180339887498949), minlength=n)
+
+
+def _merge_twins(row, pos, v, bc):
+    """Merge each group of k identical shared rows into one scaled by
+    sqrt(k), exactly, before ``_fold_pairs``.
+
+    Identical means the same entries (pos, v), in order, and the same b_C.
+    For every x the k rows add k |r x - beta|^2 = |sqrt(k) r x - sqrt(k) beta|^2,
+    so R moves only by rounding and unimodular row scaling: the fold of the
+    private rows extended to rows that several columns share.  Twins are
+    what lacunarity leaves in a C^d-valued orbit: in the merged pair
+    (f, S*f), row (e, c) equals row (e - 1, c + 1), both holding f^(e + s)
+    in every shift column s.  Rows are grouped by (fingerprint, entry
+    count, b_C), and each is checked entry by entry against the first row
+    of its group, which it joins only if equal: a fingerprint collision can
+    cost a merge but never make a wrong one.  When the fingerprints are all
+    distinct, which is every block without twins, the rows pass through as
+    they came.  The merged row keeps the place of the first.  Takes and
+    returns the entries (row, pos, v), sorted by row, and b_C, the rows
+    numbered from 0.
+    """
+    n = len(bc)
+    fp = _fingerprints(row, pos, v, n)
+    s = np.sort(fp)
+    if not (s[1:] == s[:-1]).any():
+        return row, pos, v, bc
+    cnt = np.bincount(row, minlength=n)
+    by_key = np.lexsort((bc, cnt, fp))  # stable: a group's first row leads it
+    run = np.arange(n) == 0  # which rows, in key order, start a group
+    for key in (fp[by_key], cnt[by_key], bc[by_key]):
+        run[1:] |= key[1:] != key[:-1]
+    lead = np.empty(n, dtype=np.int64)
+    lead[by_key] = by_key[run][run.cumsum() - 1]
+    # each entry against the same entry of its row's leader (itself on a leader)
+    start = cnt.cumsum() - cnt
+    mate = np.arange(len(row)) + (start[lead] - start)[row]
+    twin = lead != np.arange(n)
+    twin[row[(pos != pos[mate]) | (v != v[mate])]] = False
+    scale = np.sqrt(np.bincount(lead[twin], minlength=n) + 1.0)
+    keep = ~twin
+    on = keep[row]
+    return ((keep.cumsum() - 1)[row[on]], pos[on], (v * scale[row])[on],
+            (bc * scale)[keep])
 
 
 def _fold_pairs(A, row, pos, v, bc):
@@ -219,8 +293,11 @@ def _fold_pairs(A, row, pos, v, bc):
     |d_i x_i|^2 + |a x_i + b x_j|^2 = |rho x_i + (conj(a) b / rho) x_j|^2
     + |(d_i b / rho) x_j|^2 with rho = hypot(d_i, |a|), so row i becomes
     (rho, conj(a) b / rho) and the last term joins row j's diagonal, which
-    stays diagonal.  Returns the entries and b_C of the rows left, in
-    order and numbered from 0.
+    stays diagonal.  Only one row per left column i folds, so twins, which
+    share their columns, are merged first (``_merge_twins``); what is left
+    of the two-entry rows then chains, each left column another row's right
+    one, as on the scalar dyadic orbit.  Returns the entries and b_C of the
+    rows left, in order and numbered from 0.
     """
     m = len(A) - 1
     d = A.diagonal()[:m].real
@@ -277,8 +354,12 @@ def _solve_levels(row, col, data, p2, bc, level, levels, cut):
     factors [A; B] by tpqrt: A = [D 0; 0 0], D = diag(sqrt(p2) / s), is
     already upper triangular, and B = [C/s | b] holds only the shared rows,
     so only those are reduced.  From ``_FOLD_COLUMNS`` columns on,
-    ``_fold_pairs`` first folds into A the shared rows with two entries and
-    none of g that it can, and B holds the rest.  The arithmetic is real
+    ``_merge_twins`` first merges identical shared rows (the twins of a
+    C^d-valued orbit, row (e, c) = row (e - 1, c + 1) in the merged pair),
+    then ``_fold_pairs`` folds into A the rows with two entries and none of
+    g that it can, and B holds the rest.  Both are exact for every x, and
+    blocks under ``_FOLD_COLUMNS`` columns take neither.  ``block`` still
+    counts the compressed system's shared rows.  The arithmetic is real
     when C and b_C are.
     The residual over the columns up to level L is
     sqrt(|R_mm|^2 + sum of |c_j|^2 over the kept columns above L),
@@ -306,7 +387,7 @@ def _solve_levels(row, col, data, p2, bc, level, levels, cut):
     A[np.arange(m), np.arange(m)] = np.sqrt(p2[cols]) / s[cols]
     row, pos, v = row[e], at[col[e]], data[e] / s[col[e]]
     if m >= _FOLD_COLUMNS:
-        row, pos, v, bc = _fold_pairs(A, row, pos, v, bc)
+        row, pos, v, bc = _fold_pairs(A, *_merge_twins(row, pos, v, bc))
     B = np.zeros((max(len(bc), 1), m + 1), dtype=dtype, order="F")
     B[row, pos] = v
     B[:len(bc), m] = bc
