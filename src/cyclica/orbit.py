@@ -198,7 +198,7 @@ def _assemble(T, coeffs, Tg, gcoeffs, alpha):
         r = np.zeros(len(first), dtype=complex)
         np.add.at(r, arow[:ne], a * x[col])
         r[arow[ne:]] -= gval
-        return sqrt(fsum(np.square(r.view(np.float64))))
+        return sqrt(fsum(np.square(r.view(np.float64)).tolist()))
 
     return (row[shared][order], col[shared][order], a[shared][order], p2, bc), replay
 
