@@ -43,7 +43,8 @@ left.
 full polydisc box.
 ``residual_final`` replays the coefficients on the uncompressed orbit
 system, over the rows that the block's columns and g touch: the only rows
-where the residual can be nonzero.
+where the residual can be nonzero.  Its squares are summed exactly, so it
+does not depend on the order of the rows.
 """
 
 from __future__ import annotations
@@ -150,6 +151,31 @@ def _block_columns(T, coeffs, Tg, gcoeffs, box):
     return alpha.T[np.lexsort(alpha[::-1])]
 
 
+def _exact_norm(r):
+    """||r|| from the exactly rounded sum of the squares of r's real and
+    imaginary parts (each square rounded once), so it depends neither on
+    the order of r nor on its zeros.
+
+    Each square is mant 2^(e - 53) with mant an integer below 2^53.  Per
+    exponent e, one bincount sums the mantissas' high halves (from bit 26)
+    and one their low halves, exactly while fewer than 2^26 squares share
+    an exponent; fsum adds these sums, each exact as a float, in place of
+    the squares themselves, which cost it several times more.  Squares that
+    are subnormal, near overflow or not finite go to fsum directly.
+    """
+    sq = np.square(r.view(np.float64))
+    m, e = np.frexp(sq)
+    if not (0 < len(sq) < 2**26 and e.min() > -1022 and sq.max() < 2.0**990):
+        return sqrt(fsum(sq.tolist()))
+    mant = np.ldexp(m, 53).astype(np.int64)
+    low = e.min()
+    scale = np.arange(e.max() - low + 1) + (low - 53)  # 2^(e - 53) per bin
+    bins = e - low
+    hi = np.ldexp(np.bincount(bins, mant >> 26), scale + 26)
+    lo = np.ldexp(np.bincount(bins, mant & (2**26 - 1)), scale)
+    return sqrt(fsum(hi.tolist() + lo.tolist()))
+
+
 def _assemble(T, coeffs, Tg, gcoeffs, alpha):
     """Exact row compression of the orbit system A x ~ b on the columns
     alpha, without forming A.
@@ -192,13 +218,11 @@ def _assemble(T, coeffs, Tg, gcoeffs, alpha):
     bc[number[arow[ne:]]] = gval
 
     def replay(x):
-        # A x - b, each row's products summed in column order; the squares
-        # of its parts summed exactly (fsum), so the norm does not depend on
-        # the order of the rows, nor on rows where A x - b is 0
+        # A x - b, each row's products summed in column order
         r = np.zeros(len(first), dtype=complex)
         np.add.at(r, arow[:ne], a * x[col])
         r[arow[ne:]] -= gval
-        return sqrt(fsum(np.square(r.view(np.float64)).tolist()))
+        return _exact_norm(r)
 
     return (row[shared][order], col[shared][order], a[shared][order], p2, bc), replay
 

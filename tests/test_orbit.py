@@ -773,6 +773,46 @@ def _exact_residual_norm(A, x, b):
         return float(mpmath.sqrt(mpmath.mpf(total.numerator) / total.denominator))
 
 
+def _exactly_rounded_norm(v):
+    """sqrt of the sum of the squares of v's parts, each square rounded
+    once, the sum in rationals."""
+    sq = np.square(np.asarray(v, dtype=complex).view(np.float64)).tolist()
+    return math.sqrt(float(sum(map(Fraction, sq), Fraction(0))))
+
+
+def _norm_cases():
+    rng = np.random.default_rng(7)
+    cases = {"empty": np.zeros(0, complex), "zeros": np.zeros(3, complex),
+             "one": np.array([3 - 4j]),
+             # a subnormal square goes to fsum
+             "subnormal": np.array([1e-160 + 1e-158j, 3.0]),
+             "near_overflow": np.array([1e153 + 0j, 1e-200]),
+             # 10^5 equal squares in one exponent, and carries across exponents
+             "one_exponent": np.full(10**5, (1 - 2**-53) + 0j),
+             "carries": np.array([2.0**k * (1 + 2**-30) + 0j for k in range(-40, 40)])}
+    for n in (2, 100, 5000):
+        for spread in (3, 40, 300):
+            r = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.exp(
+                rng.uniform(-spread, 0.5, n))
+            r[rng.random(n) < 0.2] = 0
+            cases[f"{n}-{spread}"] = r
+    return cases
+
+
+@pytest.mark.parametrize("name, r", _norm_cases().items(), ids=str)
+def test_exact_norm_is_exactly_rounded(name, r):
+    got = orbit._exact_norm(r)
+    assert got == _exactly_rounded_norm(r) == _fsum_norm(r)
+    # neither the order nor zeros change it
+    rng = np.random.default_rng(0)
+    assert orbit._exact_norm(np.concatenate([rng.permutation(r), np.zeros(5)])) == got
+
+
+def test_exact_norm_of_non_finite_entries():
+    assert orbit._exact_norm(np.array([np.inf + 0j, 1.0])) == np.inf
+    assert np.isnan(orbit._exact_norm(np.array([np.nan + 0j, 1.0])))
+
+
 def test_replay_is_exactly_rounded_on_general_coefficients():
     # complex normal coefficients, rows shared by up to 5 entries: the
     # replay rounds its products and sums, so it is held to the exactly
