@@ -123,32 +123,33 @@ def _block_columns(T, coeffs, Tg, gcoeffs, box):
     seen.  The result is closed under row sharing: every column reaching
     one of its rows is in it.
     """
-    # multi-indices are held by axis, (poly_dim, n): the broadcasts then
-    # run along the terms and the rows, not along the few axes.  No column
-    # exceeds an exponent of f, so clipping the box below 2^63 is exact, and
-    # a negative alpha, read unsigned, lies above it
+    # the broadcasts hold multi-indices by axis, (poly_dim, ...), so that
+    # they run along the terms and the rows, not along the few axes.  No
+    # column exceeds an exponent of f, so clipping the box below 2^63 is
+    # exact, and a negative alpha, read unsigned, lies above it
     box = np.array([min(b, 2**63 - 1) for b in box], dtype=np.uint64)[:, None, None]
-    nz = coeffs != 0
-    TT = np.ascontiguousarray(T.T)
+    nz, TT = coeffs != 0, T.T
     terms = [TT[:, on] for on in nz.T]  # per component, the T_t with a_{t,c} != 0
     rows = [Tg[on].T for on in (gcoeffs != 0).T]  # per component, the rows r
-    alpha = np.zeros((len(TT), 0), dtype=np.int64)
+    alpha = np.zeros((0, len(TT)), dtype=np.int64)
     while True:
-        cands = [Tc[:, None] - r[:, :, None] for Tc, r in zip(terms, rows)]
-        cols = np.concatenate([alpha] + [c.reshape(len(c), -1)[
-            :, np.flatnonzero((c.view(np.uint64) <= box).all(axis=0))] for c in cands],
-            axis=1)
-        by_key, run = _runs(cols.T)
+        found = [alpha]
+        for Tc, r in zip(terms, rows):
+            c = Tc[:, None] - r[:, :, None]
+            ok = (c.view(np.uint64) <= box).all(axis=0)
+            found.append(c.reshape(len(c), -1)[:, np.flatnonzero(ok)].T)
+        cols = np.concatenate(found)
+        by_key, run = _runs(cols)
         first = by_key[run]
-        new = cols[:, first[first >= alpha.shape[1]]]
-        if not new.shape[1]:
+        new = cols[first[first >= len(alpha)]]
+        if not len(new):
             break
-        alpha = np.concatenate([alpha, new], axis=1)
-        beta = TT[:, None] - new[:, :, None]
+        alpha = np.concatenate([alpha, new])
+        beta = TT[:, None] - new.T[:, :, None]
         i, t = (beta >= 0).all(axis=0).nonzero()
         beta, on = beta[:, i, t], nz[t]
         rows = [beta[:, on_c] for on_c in on.T]
-    return alpha.T[np.lexsort(alpha[::-1])]
+    return alpha[np.lexsort(alpha.T[::-1])]
 
 
 def _exact_norm(r):
@@ -156,24 +157,25 @@ def _exact_norm(r):
     imaginary parts (each square rounded once), so it depends neither on
     the order of r nor on its zeros.
 
-    Each square is mant 2^(e - 53) with mant an integer below 2^53.  Per
-    exponent e, one bincount sums the mantissas' high halves (from bit 26)
-    and one their low halves, exactly while fewer than 2^26 squares share
-    an exponent; fsum adds these sums, each exact as a float, in place of
-    the squares themselves, which cost it several times more.  Squares that
-    are subnormal, near overflow or not finite go to fsum directly.
+    Below 1024 squares fsum sums them.  From there on, fsum costs several
+    times more than this: each square is mant 2^(e - 53) with mant an
+    integer below 2^53, and per exponent e one bincount sums the mantissas'
+    high halves (from bit 26) and one their low halves, exactly while fewer
+    than 2^26 squares share an exponent; fsum then adds these sums, each
+    exact as a float.  Squares that are subnormal, near overflow or not
+    finite go to fsum too.
     """
     sq = np.square(r.view(np.float64))
-    m, e = np.frexp(sq)
-    if not (0 < len(sq) < 2**26 and e.min() > -1022 and sq.max() < 2.0**990):
-        return sqrt(fsum(sq.tolist()))
-    mant = np.ldexp(m, 53).astype(np.int64)
-    low = e.min()
-    scale = np.arange(e.max() - low + 1) + (low - 53)  # 2^(e - 53) per bin
-    bins = e - low
-    hi = np.ldexp(np.bincount(bins, mant >> 26), scale + 26)
-    lo = np.ldexp(np.bincount(bins, mant & (2**26 - 1)), scale)
-    return sqrt(fsum(hi.tolist() + lo.tolist()))
+    if 1024 <= len(sq) < 2**26:
+        m, e = np.frexp(sq)
+        low = e.min()
+        if low > -1022 and sq.max() < 2.0**990:
+            mant = np.ldexp(m, 53).astype(np.int64)
+            scale = np.arange(e.max() - low + 1) + (low - 53)  # 2^(e - 53) per bin
+            hi = np.ldexp(np.bincount(e - low, mant >> 26), scale + 26)
+            lo = np.ldexp(np.bincount(e - low, mant & (2**26 - 1)), scale)
+            sq = np.concatenate([hi, lo])
+    return sqrt(fsum(sq.tolist()))
 
 
 def _assemble(T, coeffs, Tg, gcoeffs, alpha):

@@ -784,13 +784,14 @@ def _norm_cases():
     rng = np.random.default_rng(7)
     cases = {"empty": np.zeros(0, complex), "zeros": np.zeros(3, complex),
              "one": np.array([3 - 4j]),
-             # a subnormal square goes to fsum
-             "subnormal": np.array([1e-160 + 1e-158j, 3.0]),
-             "near_overflow": np.array([1e153 + 0j, 1e-200]),
-             # 10^5 equal squares in one exponent, and carries across exponents
+             # from 512 entries (1024 squares) on, the sums per exponent:
+             # 10^5 equal squares in one exponent, carries across exponents,
+             # and squares that go to fsum, subnormal or near overflow
              "one_exponent": np.full(10**5, (1 - 2**-53) + 0j),
-             "carries": np.array([2.0**k * (1 + 2**-30) + 0j for k in range(-40, 40)])}
-    for n in (2, 100, 5000):
+             "carries": np.repeat([2.0**k * (1 + 2**-30) + 0j for k in range(-40, 40)], 8),
+             "subnormal": np.append(np.full(600, 1 + 1j), 1e-160 + 1e-158j),
+             "near_overflow": np.append(np.full(600, 1e-200 + 0j), 1e153)}
+    for n in (2, 100, 511, 512, 5000):
         for spread in (3, 40, 300):
             r = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.exp(
                 rng.uniform(-spread, 0.5, n))
