@@ -157,13 +157,13 @@ def _exact_norm(r):
     imaginary parts (each square rounded once), so it depends neither on
     the order of r nor on its zeros.
 
-    Below 1024 squares fsum sums them.  From there on, fsum costs several
-    times more than this: each square is mant 2^(e - 53) with mant an
-    integer below 2^53, and per exponent e one bincount sums the mantissas'
-    high halves (from bit 26) and one their low halves, exactly while fewer
-    than 2^26 squares share an exponent; fsum then adds these sums, each
-    exact as a float.  Squares that are subnormal, near overflow or not
-    finite go to fsum too.
+    Below 1024 squares fsum sums them directly.  From there on that costs
+    several times more than summing per exponent: each square is
+    mant 2^(e - 53) with mant an integer below 2^53, and per exponent e one
+    bincount sums the mantissas' high halves (from bit 26) and one their
+    low halves, exactly while fewer than 2^26 squares share an exponent;
+    fsum then adds these sums, each exact as a float.  Squares that are
+    subnormal, near overflow or not finite go to fsum directly too.
     """
     sq = np.square(r.view(np.float64))
     if 1024 <= len(sq) < 2**26:

@@ -838,7 +838,7 @@ def test_replay_is_exactly_rounded_on_general_coefficients():
 # residual_final against a replay by another product: numpy's norm of
 # scipy's CSR product A x - b rounds the complex products and the sum of
 # squares its own way.  Two replays by `_assemble` sum their squares
-# exactly (fsum), so on the same coefficients they agree bit for bit
+# exactly (`_exact_norm`), so on the same coefficients they agree bit for bit
 # whatever rows they cover beyond the block's
 REPLAY_ULPS = 4
 
@@ -1318,6 +1318,15 @@ def test_merge_and_fold_cut_the_pair_block_to_a_quarter(monkeypatch):
     rep, _, Bs = _recorded(monkeypatch, lambda: orbit_project(f, g, 512))
     assert rep.detail["block"] == (259 + 257, 257)
     assert [len(B) for B in Bs] == [66]
+
+
+def test_small_blocks_keep_their_twins(monkeypatch):
+    # under _FOLD_COLUMNS columns neither the merge nor the fold runs: the
+    # merged pair's twins all reach tpqrt, as at the parent of the merge
+    f, g, n = _disc_series_case("pair", 4, 40)
+    rep, _, (B,) = _recorded(monkeypatch, lambda: orbit_project(f, g, n))
+    rows, m = rep.detail["block"]
+    assert m < orbit._FOLD_COLUMNS and len(B) == rows - m == 27
 
 
 @pytest.mark.parametrize("box", [(2**8, 3**4), (2**10, 3**5), (2**12, 3**7),
