@@ -30,4 +30,4 @@ dc = DivisorClosedSet({4, 6})
 spec = IntegerSpectrum.crt(CrtSequenceSpec(dc))
 print("divisor closure of {4, 6}:", sorted(dc.closure))
 print("good powers up to 8:", sorted(af_membership(spec, 8)))
-print("first CRT terms mod 12:", [spec.residue(k, 12) for k in range(1, 9)])
+print("first CRT terms mod 12:", spec.residues(12, 8))

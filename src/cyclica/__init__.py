@@ -41,9 +41,7 @@ from .constructions import (
     DivisorClosedSet,
     abakumov_weights,
     crc_sequence,
-    crt_sequence_residue,
     crt_sequence_value,
-    factorial_residue,
     factorial_sequence,
 )
 from .multishift import (

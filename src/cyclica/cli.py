@@ -30,7 +30,6 @@ from .constructions import (
     CrtSequenceSpec,
     DivisorClosedSet,
     crc_sequence,
-    factorial_sequence,
 )
 from .core import Tolerances, VectorSeries
 from .io import (
@@ -163,11 +162,6 @@ def _cmd_construct(args, config):
         header = ("index", "value" if args.mod is None else "residue")
         if args.mod is not None:
             column = s.residues(args.mod, args.count)
-        elif args.generator == "factorial":
-            try:
-                column = [factorial_sequence(k) for k in ks]
-            except OverflowError as exc:
-                raise InputError(str(exc)) from exc
         else:
             column = s.terms(args.count)
         rows = list(zip(ks, column))

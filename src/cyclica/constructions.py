@@ -26,11 +26,9 @@ __all__ = [
     "PRIME_TABLE_SIZE",
     "primes",
     "factorial_sequence",
-    "factorial_residue",
     "factorial_residues",
     "DivisorClosedSet",
     "CrtSequenceSpec",
-    "crt_sequence_residue",
     "crt_sequence_residues",
     "crt_sequence_value",
     "CrcPointSet",
@@ -63,14 +61,14 @@ def primes(count: int = PRIME_TABLE_SIZE) -> tuple:
 def factorial_sequence(k: int) -> int:
     """n_k = (k+1)! + k, exact only while it fits a 64-bit integer.
 
-    Use :func:`factorial_residue` for arbitrary k.
+    Use :func:`factorial_residues` for a residue view at any k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > _MAX_EXACT_K:
         raise OverflowError(
             f"(k+1)!+k exceeds the 64-bit range for k = {k} > {_MAX_EXACT_K}; "
-            "use factorial_residue for a residue view"
+            "use factorial_residues for a residue view"
         )
     return math.factorial(k + 1) + k
 
@@ -94,13 +92,6 @@ def factorial_residues(count: int, modulus: int) -> list:
     factorials never materialize."""
     return [(f + k) % modulus
             for k, f in enumerate(_factorials_mod(count, modulus), 1)]
-
-
-def factorial_residue(k: int, modulus: int) -> int:
-    """((k+1)! + k) mod modulus: the last entry of :func:`factorial_residues`."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return factorial_residues(k, modulus)[-1]
 
 
 @dataclass(frozen=True)
@@ -175,14 +166,6 @@ class CrtSequenceSpec:
                 f"k = {k} exceeds the prime table ({PRIME_TABLE_SIZE} primes)"
             )
 
-    def a(self, k: int) -> int:
-        self._check_k(k)
-        return math.prod(p ** min(k, e) for p, e in self._exponents[:k])
-
-    def b(self, k: int) -> tuple:
-        self._check_k(k)
-        return tuple(p for p, e in self._exponents[:k] if e == 0)
-
     def r(self, k: int) -> int:
         self._check_k(k)
         return self.offsets(k)[-1]
@@ -227,12 +210,6 @@ def crt_sequence_residues(spec: CrtSequenceSpec, count: int, modulus: int) -> li
     without materializing (k+1)! at full size."""
     return [(f + r) % modulus
             for f, r in zip(_factorials_mod(count, modulus), spec.offsets(count))]
-
-
-def crt_sequence_residue(spec: CrtSequenceSpec, k: int, modulus: int) -> int:
-    """n_k mod modulus: the last entry of :func:`crt_sequence_residues`."""
-    spec._check_k(k)
-    return crt_sequence_residues(spec, k, modulus)[-1]
 
 
 @dataclass(frozen=True)

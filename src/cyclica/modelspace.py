@@ -10,6 +10,8 @@ vectors -> Theta -> cyclic generator).  Each peeling stage takes one SVD:
 its right singular basis gives both the constant and an orthonormal basis
 of the constant's complement, and the deflation is an isometry on that
 complement, so the basis stays orthonormal without re-orthonormalization.
+The product is assembled by one step per factor on all coefficients at
+once, Theta_k[m] = Theta_(k-1)[m] (1 - P_k) + Theta_(k-1)[m-1] P_k.
 
 All subspace work happens in the (N+1)*d-dimensional coefficient space of
 polynomials of degree at most N; polynomials are stacked with coefficient j
@@ -88,32 +90,6 @@ class MatrixPolynomial:
             zp = nxt
         return out
 
-    def __matmul__(self, other):
-        if not isinstance(other, MatrixPolynomial):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        a, b = self.coeffs, other.coeffs
-        out = np.zeros((a.shape[0] + b.shape[0] - 1, self.dim, self.dim),
-                       dtype=complex)
-        for i in range(a.shape[0]):
-            for j in range(b.shape[0]):
-                out[i + j] += a[i] @ b[j]
-        return MatrixPolynomial(self.dim, out)
-
-    @classmethod
-    def identity(cls, dim):
-        return cls(dim, np.eye(dim, dtype=complex)[None, :, :])
-
-    @classmethod
-    def blaschke_factor(cls, x):
-        """(1 - P) + z P with P the projection onto the unit vector x."""
-        x = np.asarray(x, dtype=complex)
-        x = x / _factor_norm(x)
-        P = np.outer(x, x.conj())
-        I = np.eye(x.shape[0], dtype=complex)
-        return cls(x.shape[0], np.stack([I - P, P]))
-
 
 def _factor_norm(x):
     """The norm of a factor vector, or ValueError when it lies outside
@@ -148,12 +124,23 @@ class PotapovProduct:
             raise ValueError("factor vectors must have length dim")
         norms = [_factor_norm(x) for x in factors]
         fs = tuple(x / n for x, n in zip(fs, norms))
-        theta = MatrixPolynomial.identity(d)
+        I = np.eye(d, dtype=complex)
+        theta = I[None]
         for x in fs:
-            theta = theta @ MatrixPolynomial.blaschke_factor(x)
+            # x is already a unit vector, but x / ||x|| can differ from it
+            # in the last bit, and the committed factorize reports hold the
+            # product of projections onto x / ||x||
+            x = x / np.linalg.norm(x)
+            P = np.outer(x, x.conj())
+            step = np.zeros((len(theta) + 1, d, d), dtype=complex)
+            step[:-1] += theta @ (I - P)
+            step[1:] += theta @ P
+            theta = step
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "factors", fs)
-        object.__setattr__(self, "assembled", theta)
+        # trims the trailing zero coefficients, e.g. the top one of
+        # orthogonal consecutive factors, where P_(k-1) P_k = 0
+        object.__setattr__(self, "assembled", MatrixPolynomial(d, theta))
 
     @property
     def n_factors(self):

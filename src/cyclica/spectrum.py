@@ -136,11 +136,6 @@ class IntegerSpectrum:
             return constructions.factorial_residues(K, modulus)
         return constructions.crt_sequence_residues(self.crt_spec, K, modulus)
 
-    def residue(self, k: int, modulus: int) -> int:
-        """term(k) mod modulus: the last entry of :meth:`residues`."""
-        self._check_index(k)
-        return self.residues(modulus, k)[-1]
-
     def _horizon(self, horizon):
         if self.kind == "explicit":
             horizon = min(horizon, len(self.values))

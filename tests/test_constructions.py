@@ -12,9 +12,7 @@ from cyclica import (
     IntegerSpectrum,
     abakumov_weights,
     crc_sequence,
-    crt_sequence_residue,
     crt_sequence_value,
-    factorial_residue,
     factorial_sequence,
     scalar_series,
 )
@@ -43,12 +41,12 @@ def test_factorial_sequence_overflow_guard():
 @given(k=st.integers(1, 19), N=st.integers(1, 97))
 @settings(max_examples=100, deadline=None)
 def test_factorial_residue_matches_exact(k, N):
-    assert factorial_residue(k, N) == factorial_sequence(k) % N
+    assert factorial_residues(k, N)[-1] == factorial_sequence(k) % N
 
 
 def test_factorial_residue_streams_past_overflow():
     # exact evaluation is impossible at k=100, the residue is still cheap
-    assert factorial_residue(100, 7) == (math.factorial(101) + 100) % 7
+    assert factorial_residues(100, 7)[-1] == (math.factorial(101) + 100) % 7
 
 
 # -- divisor-closed sets ------------------------------------------------------
@@ -79,7 +77,7 @@ def test_closure_contains_one_and_generators():
 def test_crt_residues_cover_closure_members():
     spec = CrtSequenceSpec(DivisorClosedSet([4, 6]))
     for a in sorted(DivisorClosedSet([4, 6]).closure):
-        seen = {crt_sequence_residue(spec, k, a) for k in range(a, a + 64)}
+        seen = set(crt_sequence_residues(spec, a + 63, a)[a - 1:])  # k = a..a+63
         assert seen == set(range(a)), f"classes mod {a} not all hit"
 
 
@@ -87,7 +85,7 @@ def test_crt_residues_vanish_outside_closure():
     # for a prime b outside the closure, n_k = 0 (mod b) for large k
     spec = CrtSequenceSpec(DivisorClosedSet([4, 6]))
     for b in (5, 7, 11):
-        assert all(crt_sequence_residue(spec, k, b) == 0 for k in range(32, 48))
+        assert crt_sequence_residues(spec, 47, b)[31:] == [0] * 16  # k = 32..47
 
 
 def test_crt_value_consistent_with_residue():
@@ -95,13 +93,17 @@ def test_crt_value_consistent_with_residue():
     for k in range(1, 10):
         v = crt_sequence_value(spec, k)
         for N in (2, 3, 4, 6, 5):
-            assert v % N == crt_sequence_residue(spec, k, N)
+            assert v % N == crt_sequence_residues(spec, k, N)[-1]
 
 
 def _iterative_crt_r(spec, k):
-    """r_k by pairing k (mod a_k) with 0 (mod b) once per prime b in B_k."""
-    res, mod = k % spec.a(k), spec.a(k)
-    for b in spec.b(k):
+    """r_k by pairing k (mod a_k) with 0 (mod b) once per prime b in B_k,
+    where a_k = prod_{i<=k} p_i^min(k, alpha_{p_i}) and B_k holds the p_i,
+    i <= k, with alpha_{p_i} = 0."""
+    alphas = [(p, spec.alpha(p)) for p in primes(k)]
+    mod = math.prod(p ** min(k, e) for p, e in alphas)
+    res = k % mod
+    for b in (p for p, e in alphas if e == 0):
         assert math.gcd(mod, b) == 1
         res = (res + mod * ((0 - res) * pow(mod, -1, b) % b)) % (mod * b)
         mod *= b
@@ -156,13 +158,9 @@ def test_per_index_forms_are_stream_entries():
     spec = CrtSequenceSpec(DivisorClosedSet([4, 6]))
     for k in (1, 2, 17, 256):
         assert spec.r(k) == _iterative_crt_r(spec, k)
-        assert crt_sequence_residue(spec, k, 7) == (
+        assert crt_sequence_residues(spec, k, 7)[-1] == (
             math.factorial(k + 1) + spec.r(k)) % 7
-        assert factorial_residue(k, 7) == (math.factorial(k + 1) + k) % 7
-    s = IntegerSpectrum.explicit([2, 9])
-    assert s.residue(2, 4) == 1
-    with pytest.raises(IndexError):
-        s.residue(3, 4)  # past the end, not the last residue of a cut stream
+        assert factorial_residues(k, 7)[-1] == (math.factorial(k + 1) + k) % 7
     with pytest.raises(ValueError, match="prime table"):
         spec.offsets(PRIME_TABLE_SIZE + 1)
     with pytest.raises(ValueError, match="modulus"):
@@ -173,8 +171,6 @@ def test_crt_alpha_oracle():
     # alpha_p is the largest power of p dividing a closure member
     spec = CrtSequenceSpec(DivisorClosedSet([8, 9, 25, 30]))
     assert [spec.alpha(p) for p in (2, 3, 5, 7, 11)] == [3, 2, 2, 0, 0]
-    assert spec.a(3) == 2**3 * 3**2 * 5**2
-    assert spec.b(5) == (7, 11)
 
 
 def test_crt_values_strictly_increasing():

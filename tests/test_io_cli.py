@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,14 @@ def test_construct_subcommand_csv(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert len(rows) == 7  # header + 6 terms
     assert int(rows[1][1]) == 3
+
+
+def test_construct_factorial_prints_exact_values_past_64_bits(capsys):
+    # (k+1)! + k leaves the 64-bit range at k = 20; the values stay exact
+    assert dispatch(["construct", "factorial", "--count", "25"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 26
+    assert lines[-1] == f"25,{math.factorial(26) + 25}"
 
 
 def test_construct_rejects_report(tmp_path, capsys):

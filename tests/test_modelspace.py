@@ -19,27 +19,83 @@ from cyclica.modelspace import (
     model_space_basis,
 )
 
+from conftest import edge_coeffs
+
 
 def _phase_free(x, y, atol=1e-9):
     """Equality of unit vectors up to a unimodular phase."""
     return abs(abs(np.vdot(x, y)) - 1.0) < atol
 
 
-# -- MatrixPolynomial ---------------------------------------------------------
+# -- the product and MatrixPolynomial -----------------------------------------
+
+
+def _pairwise_product(d, factors):
+    """Theta by the generic product: the identity times each factor
+    (1 - P) + zP, P onto x / ||x||, each product a convolution of the
+    coefficient lists trimmed of trailing zeros."""
+    theta = np.eye(d, dtype=complex)[None]
+    for x in factors:
+        x = x / np.linalg.norm(x)
+        P = np.outer(x, x.conj())
+        b = np.stack([np.eye(d, dtype=complex) - P, P])
+        out = np.zeros((len(theta) + 1, d, d), dtype=complex)
+        for i in range(len(theta)):
+            for j in range(2):
+                out[i + j] += theta[i] @ b[j]
+        theta = MatrixPolynomial(d, out).coeffs
+    return theta
+
+
+def _factor_draws(d, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(12):
+        fs = edge_coeffs(rng, (int(rng.integers(1, 26)), d))
+        yield [x for x in fs if np.any(x != 0)] or [np.ones(d)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+def test_product_matches_pairwise_product_bit_for_bit(d):
+    # exact zeros and -0.0 parts in the factors, which the per-factor step
+    # must treat as the convolution did
+    for fs in _factor_draws(d, seed=d):
+        pp = PotapovProduct(d, fs)
+        ref = _pairwise_product(d, pp.factors)
+        assert pp.assembled.coeffs.shape == ref.shape
+        assert pp.assembled.coeffs.tobytes() == ref.tobytes()
+
+
+def test_orthogonal_consecutive_factors_trim_the_top_coefficient():
+    # P_1 P_2 = 0, so the z^3 coefficient P_1 P_2 P_1 vanishes
+    e1, e2 = np.eye(2)
+    pp = PotapovProduct(2, [e1, e2, e1])
+    assert pp.assembled.degree == 2
+    assert pp.assembled.coeffs.tobytes() == _pairwise_product(2, pp.factors).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_product_matches_pointwise_factors(d):
+    # Theta(z) = prod_k ((1 - P_k) + z P_k) at points of the disc
+    for fs in _factor_draws(d, seed=100 + d):
+        pp = PotapovProduct(d, fs)
+        for z in (0.0, 0.5, 0.3 + 0.4j, -0.9j, 0.99 * np.exp(2.0j)):
+            ref = np.eye(d, dtype=complex)
+            for x in pp.factors:
+                P = np.outer(x, x.conj())
+                ref = ref @ (np.eye(d) - P + z * P)
+            assert np.abs(pp.assembled(z) - ref).max() < 1e-13
 
 
 def test_blaschke_factor_evaluation():
-    th = MatrixPolynomial.blaschke_factor([0.0, 1.0])
+    th = PotapovProduct(2, [[0.0, 1.0]]).assembled
     # at z: (1-P) + zP with P = e2 projection
     m = th(0.5)
     assert np.allclose(m, np.diag([1.0, 0.5]))
 
 
-def test_matmul_convolution_oracle():
-    a = MatrixPolynomial.blaschke_factor([1.0, 0.0])
-    b = MatrixPolynomial.blaschke_factor([1.0, 0.0])
-    prod = a @ b
+def test_repeated_factor_oracle():
     # ((1-P) + zP)^2 = (1-P) + z^2 P for a projection P
+    prod = PotapovProduct(2, [[1.0, 0.0], [1.0, 0.0]]).assembled
     assert prod.degree == 2
     assert np.allclose(prod(0.3), np.diag([0.3**2, 1.0]))
 
@@ -140,13 +196,13 @@ def test_blaschke_factor_rejects_a_norm_outside_0_inf(x):
     # the norm is 0, inf or nan: a NaN factor, or the identity when the
     # norm overflowed, used to come back in place of an error
     with pytest.raises(ValueError, match="underflows to 0 nor overflows to inf"):
-        MatrixPolynomial.blaschke_factor(x)
+        PotapovProduct(2, [x])
 
 
 def test_blaschke_factor_of_a_large_vector():
     # squares up to 1e300 stay finite: the factor of the direction (1, 1)
-    got = MatrixPolynomial.blaschke_factor([1e150, 1e150])
-    ref = MatrixPolynomial.blaschke_factor([1.0, 1.0])
+    got = PotapovProduct(2, [[1e150, 1e150]]).assembled
+    ref = PotapovProduct(2, [[1.0, 1.0]]).assembled
     assert got.degree == 1
     assert np.allclose(got.coeffs, ref.coeffs, atol=1e-15)
 

@@ -47,7 +47,7 @@ def test_terms_are_one_indexed():
 @settings(max_examples=80, deadline=None)
 def test_streamed_residue_matches_term(k, N):
     for s in (IntegerSpectrum.geometric(3), IntegerSpectrum.factorial_plus_k()):
-        assert s.residue(k, N) == s.term(k) % N
+        assert s.residues(N, k)[-1] == s.term(k) % N
 
 
 def test_factorial_residue_congruent_to_k():
@@ -55,7 +55,7 @@ def test_factorial_residue_congruent_to_k():
     s = IntegerSpectrum.factorial_plus_k()
     for N in range(2, 13):
         for k in range(N - 1, N + 20):
-            assert s.residue(k, N) == k % N
+            assert s.residues(N, k)[-1] == k % N
 
 
 # -- lacunarity and difference multiplicity -----------------------------------
