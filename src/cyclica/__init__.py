@@ -41,8 +41,6 @@ from .constructions import (
     DivisorClosedSet,
     abakumov_weights,
     crc_sequence,
-    crt_sequence_value,
-    factorial_sequence,
 )
 from .multishift import (
     ReshapedSeries,

@@ -45,10 +45,9 @@ from .multishift import af_membership, sstarN_cyclicity
 from .polydisc import check_c1_c2, polydisc_cyclicity
 from .spectrum import (
     IntegerSpectrum,
+    _admits_SstarN,
     difference_multiplicity,
     lacunarity_ratio,
-    residues_hit,
-    spectrum_admits_SstarN,
 )
 from .verdicts import STATUS_CLASSES
 
@@ -129,8 +128,9 @@ def _cmd_spectrum(args, config):
         out["difference_multiplicity"] = difference_multiplicity(s, K)
     if args.residues is not None:
         N = args.residues
-        out["residues_hit"] = sorted(residues_hit(s, N, K))
-        out["admits_SstarN"] = spectrum_admits_SstarN(s, N, K).to_dict()
+        res = s.residues(N, K)
+        out["residues_hit"] = sorted(set(res))
+        out["admits_SstarN"] = _admits_SstarN(s, N, K, lambda: res).to_dict()
     _emit(out, args, config)
     return 0
 

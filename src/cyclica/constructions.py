@@ -10,13 +10,17 @@ Four constructions live here:
 * coefficient sequences a_k = sum_j lambda_k^j x_j whose every d-element
   subset spans C^d (a Vandermonde argument);
 * the tail weights R_k = ||a_k||^2 / sum_{j>k} ||a_j||^2.
+
+Both integer sequences are evaluated by :class:`~cyclica.IntegerSpectrum` as
+a running product plus an offset, n_k = P_k + r_k with P_k = P_(k-1) (k+1);
+the offsets r_k of the CRT sequence come from :meth:`CrtSequenceSpec.offsets`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,19 +29,12 @@ from .core import VectorSeries
 __all__ = [
     "PRIME_TABLE_SIZE",
     "primes",
-    "factorial_sequence",
-    "factorial_residues",
     "DivisorClosedSet",
     "CrtSequenceSpec",
-    "crt_sequence_residues",
-    "crt_sequence_value",
     "CrcPointSet",
     "crc_sequence",
     "abakumov_weights",
 ]
-
-# Largest factorial argument for which (k+1)! + k is still exact in 64 bits.
-_MAX_EXACT_K = 19
 
 PRIME_TABLE_SIZE = 256
 
@@ -56,42 +53,6 @@ def primes(count: int = PRIME_TABLE_SIZE) -> tuple:
     if found.size < count:  # pragma: no cover - headroom is generous
         return primes.__wrapped__(count * 2)[:count]
     return tuple(int(p) for p in found[:count])
-
-
-def factorial_sequence(k: int) -> int:
-    """n_k = (k+1)! + k, exact only while it fits a 64-bit integer.
-
-    Use :func:`factorial_residues` for a residue view at any k.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > _MAX_EXACT_K:
-        raise OverflowError(
-            f"(k+1)!+k exceeds the 64-bit range for k = {k} > {_MAX_EXACT_K}; "
-            "use factorial_residues for a residue view"
-        )
-    return math.factorial(k + 1) + k
-
-
-def _factorials_mod(count: int, modulus: int) -> list:
-    """[(k+1)! mod modulus for k = 1..count], one product per k."""
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    out, fact = [], 1
-    for k in range(1, count + 1):
-        fact = fact * (k + 1) % modulus
-        if fact == 0:  # and so is every later factorial
-            out += [0] * (count - k + 1)
-            break
-        out.append(fact)
-    return out
-
-
-def factorial_residues(count: int, modulus: int) -> list:
-    """[((k+1)! + k) mod modulus for k = 1..count] in one pass, so the
-    factorials never materialize."""
-    return [(f + k) % modulus
-            for k, f in enumerate(_factorials_mod(count, modulus), 1)]
 
 
 @dataclass(frozen=True)
@@ -133,8 +94,7 @@ class CrtSequenceSpec:
     and r_k is the canonical residue with r_k = k (mod a_k) and
     r_k = 0 (mod b) for every b in B_k.  The primes of a_k and of B_k are
     disjoint, so with M = prod B_k one pairing gives
-    r_k = M * (k * M^-1 mod a_k).  :meth:`offsets` streams r_1, ..., r_K;
-    :meth:`r` is its last entry.
+    r_k = M * (k * M^-1 mod a_k).  :meth:`offsets` streams r_1, ..., r_K.
     """
 
     divisor_set: DivisorClosedSet
@@ -150,26 +110,6 @@ class CrtSequenceSpec:
             best = max(best, e)
         return best
 
-    @cached_property
-    def _exponents(self) -> tuple:
-        """(p, alpha_p) for each prime of the table, in table order."""
-        # a prime above every generator divides none of them
-        top = max(self.divisor_set.generators, default=0)
-        return tuple((p, self.alpha(p) if p <= top else 0)
-                     for p in primes(PRIME_TABLE_SIZE))
-
-    def _check_k(self, k):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if k > PRIME_TABLE_SIZE:
-            raise ValueError(
-                f"k = {k} exceeds the prime table ({PRIME_TABLE_SIZE} primes)"
-            )
-
-    def r(self, k: int) -> int:
-        self._check_k(k)
-        return self.offsets(k)[-1]
-
     def offsets(self, count: int) -> list:
         """[r_1, ..., r_count] in one pass.
 
@@ -178,12 +118,16 @@ class CrtSequenceSpec:
         or M gains p_k; M mod a_k is carried along, so each step inverts a
         number below a_k instead of rebuilding both products.
         """
-        if count:
-            self._check_k(count)
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        if count > PRIME_TABLE_SIZE:
+            raise ValueError(
+                f"k = {count} exceeds the prime table ({PRIME_TABLE_SIZE} primes)"
+            )
         out = []
         a, m, m_mod_a = 1, 1, 0
         powered = []  # (p_i, alpha_{p_i}) for the primes of a_k so far
-        for k, (p, e) in enumerate(self._exponents[:count], 1):
+        for k, (p, e) in enumerate(_exponents(self)[:count], 1):
             grow = math.prod(q for q, eq in powered if eq >= k)
             if e:
                 grow *= p ** min(k, e)
@@ -199,17 +143,14 @@ class CrtSequenceSpec:
         return out
 
 
-def crt_sequence_value(spec: CrtSequenceSpec, k: int) -> int:
-    """Exact n_k = (k+1)! + r_k as an arbitrary-precision integer."""
-    spec._check_k(k)
-    return math.factorial(k + 1) + spec.r(k)
-
-
-def crt_sequence_residues(spec: CrtSequenceSpec, count: int, modulus: int) -> list:
-    """[n_k mod modulus for k = 1..count] in one pass over :meth:`offsets`,
-    without materializing (k+1)! at full size."""
-    return [(f + r) % modulus
-            for f, r in zip(_factorials_mod(count, modulus), spec.offsets(count))]
+@lru_cache
+def _exponents(spec: CrtSequenceSpec) -> tuple:
+    """(p, alpha_p) for each prime of the table, in table order; specs with
+    the same generators are equal and share one table."""
+    # a prime above every generator divides none of them
+    top = max(spec.divisor_set.generators, default=0)
+    return tuple((p, spec.alpha(p) if p <= top else 0)
+                 for p in primes(PRIME_TABLE_SIZE))
 
 
 @dataclass(frozen=True)

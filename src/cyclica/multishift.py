@@ -157,7 +157,7 @@ def _block_residues(spectrum: IntegerSpectrum, N: int, horizon: int):
         raise ValueError("N must be >= 1")
     # exact block keys; arbitrary-precision integers keep this cheap at the
     # horizons in use
-    return [divmod(n, N) for n in spectrum.terms(spectrum._horizon(horizon))]
+    return [divmod(n, N) for n in spectrum.terms(horizon)]
 
 
 def _stacked_verdict(pairs, N, seed, tol):

@@ -4,19 +4,19 @@ Hadamard lacunarity, difference multiplicity, residue-class coverage modulo N,
 bounded-block structure, and the two polydisc sparseness conditions (bounded
 multi-index difference multiplicity, componentwise gap divergence).
 
-Spectra are 1-indexed: ``term(1)`` is the first exponent, matching the usual
-n_1 < n_2 < ... notation.
+Spectra are 1-indexed: ``terms(K)`` lists n_1 < n_2 < ... < n_K, matching
+the usual notation.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from . import constructions
 from .verdicts import NO_WITNESS, PROVEN, YES_AT_HORIZON, Verdict
 
 __all__ = [
@@ -36,11 +36,14 @@ __all__ = [
 class IntegerSpectrum:
     """A strictly increasing sequence of nonnegative integer exponents.
 
-    Backed either by an explicit list or by one of three named lazy
-    generators.  Generator evaluation is deterministic and restartable.
-    :meth:`residues` streams n_1, ..., n_K modulo N in one pass for every
-    kind, one product per step, so factorial-scale exponents are never
-    materialized unless explicitly requested via ``term`` or ``terms``.
+    Backed either by an explicit tuple or by one of three generators, each a
+    running product plus an offset, n_k = P_k + r_k with P_k = P_(k-1) m_k
+    and P_0 = 1: geometric has m_k = b and r_k = 0, ``factorial_plus_k``
+    m_k = k + 1 and r_k = k, and crt m_k = k + 1 with r_k from
+    :meth:`CrtSequenceSpec.offsets`.  :meth:`terms` runs the product
+    exactly; :meth:`residues` runs it modulo N, one product per step, so
+    factorial-scale exponents are never built for a residue.  Both cut the
+    horizon K to the spectrum's length.
     """
 
     def __init__(self, kind, *, values=None, base=None, crt_spec=None):
@@ -49,23 +52,18 @@ class IntegerSpectrum:
         self.kind = kind
         self.base = base
         self.crt_spec = crt_spec
+        self.values = None
         if kind == "explicit":
-            vals = [int(v) for v in values]
+            vals = [operator.index(v) for v in values]
             if any(v < 0 for v in vals):
                 raise ValueError("exponents must be nonnegative")
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 raise ValueError("exponents must be strictly increasing")
             self.values = tuple(vals)
-        elif kind == "geometric":
-            if base is None or base < 2:
-                raise ValueError("geometric base must be an integer >= 2")
-            self.values = None
-        elif kind == "crt":
-            if crt_spec is None:
-                raise ValueError("crt spectrum needs a CrtSequenceSpec")
-            self.values = None
-        else:
-            self.values = None
+        elif kind == "geometric" and (base is None or base < 2):
+            raise ValueError("geometric base must be an integer >= 2")
+        elif kind == "crt" and crt_spec is None:
+            raise ValueError("crt spectrum needs a CrtSequenceSpec")
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -74,7 +72,7 @@ class IntegerSpectrum:
 
     @classmethod
     def geometric(cls, a):
-        return cls("geometric", base=int(a))
+        return cls("geometric", base=operator.index(a))
 
     @classmethod
     def factorial_plus_k(cls):
@@ -94,57 +92,42 @@ class IntegerSpectrum:
     def is_finite(self):
         return self.kind == "explicit"
 
-    def _check_index(self, k):
-        if k < 1:
-            raise IndexError("spectra are 1-indexed")
-        if self.kind == "explicit" and k > len(self.values):
-            raise IndexError(f"spectrum has only {len(self.values)} terms")
-
-    def term(self, k: int) -> int:
-        """The k-th exponent (1-indexed), as an exact integer."""
-        self._check_index(k)
-        if self.kind == "explicit":
-            return self.values[k - 1]
+    def _steps(self, K):
+        """(m_k, r_k) for k = 1..K of a generator spectrum."""
         if self.kind == "geometric":
-            return self.base**k
-        if self.kind == "factorial_plus_k":
-            # arbitrary-precision on explicit request
-            return math.factorial(k + 1) + k
-        return constructions.crt_sequence_value(self.crt_spec, k)
+            return zip(repeat(self.base, K), repeat(0, K))
+        offsets = (range(1, K + 1) if self.kind == "factorial_plus_k"
+                   else self.crt_spec.offsets(K))
+        return zip(range(2, K + 2), offsets)
 
-    def terms(self, horizon: int):
-        if self.kind == "crt":
-            return [math.factorial(k + 1) + r
-                    for k, r in enumerate(self.crt_spec.offsets(horizon), 1)]
-        return [self.term(k) for k in range(1, horizon + 1)]
+    def terms(self, horizon: int) -> list:
+        """[n_1, ..., n_K] as exact integers."""
+        K = max(horizon, 0)
+        if self.values is not None:
+            return list(self.values[:K])
+        out, p = [], 1
+        for m, r in self._steps(K):
+            p *= m
+            out.append(p + r)
+        return out
 
     def residues(self, modulus: int, horizon: int) -> list:
-        """[n_k mod modulus for k = 1..K] in one pass, K the horizon cut to
-        the spectrum's length."""
+        """[n_1 mod N, ..., n_K mod N] for the modulus N, in one pass."""
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
-        K = self._horizon(horizon)
-        if self.kind == "explicit":
+        K = max(horizon, 0)
+        if self.values is not None:
             return [v % modulus for v in self.values[:K]]
-        if self.kind == "geometric":
-            out, x = [], 1
-            for _ in range(K):
-                x = x * self.base % modulus
-                out.append(x)
-            return out
-        if self.kind == "factorial_plus_k":
-            return constructions.factorial_residues(K, modulus)
-        return constructions.crt_sequence_residues(self.crt_spec, K, modulus)
-
-    def _horizon(self, horizon):
-        if self.kind == "explicit":
-            horizon = min(horizon, len(self.values))
-        return max(horizon, 0)
+        out, p = [], 1
+        for m, r in self._steps(K):
+            p = p * m % modulus
+            out.append((p + r) % modulus)
+        return out
 
 
 def lacunarity_ratio(s: IntegerSpectrum, horizon: int) -> float:
     """min over k < horizon of n_{k+1}/n_k."""
-    vals = s.terms(s._horizon(horizon))
+    vals = s.terms(horizon)
     if len(vals) < 2:
         raise ValueError("need at least 2 terms for a lacunarity ratio")
     if vals[0] == 0:
@@ -158,7 +141,7 @@ def is_hadamard_lacunary(s: IntegerSpectrum, d: float, horizon: int = 32) -> boo
 
 def difference_multiplicity(s: IntegerSpectrum, horizon: int) -> int:
     """max over I > 0 of the number of pairs with n_j - n_k = I (first terms)."""
-    vals = s.terms(s._horizon(horizon))
+    vals = s.terms(horizon)
     counts = Counter(
         vals[j] - vals[k] for k in range(len(vals)) for j in range(k + 1, len(vals))
     )
@@ -179,6 +162,12 @@ def spectrum_admits_SstarN(s: IntegerSpectrum, N: int, horizon: int = 64) -> Ver
     checked tail-by-tail up to the horizon; a missing class in some tail is
     returned as a concrete witness.
     """
+    return _admits_SstarN(s, N, horizon, lambda: s.residues(N, horizon))
+
+
+def _admits_SstarN(s, N, horizon, residues):
+    """:func:`spectrum_admits_SstarN`, calling ``residues()`` for the
+    residue stream only when the tails must be checked."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if N == 1:
@@ -191,7 +180,7 @@ def spectrum_admits_SstarN(s: IntegerSpectrum, N: int, horizon: int = 64) -> Ver
     if s.kind == "crt" and N in s.crt_spec.divisor_set.closure:
         return Verdict(PROVEN, "proven",
                        detail={"argument": f"{N} lies in the divisor closure"})
-    miss = _missing_residue_witness(s, N, horizon)
+    miss = _missing_residue_witness(residues(), N)
     if miss is not None:
         m, missing = miss
         return Verdict(NO_WITNESS, "at-horizon", witness=m,
@@ -202,11 +191,12 @@ def spectrum_admits_SstarN(s: IntegerSpectrum, N: int, horizon: int = 64) -> Ver
     return Verdict(YES_AT_HORIZON, "at-horizon", detail={"horizon": horizon})
 
 
-def _missing_residue_witness(s, N, horizon):
-    """First tail start m (<= horizon/2) whose residues miss a class mod N."""
-    K = s._horizon(horizon)
+def _missing_residue_witness(residues, N):
+    """First tail start m (<= K/2) whose residues, of the K given, miss a
+    class mod N."""
+    K = len(residues)
     # tails are nested: tail m misses exactly the classes last seen before m
-    last = {r: k for k, r in enumerate(s.residues(N, K), 1)}
+    last = {r: k for k, r in enumerate(residues, 1)}
     m = min(last.get(r, 0) for r in range(N)) + 1
     # only tails of length >= K/2 are meaningful evidence
     if m > max(K // 2, 1):
@@ -224,7 +214,7 @@ def bounded_block_check(s: IntegerSpectrum, N: int, horizon: int, d_min: float) 
         raise ValueError("N must be >= 1")
     if d_min <= 1:
         raise ValueError("d_min must exceed 1")
-    vals = s.terms(s._horizon(horizon))
+    vals = s.terms(horizon)
     blocks = []
     for n in vals:
         q = n // N

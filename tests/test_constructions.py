@@ -12,16 +12,9 @@ from cyclica import (
     IntegerSpectrum,
     abakumov_weights,
     crc_sequence,
-    crt_sequence_value,
-    factorial_sequence,
     scalar_series,
 )
-from cyclica.constructions import (
-    PRIME_TABLE_SIZE,
-    crt_sequence_residues,
-    factorial_residues,
-    primes,
-)
+from cyclica.constructions import PRIME_TABLE_SIZE, primes
 
 
 def test_primes_oracle():
@@ -29,24 +22,22 @@ def test_primes_oracle():
 
 
 def test_factorial_sequence_oracle():
-    assert [factorial_sequence(k) for k in range(1, 5)] == [3, 8, 27, 124]
-    assert factorial_sequence(6) == math.factorial(7) + 6
-
-
-def test_factorial_sequence_overflow_guard():
-    with pytest.raises(OverflowError):
-        factorial_sequence(20)
+    terms = IntegerSpectrum.factorial_plus_k().terms(6)
+    assert terms[:4] == [3, 8, 27, 124]
+    assert terms[-1] == math.factorial(7) + 6
 
 
 @given(k=st.integers(1, 19), N=st.integers(1, 97))
 @settings(max_examples=100, deadline=None)
 def test_factorial_residue_matches_exact(k, N):
-    assert factorial_residues(k, N)[-1] == factorial_sequence(k) % N
+    s = IntegerSpectrum.factorial_plus_k()
+    assert s.residues(N, k)[-1] == s.terms(k)[-1] % N
 
 
 def test_factorial_residue_streams_past_overflow():
-    # exact evaluation is impossible at k=100, the residue is still cheap
-    assert factorial_residues(100, 7)[-1] == (math.factorial(101) + 100) % 7
+    # far past the 64-bit range, the residue never builds the factorial
+    s = IntegerSpectrum.factorial_plus_k()
+    assert s.residues(7, 100)[-1] == (math.factorial(101) + 100) % 7
 
 
 # -- divisor-closed sets ------------------------------------------------------
@@ -75,25 +66,25 @@ def test_closure_contains_one_and_generators():
 
 
 def test_crt_residues_cover_closure_members():
-    spec = CrtSequenceSpec(DivisorClosedSet([4, 6]))
+    s = IntegerSpectrum.crt(CrtSequenceSpec(DivisorClosedSet([4, 6])))
     for a in sorted(DivisorClosedSet([4, 6]).closure):
-        seen = set(crt_sequence_residues(spec, a + 63, a)[a - 1:])  # k = a..a+63
+        seen = set(s.residues(a, a + 63)[a - 1:])  # k = a..a+63
         assert seen == set(range(a)), f"classes mod {a} not all hit"
 
 
 def test_crt_residues_vanish_outside_closure():
     # for a prime b outside the closure, n_k = 0 (mod b) for large k
-    spec = CrtSequenceSpec(DivisorClosedSet([4, 6]))
+    s = IntegerSpectrum.crt(CrtSequenceSpec(DivisorClosedSet([4, 6])))
     for b in (5, 7, 11):
-        assert crt_sequence_residues(spec, 47, b)[31:] == [0] * 16  # k = 32..47
+        assert s.residues(b, 47)[31:] == [0] * 16  # k = 32..47
 
 
 def test_crt_value_consistent_with_residue():
-    spec = CrtSequenceSpec(DivisorClosedSet([4, 6]))
+    s = IntegerSpectrum.crt(CrtSequenceSpec(DivisorClosedSet([4, 6])))
     for k in range(1, 10):
-        v = crt_sequence_value(spec, k)
+        v = s.terms(k)[-1]
         for N in (2, 3, 4, 6, 5):
-            assert v % N == crt_sequence_residues(spec, k, N)[-1]
+            assert v % N == s.residues(N, k)[-1]
 
 
 def _iterative_crt_r(spec, k):
@@ -114,7 +105,7 @@ def _iterative_crt_r(spec, k):
 def test_crt_r_matches_iterative_pairing(gens):
     spec = CrtSequenceSpec(DivisorClosedSet(gens))
     for k in range(1, 65):
-        assert spec.r(k) == _iterative_crt_r(spec, k), k
+        assert spec.offsets(k)[-1] == _iterative_crt_r(spec, k), k
 
 
 STREAM_GENERATORS = [[1], [2, 3], [4, 6], [12], [8, 9, 25], [30, 49], [64],
@@ -136,33 +127,49 @@ def test_crt_streams_match_per_index_definitions(gens):
     assert s.terms(K) == exact
     for N in STREAM_MODULI:
         assert s.residues(N, K) == [n % N for n in exact], N
-    assert crt_sequence_residues(spec, 40, 7) == [n % 7 for n in exact[:40]]
+    assert s.residues(7, 40) == [n % 7 for n in exact[:40]]
 
 
 def test_other_streams_match_per_index_definitions():
+    # the running product n_k = P_k + r_k against the closed forms, exact and
+    # reduced; the crt kind is checked with its offsets above
     K = 256
-    factorial = [math.factorial(k + 1) + k for k in range(1, K + 1)]
+    ks = range(1, K + 1)
     explicit = [3, 5, 12, 40, 41, 1000, 2**70 + 1]  # shorter than the horizon
-    for N in STREAM_MODULI:
-        assert factorial_residues(K, N) == [n % N for n in factorial], N
-        assert IntegerSpectrum.factorial_plus_k().residues(N, K) == [
-            n % N for n in factorial]
-        for base in (2, 3, 10):
-            assert IntegerSpectrum.geometric(base).residues(N, K) == [
-                base**k % N for k in range(1, K + 1)]
-        assert IntegerSpectrum.explicit(explicit).residues(N, K) == [
-            n % N for n in explicit]
+    closed = [(IntegerSpectrum.factorial_plus_k(), [math.factorial(k + 1) + k for k in ks]),
+              (IntegerSpectrum.explicit(explicit), explicit)]
+    closed += [(IntegerSpectrum.geometric(b), [b**k for k in ks]) for b in (2, 3, 10)]
+    for s, exact in closed:
+        assert s.terms(K) == exact, s.kind
+        for N in STREAM_MODULI:
+            assert s.residues(N, K) == [n % N for n in exact], (s.kind, N)
+
+
+def test_exponent_table_is_shared_by_equal_specs(monkeypatch):
+    calls = []
+    alpha = CrtSequenceSpec.alpha
+    monkeypatch.setattr(CrtSequenceSpec, "alpha",
+                        lambda self, p: calls.append(p) or alpha(self, p))
+    gens = [17**3, 19 * 23 * 29]
+    first = CrtSequenceSpec(DivisorClosedSet(gens)).offsets(64)
+    assert calls
+    calls.clear()
+    assert CrtSequenceSpec(DivisorClosedSet(gens)).offsets(64) == first
+    assert calls == []
 
 
 def test_per_index_forms_are_stream_entries():
     spec = CrtSequenceSpec(DivisorClosedSet([4, 6]))
+    crt, factorial = IntegerSpectrum.crt(spec), IntegerSpectrum.factorial_plus_k()
     for k in (1, 2, 17, 256):
-        assert spec.r(k) == _iterative_crt_r(spec, k)
-        assert crt_sequence_residues(spec, k, 7)[-1] == (
-            math.factorial(k + 1) + spec.r(k)) % 7
-        assert factorial_residues(k, 7)[-1] == (math.factorial(k + 1) + k) % 7
+        r = spec.offsets(k)[-1]
+        assert r == _iterative_crt_r(spec, k)
+        assert crt.residues(7, k)[-1] == (math.factorial(k + 1) + r) % 7
+        assert factorial.residues(7, k)[-1] == (math.factorial(k + 1) + k) % 7
     with pytest.raises(ValueError, match="prime table"):
         spec.offsets(PRIME_TABLE_SIZE + 1)
+    with pytest.raises(ValueError, match="count"):
+        spec.offsets(-1)
     with pytest.raises(ValueError, match="modulus"):
         IntegerSpectrum.geometric(2).residues(0, 4)
 
@@ -174,8 +181,7 @@ def test_crt_alpha_oracle():
 
 
 def test_crt_values_strictly_increasing():
-    spec = CrtSequenceSpec(DivisorClosedSet([4, 6]))
-    vals = [crt_sequence_value(spec, k) for k in range(1, 12)]
+    vals = IntegerSpectrum.crt(CrtSequenceSpec(DivisorClosedSet([4, 6]))).terms(11)
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 

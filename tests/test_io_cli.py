@@ -105,7 +105,7 @@ def test_load_spectrum_kinds(tmp_path, data, kind, terms):
     s = load_spectrum(_write(tmp_path / "s.json", data))
     assert s.kind == kind
     if terms is not None:
-        assert [s.term(k) for k in (1, 2, 3)] == terms
+        assert s.terms(3) == terms
     else:
         assert s.crt_spec.divisor_set.closure == {1, 2, 3}
 
@@ -276,6 +276,22 @@ def test_spectrum_subcommand(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["lacunarity_ratio"] == pytest.approx(2.0)
     assert report["difference_multiplicity"] == 1
+
+
+def test_spectrum_residues_stream_once(tmp_path, capsys, monkeypatch):
+    from cyclica import IntegerSpectrum
+
+    calls = []
+    residues = IntegerSpectrum.residues
+    monkeypatch.setattr(IntegerSpectrum, "residues",
+                        lambda self, *a: calls.append(a) or residues(self, *a))
+    path = _write(tmp_path / "crt.json", {"kind": "crt", "generators": [4, 6]})
+    assert dispatch(["spectrum", "--input", path, "--residues", "5"]) == 0
+    assert len(calls) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["residues_hit"] == [0, 3, 4]
+    assert out["admits_SstarN"]["witness"] == 1
+    assert out["admits_SstarN"]["detail"]["missing_residues"] == [1, 2]
 
 
 def test_construct_subcommand_csv(tmp_path, capsys):

@@ -36,18 +36,27 @@ def test_factorial_terms():
 
 def test_terms_are_one_indexed():
     s = IntegerSpectrum.explicit([5, 9])
-    assert s.term(1) == 5
-    with pytest.raises(IndexError):
-        s.term(0)
-    with pytest.raises(IndexError):
-        s.term(3)
+    assert s.terms(1) == [5]
+    assert s.terms(0) == []
+    # cut to the list's length, as residues are
+    assert s.terms(3) == [5, 9]
+
+
+def test_non_integral_numbers_rejected():
+    with pytest.raises(TypeError):
+        IntegerSpectrum.geometric(2.5)
+    with pytest.raises(TypeError):
+        IntegerSpectrum.explicit([1.5, 3.9])
+    # numpy integers are integers
+    assert IntegerSpectrum.geometric(np.int64(3)).terms(2) == [3, 9]
+    assert IntegerSpectrum.explicit(np.array([2, 7])).terms(2) == [2, 7]
 
 
 @given(k=st.integers(1, 40), N=st.integers(1, 30))
 @settings(max_examples=80, deadline=None)
 def test_streamed_residue_matches_term(k, N):
     for s in (IntegerSpectrum.geometric(3), IntegerSpectrum.factorial_plus_k()):
-        assert s.residues(N, k)[-1] == s.term(k) % N
+        assert s.residues(N, k)[-1] == s.terms(k)[-1] % N
 
 
 def test_factorial_residue_congruent_to_k():

@@ -65,8 +65,7 @@ def _loop_stacked(fam):
     else:
         top = max((int(f.exponents[-1]) for f in deshifted if len(f)), default=0)
         base_terms = []
-        for k in range(1, 64 + 1):
-            t = fam.base.term(k)
+        for t in fam.base.terms(64):
             if t > top:
                 break
             base_terms.append(t)
