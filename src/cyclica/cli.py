@@ -7,9 +7,9 @@ deterministic JSON with the configuration echoed.  The argument parser
 depends on no input, so it is built once per process and reused by every
 :func:`dispatch`; it holds no results.  Exit codes: 0 success, 1 when
 --strict is set and the verdict is non-cyclic, 2 on input errors: a
-malformed file, an out-of-range flag or an output path that cannot be
-written, reported as one ``error:`` line.  File formats are read by
-:mod:`cyclica.io`.
+malformed file, a series file of the wrong kind, an out-of-range flag or
+an output path that cannot be written, reported as one ``error:`` line.
+File formats are read by :mod:`cyclica.io`.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ from .constructions import (
     DivisorClosedSet,
     crc_sequence,
 )
-from .core import Tolerances, VectorSeries
+from .core import Tolerances
 from .io import (
     InputError,
+    _load_series,
     dump_report,
     load_blocks,
-    load_series,
     load_spectrum,
     series_to_dict,
     write_csv,
@@ -94,9 +94,7 @@ def _verdict_exit(verdict, config) -> int:
 # -- subcommand handlers ----------------------------------------------------
 
 def _cmd_analyze(args, config):
-    series, model = load_series(args.input)
-    if not isinstance(series, VectorSeries):
-        raise InputError("analyze expects a disc series; use the polydisc subcommand")
+    series, model = _load_series(args.input, "disc")
     tol = config.tolerances
     if model is not None:
         rep = decompose(series, model, tol)
@@ -185,7 +183,7 @@ def _cmd_multishift(args, config):
         return 0
     if args.power is None:
         raise InputError("multishift requires --power N or --af")
-    series, _ = load_series(args.input)
+    series, _ = _load_series(args.input, "disc")
     verdict = sstarN_cyclicity(series, args.power, tol, horizon=config.horizon)
     _emit({"power": args.power, "verdict": verdict.to_dict()}, args, config)
     return _verdict_exit(verdict, config)
@@ -212,7 +210,7 @@ def _cmd_unions(args, config):
     # check: a stacked family series with a tail model
     if not args.input:
         raise InputError("unions check requires --input")
-    series, model = load_series(args.input)
+    series, model = _load_series(args.input, "disc")
     verdict = cyclicity_single(series, tol, model=model)
     _emit({"verdict": verdict.to_dict()}, args, config)
     return _verdict_exit(verdict, config)
@@ -228,9 +226,7 @@ def _cmd_blocks(args, config):
 def _cmd_factorize(args, config):
     from .modelspace import factorize_Ep, verify_potapov
 
-    series, _ = load_series(args.poly)
-    if not isinstance(series, VectorSeries):
-        raise InputError("factorize expects a disc polynomial")
+    series, _ = _load_series(args.poly, "disc")
     tol = config.tolerances
     pp = factorize_Ep(series, tol)
     report = verify_potapov(pp, seed=config.seed, tol=tol, generator=series)
@@ -249,10 +245,8 @@ def _cmd_factorize(args, config):
 def _cmd_orbit(args, config):
     from .orbit import orbit_project
 
-    f, _ = load_series(args.input)
-    g, _ = load_series(args.target)
-    if not isinstance(f, VectorSeries) or not isinstance(g, VectorSeries):
-        raise InputError("orbit expects disc series; see the polydisc subcommand")
+    f, _ = _load_series(args.input, "disc")
+    g, _ = _load_series(args.target, "disc")
     rep = orbit_project(f, g, args.max_shift, config.tolerances)
     if args.csv:
         rows = [
@@ -270,11 +264,7 @@ def _cmd_orbit(args, config):
 
 
 def _cmd_polydisc(args, config):
-    from .polydisc import PolySeries
-
-    series, model = load_series(args.input)
-    if not isinstance(series, PolySeries):
-        raise InputError("polydisc expects a series with kind 'polydisc'")
+    series, model = _load_series(args.input, "polydisc")
     out = {}
     if args.check_c1c2:
         c1, c2, note = check_c1_c2(series)

@@ -9,9 +9,15 @@ shift.  X_* is an infinite-tail object, so it is computed exactly only under
 a declared :class:`TailModel` (transient coefficients + recurrent directions);
 raw truncations get an at-horizon estimate from the last half of the terms.
 
-The tails are nested, so one rule (``core.first_proper_tail``) serves every
-tail-span check: the last tail decides, and the witness is the first
-deficient tail, its coefficients ranked at unit length against ``tol_rank``.
+Every check reads a member through one tail view: ``_tail_rows`` lists its
+rows with their positions (a model's recurrent directions sit at position
+infinity, in every tail), and ``_horizon`` is where its deciding tail starts
+(past a model's last transient, at half a stored series).  ``tail_span``
+masks the view, ``x_star`` is the tail span at the horizon, and
+``necessary_condition`` joins its members' views.  The tails are nested, so
+one rule (``core.first_proper_tail``) serves every tail-span check: the last
+tail decides, and the witness is the first deficient tail, its coefficients
+ranked at unit length against ``tol_rank``.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .core import (
     Subspace,
     Tolerances,
     VectorSeries,
+    _family,
     first_proper_tail,
     numerical_span,
 )
@@ -122,16 +129,32 @@ class CyclicityReport:
     deg_p_index: int  # N(f) - 1, the index-count convention
 
 
+def _tail_rows(m):
+    """(positions, rows) of a member's coefficients: a stored series' rows
+    at 0, 1, ...; a model's recurrent directions at inf, then its transient
+    terms at their positions."""
+    if isinstance(m, TailModel):
+        positions = [np.inf] * len(m.recurrent) + [k for k, _ in m.transient]
+        return np.array(positions), np.array(m.recurrent + tuple(v for _, v in m.transient))
+    return np.arange(len(m)), m.coeffs
+
+
+def _horizon(m) -> int:
+    """Where a member's deciding tail starts: past a model's last transient
+    position, or at half a stored series."""
+    if isinstance(m, TailModel):
+        return m.transient[-1][0] + 1 if m.transient else 0
+    return len(m) // 2
+
+
 def tail_span(f, m: int, tol: Tolerances = Tolerances()) -> Subspace:
     """Orthonormal basis of span{a_k : k >= m}.
 
     Accepts a VectorSeries (stored coefficients) or a TailModel (recurrent
     directions plus transient terms at positions >= m).
     """
-    if isinstance(f, TailModel):
-        vecs = list(f.recurrent) + [v for k, v in f.transient if k >= m]
-        return numerical_span(vecs, tol)
-    return numerical_span(f.coeffs[m:], tol)
+    positions, rows = _tail_rows(f)
+    return numerical_span(rows[positions >= m], tol)
 
 
 def x_star(model, tol: Tolerances = Tolerances()) -> Subspace:
@@ -140,9 +163,7 @@ def x_star(model, tol: Tolerances = Tolerances()) -> Subspace:
     For a raw series the estimate is the span of the coefficients from
     position len // 2 on, an at-horizon quantity.
     """
-    if isinstance(model, TailModel):
-        return numerical_span(model.recurrent, tol)
-    return numerical_span(model.coeffs[len(model) // 2 :], tol)
+    return tail_span(model, _horizon(model), tol)
 
 
 def _split(f: VectorSeries, xs: Subspace, tol: Tolerances):
@@ -195,13 +216,7 @@ def cyclicity_single(f, tol: Tolerances = Tolerances(), model=None) -> Verdict:
 
 def cyclicity_family(family, tol: Tolerances = Tolerances()) -> Verdict:
     """Cyclic iff the union of the members' X_* spaces spans C^d."""
-    family = list(family)
-    if not family:
-        raise ValueError("empty family")
-    dims = {m.dim for m in family}
-    if len(dims) != 1:
-        raise ValueError(f"mixed dimensions in family: {sorted(dims)}")
-    d = dims.pop()
+    family, d = _family(family)
     exact = all(isinstance(m, TailModel) for m in family)
     union = numerical_span(np.vstack([x_star(m, tol).basis.T for m in family]), tol)
     mode = "exact" if exact else "at-horizon"
@@ -221,30 +236,15 @@ def necessary_condition(family, tol: Tolerances = Tolerances()) -> Verdict:
     in ``core.first_proper_tail``); otherwise PossiblyCyclic.  No lacunarity
     is assumed.
     """
-    family = [family] if isinstance(family, (VectorSeries, TailModel)) else list(family)
-    if not family:
-        raise ValueError("empty family")
-    d = family[0].dim
-    if any(m.dim != d for m in family):
-        raise ValueError("mixed dimensions in family")
+    family, d = _family(family)
     exact = all(isinstance(m, TailModel) for m in family)
-    if exact:
-        last = max((k for mem in family for k, _ in mem.transient), default=-1) + 1
-    else:
-        last = max(len(m) for m in family if isinstance(m, VectorSeries)) // 2
-    positions, rows, tail = [], [], []
-    for mem in family:
-        if isinstance(mem, TailModel):
-            positions += [np.inf] * len(mem.recurrent) + [k for k, _ in mem.transient]
-            rows.append(np.array(mem.recurrent + tuple(v for _, v in mem.transient)))
-        else:
-            positions += range(len(mem))
-            rows.append(mem.coeffs)
-        tail.append(tail_span(mem, last, tol).basis.T)
+    # a mixed family's tail starts at half its longest stored series
+    last = max(_horizon(m) for m in family if exact or not isinstance(m, TailModel))
+    positions, rows = map(np.concatenate, zip(*map(_tail_rows, family)))
     order = np.argsort(positions, kind="stable")
-    starts = np.searchsorted(np.asarray(positions, dtype=float)[order], np.arange(last + 1))
-    hit = first_proper_tail(np.vstack(rows)[order], tol, starts,
-                            last=numerical_span(np.vstack(tail), tol))
+    starts = np.searchsorted(positions[order], np.arange(last + 1))
+    tail = np.vstack([tail_span(m, last, tol).basis.T for m in family])
+    hit = first_proper_tail(rows[order], tol, starts, last=numerical_span(tail, tol))
     mode = "exact" if exact else "at-horizon"
     if hit is None:
         return Verdict(POSSIBLY_CYCLIC, mode)

@@ -19,8 +19,8 @@ the offsets r_k of the CRT sequence come from :meth:`CrtSequenceSpec.offsets`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -57,25 +57,32 @@ def primes(count: int = PRIME_TABLE_SIZE) -> tuple:
 
 @dataclass(frozen=True)
 class DivisorClosedSet:
-    """The divisor closure of a finite set of positive integer generators."""
+    """The divisor closure of a finite set of positive integer generators.
+
+    ``m in dcs`` asks whether m divides a generator (1 always belongs);
+    :attr:`closure` lists the members, found on first read by trial
+    division up to the square root of each generator.
+    """
 
     generators: frozenset
-    closure: frozenset = field(init=False)
 
     def __init__(self, generators):
         gens = frozenset(int(g) for g in generators)
         if any(g < 1 for g in gens):
             raise ValueError("generators must be positive")
-        clo = {1}
-        for g in gens:
-            for m in range(1, g + 1):
-                if g % m == 0:
-                    clo.add(m)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "closure", frozenset(clo))
+
+    @cached_property
+    def closure(self) -> frozenset:
+        clo = {1}
+        for g in self.generators:
+            for m in range(1, math.isqrt(g) + 1):
+                if g % m == 0:
+                    clo.update((m, g // m))
+        return frozenset(clo)
 
     def __contains__(self, m):
-        return m in self.closure
+        return m == 1 or (m >= 1 and any(g % m == 0 for g in self.generators))
 
     def sorted(self):
         return sorted(self.closure)

@@ -216,6 +216,18 @@ class Subspace:
         return self.dim == self.dim_ambient
 
 
+def _family(family):
+    """(members, d): a family as a list (one member with a ``dim`` stands
+    for itself), nonempty and in one dimension d."""
+    family = [family] if hasattr(family, "dim") else list(family)
+    if not family:
+        raise ValueError("empty family")
+    dims = {m.dim for m in family}
+    if len(dims) != 1:
+        raise ValueError(f"mixed dimensions in family: {sorted(dims)}")
+    return family, dims.pop()
+
+
 def _as_rows(rows):
     """An (n, d) complex array of finite rows; a 1-d or ragged input raises."""
     a = np.asarray(rows, dtype=complex)

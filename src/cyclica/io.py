@@ -10,6 +10,7 @@ The series format:
 Exponent lists must be strictly increasing (disc) or duplicate-free
 (polydisc); ``dim``, ``poly_dim``, the exponents, ``truncation_degree``
 and a transient's ``index`` must be JSON integers.
+A reader of one kind of series rejects a file of the other kind.
 
 A spectrum file is either a disc series file (its exponents are the
 spectrum) or one of
@@ -190,6 +191,14 @@ def _read_json(path):
 
 def load_series(path):
     return series_from_dict(_read_json(path))
+
+
+def _load_series(path, kind):
+    """:func:`load_series` for a reader of one ``kind`` of series."""
+    series, model = load_series(path)
+    if isinstance(series, PolySeries) != (kind == "polydisc"):
+        raise InputError(f"{path}: expected a {kind} series file")
+    return series, model
 
 
 def _integers(value, key):

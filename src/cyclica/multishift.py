@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tolerances, VectorSeries, backward_shift, first_proper_tail
+from .core import Tolerances, VectorSeries, _family, backward_shift, first_proper_tail
 from .spectrum import IntegerSpectrum, spectrum_admits_SstarN
 from .verdicts import CYCLIC, NON_CYCLIC, Verdict
 
@@ -147,35 +147,30 @@ def sstarN_cyclicity_spectral(spectrum: IntegerSpectrum, N: int, horizon: int = 
     residue) pairs divmod(n_k, N).  The coefficients are seeded nonzero
     random values.
     """
-    return _stacked_verdict(_block_residues(spectrum, N, horizon), N, seed, tol)
+    return _window_span_verdict(_stacks(spectrum, N, horizon, seed), tol)
 
 
-def _block_residues(spectrum: IntegerSpectrum, N: int, horizon: int):
-    """[(floor(n_k/N), n_k mod N) for k = 1..K], K the horizon cut to the
-    spectrum's length."""
+def _stacks(spectrum: IntegerSpectrum, N: int, horizon: int, seed: int):
+    """The block-by-residue stack matrix of n_1, ..., n_K, K the horizon cut
+    to the spectrum's length: a seeded random coefficient k lands in row q,
+    column r for divmod(n_k, N) = (q, r), the rows in increasing q."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    # exact block keys; arbitrary-precision integers keep this cheap at the
-    # horizons in use
-    return [divmod(n, N) for n in spectrum.terms(horizon)]
-
-
-def _stacked_verdict(pairs, N, seed, tol):
-    """Windowed span verdict of the stacked vectors: a seeded random
-    coefficient k lands in slot r of block q for pairs[k] = (q, r)."""
+    pairs = [divmod(n, N) for n in spectrum.terms(horizon)]
     rng = np.random.default_rng(seed)
     K = len(pairs)
     coeffs = rng.uniform(0.5, 1.5, size=K) * np.exp(2j * np.pi * rng.uniform(size=K))
-    # the block keys are factorial-scale Python integers, beyond int64, so
-    # the stacks are merged in a dict rather than by VectorSeries
+    # the block keys are factorial-scale Python integers, beyond int64, and a
+    # CRT spectrum need not increase, so the stacks are merged in a dict
+    # rather than by VectorSeries
     blocks = {}
     for k, (q, r) in enumerate(pairs):
         blocks.setdefault(q, np.zeros(N, dtype=complex))[r] += coeffs[k]
-    return _window_span_verdict([blocks[q] for q in sorted(blocks)], tol)
+    return np.array([blocks[q] for q in sorted(blocks)]).reshape(-1, N)
 
 
-def _generic_rank(supports, N):
-    """Generic rank of a 0/1 block-by-residue incidence pattern.
+def _generic_rank(pattern):
+    """Generic rank of a boolean block-by-residue incidence pattern.
 
     With continuously distributed nonzero entries the rank equals the size
     of a maximum bipartite matching almost surely.
@@ -183,15 +178,7 @@ def _generic_rank(supports, N):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    indptr = [0]
-    indices = []
-    for row in supports:
-        indices.extend(row)
-        indptr.append(len(indices))
-    m = csr_matrix(
-        (np.ones(len(indices)), indices, indptr), shape=(len(supports), N)
-    )
-    match = maximum_bipartite_matching(m, perm_type="column")
+    match = maximum_bipartite_matching(csr_matrix(pattern), perm_type="column")
     return int(np.sum(match != -1))
 
 
@@ -199,21 +186,15 @@ def residue_crosscheck(spectrum: IntegerSpectrum, N: int, horizon: int = 32,
                        seed: int = 0, tol: Tolerances = Tolerances()) -> bool:
     """The residue verdict and the stacked-span verdict must agree.
 
-    Both sides run over the same block enumeration at the same horizon: the
-    combinatorial side takes the generic rank of the block-by-residue
-    incidence pattern (full in every window iff residues can be matched to
-    distinct blocks), the numerical side the windowed SVD span of the
-    stacked coefficient vectors.
+    Both sides read one stack matrix at the same horizon: the combinatorial
+    side takes the generic rank of its nonzero pattern (full in every window
+    iff residues can be matched to distinct blocks), the numerical side the
+    windowed SVD span of its rows.
     """
-    pairs = _block_residues(spectrum, N, horizon)
-    v_stack = _stacked_verdict(pairs, N, seed, tol)
-    supports = {}
-    for q, r in pairs:
-        supports.setdefault(q, set()).add(r)
-    rows = [sorted(supports[q]) for q in sorted(supports)]
+    stacks = _stacks(spectrum, N, horizon, seed)
     # deleting rows never enlarges a maximum matching: the last window decides
-    combinatorial = _generic_rank(rows[len(rows) // 2:], N) == N
-    return combinatorial == bool(v_stack)
+    combinatorial = _generic_rank(stacks[len(stacks) // 2:] != 0) == N
+    return combinatorial == bool(_window_span_verdict(stacks, tol))
 
 
 def af_membership(spectrum: IntegerSpectrum, n_max: int, horizon: int = 64):
@@ -233,12 +214,7 @@ def bounded_block_family_cyclicity(family, N: int,
     {reshape(S*^i f) : f in family, 0 <= i < N} is all of C^{d N}.
     Each reshaped spectrum must be lacunary (bounded-block property).
     """
-    family = [family] if isinstance(family, VectorSeries) else list(family)
-    if not family:
-        raise ValueError("empty family")
-    d = family[0].dim
-    if any(f.dim != d for f in family):
-        raise ValueError("mixed dimensions in family")
+    family, d = _family(family)
     reshaped = []
     for f in family:
         for i in range(N):

@@ -134,14 +134,15 @@ def check_c1_c2(f: PolySeries):
     note = None
     for k in range(f.poly_dim):
         proj = [t[k] for t in ms.entries]
-        if len(set(proj)) == len(proj) and sorted(proj) == proj and len(proj) >= 2:
-            try:
-                if is_hadamard_lacunary(IntegerSpectrum.explicit(proj), 1.0 + 1e-9,
-                                        horizon=len(proj)):
-                    note = f"coordinate {k} is lacunary with distinct values"
-                    break
-            except ValueError:
-                pass
+        # explicit() rejects a projection that does not strictly increase,
+        # and the ratio one with fewer than two terms or a leading zero
+        try:
+            if is_hadamard_lacunary(IntegerSpectrum.explicit(proj), 1.0 + 1e-9,
+                                    horizon=len(proj)):
+                note = f"coordinate {k} is lacunary with distinct values"
+                break
+        except ValueError:
+            pass
     return c1, c2, note
 
 

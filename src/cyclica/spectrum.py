@@ -50,7 +50,7 @@ class IntegerSpectrum:
         if kind not in ("explicit", "geometric", "factorial_plus_k", "crt"):
             raise ValueError(f"unknown spectrum kind {kind!r}")
         self.kind = kind
-        self.base = base
+        self.base = operator.index(base) if kind == "geometric" else base
         self.crt_spec = crt_spec
         self.values = None
         if kind == "explicit":
@@ -60,7 +60,7 @@ class IntegerSpectrum:
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 raise ValueError("exponents must be strictly increasing")
             self.values = tuple(vals)
-        elif kind == "geometric" and (base is None or base < 2):
+        elif kind == "geometric" and self.base < 2:
             raise ValueError("geometric base must be an integer >= 2")
         elif kind == "crt" and crt_spec is None:
             raise ValueError("crt spectrum needs a CrtSequenceSpec")
@@ -72,7 +72,7 @@ class IntegerSpectrum:
 
     @classmethod
     def geometric(cls, a):
-        return cls("geometric", base=operator.index(a))
+        return cls("geometric", base=a)
 
     @classmethod
     def factorial_plus_k(cls):
@@ -177,7 +177,7 @@ def _admits_SstarN(s, N, horizon, residues):
             PROVEN, "proven",
             detail={"argument": f"n_k = k (mod {N}) for every k >= {N - 1}"},
         )
-    if s.kind == "crt" and N in s.crt_spec.divisor_set.closure:
+    if s.kind == "crt" and N in s.crt_spec.divisor_set:
         return Verdict(PROVEN, "proven",
                        detail={"argument": f"{N} lies in the divisor closure"})
     miss = _missing_residue_witness(residues(), N)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .coefspace import TailModel, cyclicity_single
-from .core import Tolerances, VectorSeries, backward_shift, first_proper_tail
+from .core import Tolerances, VectorSeries, _family, backward_shift, first_proper_tail
 from .spectrum import IntegerSpectrum
 from .verdicts import (
     CYCLIC,
@@ -130,12 +130,7 @@ def stacked_sufficient(phis, tol: Tolerances = Tolerances()) -> Verdict:
     Inconclusive.  An exponent of phi_i below i - 1 breaks the premise and
     raises ValueError.
     """
-    phis = list(phis)
-    if not phis:
-        raise ValueError("empty family")
-    d = phis[0].dim
-    if any(p.dim != d for p in phis):
-        raise ValueError("mixed dimensions")
+    phis, d = _family(phis)
     r = len(phis)
     # phi_i fills column block i at its exponents minus i; VectorSeries merges
     # them over the shifted base and rejects an exponent below the shift
@@ -171,17 +166,15 @@ def construct_prescribed_spectra(spectra, seed: int = 0, horizon: int = 16,
             raise ValueError("prescribed spectra must be infinite (generator-backed)")
     rng = np.random.default_rng(seed)
     exps_per = [s.terms(horizon) for s in spectra]
-    union = sorted({e for ex in exps_per for e in ex})
     for attempt in range(16):
         comps = []
-        for i, ex in enumerate(exps_per):
+        for ex in exps_per:
             radial = 2.0 ** (-np.arange(1, len(ex) + 1, dtype=float))
             c = radial * np.exp(2j * np.pi * rng.uniform(size=len(ex)))
             comps.append(VectorSeries(1, ex, c))
-        coeffs = np.zeros((len(union), d), dtype=complex)
-        for i, f in enumerate(comps):
-            coeffs[np.searchsorted(union, f.exponents), i] = f.coeffs[:, 0]
-        stacked = VectorSeries(d, union, coeffs)
+        # component i fills column i; VectorSeries merges the shared exponents
+        stacked = VectorSeries(d, np.concatenate([f.exponents for f in comps]),
+                               block_diag(*[f.coeffs for f in comps]))
         if cyclicity_single(stacked, tol).status == CYCLIC:
             v = Verdict(CYCLIC, "at-horizon",
                         detail={"seed": seed, "attempt": attempt})

@@ -347,6 +347,23 @@ def test_member_scale_does_not_hide_a_recurrent_direction():
     assert cyclicity_family([a, b]).status == "Cyclic"
 
 
+def test_mixed_family_tail_starts_at_half_the_stored_series():
+    # a model's transient past the stored half does not move the deciding
+    # tail: it starts at 8 // 2 = 4, and every later model term lies in it
+    e1, e2, e3 = np.eye(3)
+    f = VectorSeries(3, [2 ** (k + 1) for k in range(8)], [e3, e3] + [e1] * 6)
+    for late in (5, 50):
+        model = TailModel(3, [e1], [(late, e2)])
+        v = necessary_condition([model, f])
+        assert (v.status, v.mode, v.witness, v.detail) == (
+            "NotCyclic", "at-horizon", 2, {"dim_tail_span": 2, "dim": 3})
+    # e3 at position 5 lies in that tail: with the model's horizon (51) the
+    # tail would miss it
+    g = VectorSeries(3, [2 ** (k + 1) for k in range(8)], [e1] * 5 + [e3] + [e1] * 2)
+    v = necessary_condition([TailModel(3, [e1], [(50, e2)]), g])
+    assert (v.status, v.mode, v.witness) == ("PossiblyCyclic", "at-horizon", None)
+
+
 @pytest.mark.parametrize("k", [1, 2, 4, 8])
 def test_members_decaying_at_different_rates(k):
     e1, e2 = np.eye(2)

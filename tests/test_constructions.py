@@ -55,6 +55,23 @@ def test_closure_idempotent(gens):
     assert once == twice
 
 
+@given(gens=st.sets(st.integers(1, 200), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_closure_matches_brute_force(gens):
+    dcs = DivisorClosedSet(gens)
+    brute = {1} | {m for g in gens for m in range(1, g + 1) if g % m == 0}
+    assert dcs.closure == frozenset(brute)
+    assert all((m in dcs) == (m in brute) for m in range(-2, 203))
+
+
+def test_membership_does_not_enumerate_divisors():
+    dcs = DivisorClosedSet([10**18])
+    assert 5**18 in dcs and 2 * 10**9 in dcs
+    assert 3 not in dcs and 0 not in dcs
+    assert DivisorClosedSet([10**9]).closure == frozenset(
+        2**i * 5**j for i in range(10) for j in range(10))
+
+
 def test_closure_contains_one_and_generators():
     a = DivisorClosedSet([12])
     assert 1 in a.closure

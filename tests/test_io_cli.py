@@ -431,6 +431,42 @@ def test_rejected_input_exits_2(name, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
+# every subcommand that reads a series, with a file of the other kind; under
+# --strict a wrong-kind file must not read as a non-cyclic verdict (exit 1)
+WRONG_KIND = {
+    "analyze": ["analyze", "--strict", "--input", "{polydisc}"],
+    "multishift_power": ["multishift", "--strict", "--input", "{polydisc}", "--power", "2"],
+    "multishift_af": ["multishift", "--input", "{polydisc}", "--af"],
+    "unions_check": ["unions", "check", "--strict", "--input", "{polydisc}"],
+    "unions_construct": ["unions", "construct", "--spectra", "{polydisc}"],
+    "spectrum": ["spectrum", "--input", "{polydisc}", "--residues", "3"],
+    "factorize": ["factorize", "--poly", "{polydisc}"],
+    "orbit_input": ["orbit", "--input", "{polydisc}", "--target", "{disc}"],
+    "orbit_target": ["orbit", "--input", "{disc}", "--target", "{polydisc}"],
+    "polydisc": ["polydisc", "--strict", "--input", "{disc}", "--analyze"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_KIND))
+def test_wrong_kind_series_file_exits_2(name, capsys):
+    paths = {"polydisc": str(GOLDEN / "polydisc.json"),
+             "disc": str(GOLDEN / "power_cyclic.json")}
+    argv = [a.format(**paths) for a in WRONG_KIND[name]]
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert captured.out == ""
+
+
+def test_spectrum_of_a_large_crt_generator(tmp_path, capsys):
+    # membership divides the generator 10^9; no divisor list is built
+    path = _write(tmp_path / "crt.json", {"kind": "crt", "generators": [10**9]})
+    for N, status in ((5, "Proven"), (3, "No-witness")):
+        assert dispatch(["spectrum", "--input", path, "--residues", str(N)]) == 0
+        assert json.loads(capsys.readouterr().out)["admits_SstarN"]["status"] == status
+
+
 # -- one parser per process ---------------------------------------------------
 
 

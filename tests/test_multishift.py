@@ -169,12 +169,13 @@ def test_last_window_matching_decides_all_windows(N, seed, n_rows):
     # a maximum matching cannot grow when rows are deleted, so the last
     # window's generic rank decides whether every window is full
     rng = np.random.default_rng(seed)
-    rows = [sorted(rng.choice(N, size=int(rng.integers(1, N + 1)), replace=False))
-            for _ in range(n_rows)]
+    pattern = np.zeros((n_rows, N), dtype=bool)
+    for row in pattern:
+        row[rng.choice(N, size=int(rng.integers(1, N + 1)), replace=False)] = True
     every_window = all(
-        _generic_rank(rows[m:], N) == N for m in range(len(rows) // 2 + 1)
+        _generic_rank(pattern[m:]) == N for m in range(n_rows // 2 + 1)
     )
-    assert every_window == (_generic_rank(rows[len(rows) // 2:], N) == N)
+    assert every_window == (_generic_rank(pattern[n_rows // 2:]) == N)
 
 
 def test_spectral_path_is_exported():

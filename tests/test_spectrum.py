@@ -45,6 +45,10 @@ def test_terms_are_one_indexed():
 def test_non_integral_numbers_rejected():
     with pytest.raises(TypeError):
         IntegerSpectrum.geometric(2.5)
+    # the direct form checks the base as the constructor does
+    with pytest.raises(TypeError):
+        IntegerSpectrum("geometric", base=2.5)
+    assert IntegerSpectrum("geometric", base=np.int64(3)).terms(2) == [3, 9]
     with pytest.raises(TypeError):
         IntegerSpectrum.explicit([1.5, 3.9])
     # numpy integers are integers
