@@ -5,7 +5,9 @@ factorize, orbit, polydisc.  All randomness is seeded (flag --seed, env var
 CYCLICA_SEED takes precedence, read on every call); reports are
 deterministic JSON with the configuration echoed.  The argument parser
 depends on no input, so it is built once per process and reused by every
-:func:`dispatch`; it holds no results.  Exit codes: 0 success, 1 when
+:func:`dispatch`; it holds no results.  Each subcommand handler returns its
+report and verdict, and :func:`dispatch` alone echoes the configuration,
+writes and prints every report and sets every exit code: 0 success, 1 when
 --strict is set and the verdict is non-cyclic, 2 on input errors: a
 malformed file, a series file of the wrong kind, an out-of-range flag or
 an output path that cannot be written, reported as one ``error:`` line.
@@ -81,17 +83,14 @@ def _config(args) -> RunConfig:
     return RunConfig(tol, seed, args.horizon, getattr(args, "strict", False))
 
 
-def _emit(report, args, config):
-    report = {"config": config.echo(), **report}
-    text = dump_report(report, getattr(args, "report", None))
-    print(text)
-
-
 def _verdict_exit(verdict, config) -> int:
-    return 1 if config.strict and verdict.status in NONCYCLIC_STATUSES else 0
+    strict = config.strict and verdict is not None
+    return 1 if strict and verdict.status in NONCYCLIC_STATUSES else 0
 
 
 # -- subcommand handlers ----------------------------------------------------
+# each returns (report, verdict), verdict None where there is none; construct
+# writes CSV and returns None
 
 def _cmd_analyze(args, config):
     series, model = _load_series(args.input, "disc")
@@ -112,8 +111,7 @@ def _cmd_analyze(args, config):
         verdict = cyclicity_single(series, tol)
         out = {"verdict": verdict.to_dict(), "mode": verdict.mode,
                "at_horizon": True}
-    _emit(out, args, config)
-    return _verdict_exit(verdict, config)
+    return out, verdict
 
 
 def _cmd_spectrum(args, config):
@@ -129,8 +127,7 @@ def _cmd_spectrum(args, config):
         res = s.residues(N, K)
         out["residues_hit"] = sorted(set(res))
         out["admits_SstarN"] = _admits_SstarN(s, N, K, lambda: res).to_dict()
-    _emit(out, args, config)
-    return 0
+    return out, None
 
 
 def _cmd_construct(args, config):
@@ -169,7 +166,6 @@ def _cmd_construct(args, config):
         print(",".join(header))
         for row in rows:
             print(",".join(str(v) for v in row))
-    return 0
 
 
 def _cmd_multishift(args, config):
@@ -179,14 +175,12 @@ def _cmd_multishift(args, config):
             raise InputError("--nmax must be at least 1")
         s = load_spectrum(args.input)
         members = sorted(af_membership(s, args.nmax, config.horizon))
-        _emit({"af_membership": members, "nmax": args.nmax}, args, config)
-        return 0
+        return {"af_membership": members, "nmax": args.nmax}, None
     if args.power is None:
         raise InputError("multishift requires --power N or --af")
     series, _ = _load_series(args.input, "disc")
     verdict = sstarN_cyclicity(series, args.power, tol, horizon=config.horizon)
-    _emit({"power": args.power, "verdict": verdict.to_dict()}, args, config)
-    return _verdict_exit(verdict, config)
+    return {"power": args.power, "verdict": verdict.to_dict()}, verdict
 
 
 def _cmd_unions(args, config):
@@ -205,22 +199,19 @@ def _cmd_unions(args, config):
             "stacked": series_to_dict(stacked),
             "components": [series_to_dict(c) for c in comps],
         }
-        _emit(out, args, config)
-        return _verdict_exit(verdict, config)
+        return out, verdict
     # check: a stacked family series with a tail model
     if not args.input:
         raise InputError("unions check requires --input")
     series, model = _load_series(args.input, "disc")
     verdict = cyclicity_single(series, tol, model=model)
-    _emit({"verdict": verdict.to_dict()}, args, config)
-    return _verdict_exit(verdict, config)
+    return {"verdict": verdict.to_dict()}, verdict
 
 
 def _cmd_blocks(args, config):
     bs, model = load_blocks(args.input, args.model)
     verdict = blocks_cyclicity(bs, model, config.tolerances, seed=config.seed)
-    _emit({"verdict": verdict.to_dict()}, args, config)
-    return _verdict_exit(verdict, config)
+    return {"verdict": verdict.to_dict()}, verdict
 
 
 def _cmd_factorize(args, config):
@@ -238,8 +229,7 @@ def _cmd_factorize(args, config):
     }
     if args.out:
         dump_report(out, args.out)
-    _emit({"n_factors": pp.n_factors, "verification": report}, args, config)
-    return 0
+    return {"n_factors": pp.n_factors, "verification": report}, None
 
 
 def _cmd_orbit(args, config):
@@ -254,13 +244,12 @@ def _cmd_orbit(args, config):
             for n in range(args.max_shift + 1)
         ]
         write_csv(args.csv, ("budget", "residual", "gram_condition"), rows)
-    _emit({
+    return {
         "residual_final": rep.residual_final,
         "target_norm": rep.target_norm,
         "gram_condition": rep.gram_condition,
         "truncation_degree": rep.truncation_degree,
-    }, args, config)
-    return 0
+    }, None
 
 
 def _cmd_polydisc(args, config):
@@ -275,8 +264,7 @@ def _cmd_polydisc(args, config):
     if args.analyze:
         verdict = polydisc_cyclicity(series, config.tolerances, model)
         out["verdict"] = verdict.to_dict()
-    _emit(out, args, config)
-    return _verdict_exit(verdict, config) if verdict is not None else 0
+    return out, verdict
 
 
 # -- parser -----------------------------------------------------------------
@@ -371,12 +359,18 @@ def dispatch(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, _config(args))
+        config = _config(args)
+        out = args.func(args, config)
+        if out is None:  # construct's CSV
+            return 0
+        report, verdict = out
+        print(dump_report({"config": config.echo(), **report}, args.report))
     # InputError, every library argument check, and a report or CSV path
     # that cannot be written
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return _verdict_exit(verdict, config)
 
 
 def main():

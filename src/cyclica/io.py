@@ -71,10 +71,6 @@ def format_float(x) -> float:
     return float(format(float(x), ".17g"))
 
 
-def _coeff_to_pairs(v):
-    return [[format_float(c.real), format_float(c.imag)] for c in np.atleast_1d(v)]
-
-
 def _coeff_from_pairs(pairs, dim, where):
     try:
         arr = np.array([complex(float(re), float(im)) for re, im in pairs])
@@ -86,25 +82,27 @@ def _coeff_from_pairs(pairs, dim, where):
 
 
 def series_to_dict(f, tail_model: TailModel = None) -> dict:
+    """The series file of f (and its tail model): every coefficient row is
+    complex, so ``_jsonable`` writes it as [re, im] pairs."""
     if isinstance(f, PolySeries):
         terms = [
-            {"exp": list(e), "coeff": _coeff_to_pairs(c)}
+            {"exp": list(e), "coeff": _jsonable(c)}
             for e, c in zip(f.multi_exponents, f.coeffs)
         ]
         out = {"dim": f.dim, "kind": "polydisc", "poly_dim": f.poly_dim,
                "terms": terms}
     else:
         terms = [
-            {"exp": int(e), "coeff": _coeff_to_pairs(c)}
+            {"exp": int(e), "coeff": _jsonable(c)}
             for e, c in zip(f.exponents, f.coeffs)
         ]
         out = {"dim": f.dim, "kind": "disc", "terms": terms,
                "truncation_degree": int(f.truncation_degree)}
     if tail_model is not None:
         out["tail_model"] = {
-            "recurrent": [_coeff_to_pairs(v) for v in tail_model.recurrent],
+            "recurrent": [_jsonable(v) for v in tail_model.recurrent],
             "transient": [
-                {"index": k, "coeff": _coeff_to_pairs(v)}
+                {"index": k, "coeff": _jsonable(v)}
                 for k, v in tail_model.transient
             ],
         }

@@ -178,7 +178,10 @@ def _generic_rank(pattern):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    match = maximum_bipartite_matching(csr_matrix(pattern), perm_type="column")
+    r, c = pattern.nonzero()  # row-major, so c is already the CSR's indices
+    indptr = np.searchsorted(r, np.arange(len(pattern) + 1))
+    graph = csr_matrix((np.ones(len(c)), c, indptr), shape=pattern.shape)
+    match = maximum_bipartite_matching(graph, perm_type="column")
     return int(np.sum(match != -1))
 
 
@@ -214,6 +217,8 @@ def bounded_block_family_cyclicity(family, N: int,
     {reshape(S*^i f) : f in family, 0 <= i < N} is all of C^{d N}.
     Each reshaped spectrum must be lacunary (bounded-block property).
     """
+    if N < 1:
+        raise ValueError("N must be >= 1")
     family, d = _family(family)
     reshaped = []
     for f in family:
@@ -228,6 +233,8 @@ def bounded_block_family_cyclicity(family, N: int,
     keys = np.concatenate([rs.series.exponents for rs in reshaped])
     order = np.argsort(keys, kind="stable")
     rows = np.concatenate([rs.series.coeffs for rs in reshaped])[order]
+    if not len(rows):
+        return _window_span_verdict(rows, tol)  # NonCyclic: empty enumeration
     all_blocks, starts = np.unique(keys[order], return_index=True)
     hit = first_proper_tail(rows, tol, starts[: len(all_blocks) // 2 + 1])
     if hit is None:

@@ -229,14 +229,6 @@ def _assemble(T, coeffs, Tg, gcoeffs, alpha):
     return (row[shared][order], col[shared][order], a[shared][order], p2, bc), replay
 
 
-def _geqrf(M):
-    """Householder QR of M by LAPACK geqrf with its optimal blocked
-    workspace, in place when M is Fortran-ordered; R is the upper triangle
-    of the result."""
-    geqrf, lwork = get_lapack_funcs(("geqrf", "geqrf_lwork"), (M,))
-    return geqrf(M, lwork=int(lwork(*M.shape)[0].real), overwrite_a=True)[0]
-
-
 def _tpqrt(A, B):
     """QR of [A; B], A upper triangular and n x n, by LAPACK tpqrt, in place
     when both are Fortran-ordered; R overwrites A.  Below 128 columns one
@@ -274,10 +266,10 @@ def _merge_twins(row, pos, v, bc):
     private rows extended to rows that several columns share.  Twins are
     what lacunarity leaves in a C^d-valued orbit: in the merged pair
     (f, S*f), row (e, c) equals row (e - 1, c + 1), both holding f^(e + s)
-    in every shift column s.  Rows are grouped by (fingerprint, entry
-    count, b_C), and each is checked entry by entry against the first row
-    of its group, which it joins only if equal: a fingerprint collision can
-    cost a merge but never make a wrong one.  When the fingerprints are all
+    in every shift column s.  ``_runs`` groups the rows by (fingerprint,
+    entry count, b_C), and each is checked entry by entry against the first
+    row of its group, which it joins only if equal: a fingerprint collision
+    can cost a merge but never make a wrong one.  When the fingerprints are all
     distinct, which is every block without twins, the rows pass through as
     they came.  The merged row keeps the place of the first.  Takes and
     returns the entries (row, pos, v), sorted by row, and b_C, the rows
@@ -289,10 +281,7 @@ def _merge_twins(row, pos, v, bc):
     if not (s[1:] == s[:-1]).any():
         return row, pos, v, bc
     cnt = np.bincount(row, minlength=n)
-    by_key = np.lexsort((bc, cnt, fp))  # stable: a group's first row leads it
-    run = np.arange(n) == 0  # which rows, in key order, start a group
-    for key in (fp[by_key], cnt[by_key], bc[by_key]):
-        run[1:] |= key[1:] != key[:-1]
+    by_key, run = _runs(np.column_stack([bc, cnt, fp]))  # a group's first row leads it
     lead = np.empty(n, dtype=np.int64)
     lead[by_key] = by_key[run][run.cumsum() - 1]
     # each entry against the same entry of its row's leader (itself on a leader)
@@ -352,9 +341,12 @@ def _qr_skipping(A, B, cut):
     """QR of [A; B] = [unit columns | b], A upper triangular, deleting each
     column within sine ``cut`` of the span of the columns kept before it.
 
-    With unit columns, |R_kk| is that sine.  A deleted column leaves an
-    upper Hessenberg block behind it, which is factored again.  Returns R
-    (upper triangle; the last kept column is b) and the kept column indices.
+    With unit columns, |R_kk| is that sine.  Deleting column k leaves an
+    upper Hessenberg block behind it whose rows below the first already
+    form a triangle, so tpqrt reduces that one row onto them, O(n^2) flops
+    for an n-column block (Golub and Van Loan, Matrix Computations, 4th
+    ed., 6.5).  Returns R, square and upper triangular over the kept
+    columns and b (the last kept column), and the kept column indices.
     """
     R = _tpqrt(A, B)
     keep = np.arange(A.shape[1] - 1)
@@ -365,8 +357,9 @@ def _qr_skipping(A, B, cut):
             return R, keep
         k += small[0]
         keep = np.delete(keep, k)
-        R = np.delete(R[: len(keep) + 2], k, axis=1)
-        R[k:, k:] = _geqrf(np.triu(R[k:, k:], -1))
+        H = np.asfortranarray(R[k:, k + 1:])  # upper Hessenberg: rows k on, columns past k
+        R = np.delete(R[:-1], k, axis=1)
+        R[k:, k:] = _tpqrt(H[1:], H[:1])
 
 
 def _solve_levels(row, col, data, p2, bc, level, levels, cut):
@@ -492,7 +485,8 @@ def orbit_project_polydisc(f: PolySeries, g: PolySeries, box,
     ``residual_final`` replays them on every row that the block or g
     touches, the only rows where A x - b can be nonzero.  ``detail`` also
     holds ``block``, ``accepted_directions``, ``columns_at_full_box`` (the
-    box's column count, a Python int) and ``chain``.
+    box's column count, a Python int) and ``chain``.  The search runs in
+    int64, so a multi-exponent of f or g at or above 2^63 raises ValueError.
     """
     if not len(f):
         raise ValueError("cannot project onto the orbit of the zero series")
@@ -504,8 +498,11 @@ def orbit_project_polydisc(f: PolySeries, g: PolySeries, box,
     # exact integer edges: a float product rounds boxes above 2^53
     boxes = tuple(tuple(b * n // d for b in box)
                   for n, d in (frac.as_integer_ratio() for frac in _CHAIN))
-    T = np.asarray(f.multi_exponents, dtype=np.int64)
-    Tg = np.asarray(g.multi_exponents, dtype=np.int64).reshape(len(g), f.poly_dim)
+    try:
+        T = np.asarray(f.multi_exponents, dtype=np.int64)
+        Tg = np.asarray(g.multi_exponents, dtype=np.int64).reshape(len(g), f.poly_dim)
+    except OverflowError:
+        raise ValueError("multi-exponents of f and g must be below 2^63") from None
     alpha = _block_columns(T, f.coeffs, Tg, g.coeffs, box)
     block, replay = _assemble(T, f.coeffs, Tg, g.coeffs, alpha)
     # the first sub-box holding alpha: the largest first index over the axes

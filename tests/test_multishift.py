@@ -238,3 +238,18 @@ def test_family_criterion_rejects_dense():
     f = scalar_series(list(range(1, 60)), np.ones(59))
     with pytest.raises(ValueError, match="block"):
         bounded_block_family_cyclicity(f, 2)
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_family_criterion_rejects_nonpositive_power(N):
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        bounded_block_family_cyclicity(_straddling_pair(), N)
+
+
+def test_family_criterion_on_an_empty_enumeration():
+    # no member stores a term: NonCyclic at witness 0, as sstarN_cyclicity
+    f = VectorSeries(2, [], np.zeros((0, 2)))
+    v = bounded_block_family_cyclicity([f], 2)
+    assert (v.status, v.mode, v.witness) == ("NonCyclic", "at-horizon", 0)
+    assert v.detail == {"reason": "empty enumeration"}
+    assert v.to_dict() == sstarN_cyclicity(f, 2).to_dict()

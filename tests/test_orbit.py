@@ -28,9 +28,9 @@ from cyclica.orbit import (
     _CHAIN,
     _assemble,
     _block_columns,
-    _geqrf,
     _qr_skipping,
     _solve_levels,
+    _tpqrt,
 )
 
 from conftest import dyadic_scalar, edge_coeffs
@@ -274,12 +274,18 @@ def test_qr_skipping_deletes_interior_directions(rng):
     assert np.allclose(np.abs(np.triu(R[:7, :7])), np.abs(oracle), atol=1e-12)
 
 
-def _stacked_qr_skipping(A, B, cut):
-    """Reference for ``_qr_skipping``: geqrf of the stacked M = [B; A], the
-    shared rows over the diagonal rows and their zero last row, with the
-    same deletions and Hessenberg refactors."""
-    R = _geqrf(np.asfortranarray(np.vstack([B, A])))
-    keep = np.arange(A.shape[1] - 1)
+def _geqrf(M):
+    """Householder QR of M by LAPACK geqrf with its optimal blocked
+    workspace, in place when M is Fortran-ordered; R is the upper triangle
+    of the result."""
+    geqrf, lwork = get_lapack_funcs(("geqrf", "geqrf_lwork"), (M,))
+    return geqrf(M, lwork=int(lwork(*M.shape)[0].real), overwrite_a=True)[0]
+
+
+def _skipping(R, keep, cut):
+    """The deletions of ``_qr_skipping`` on a factor R of the kept columns,
+    each upper Hessenberg block behind a deleted column factored again by
+    geqrf; R's upper triangle is the result."""
     k = 0
     while True:
         small = np.flatnonzero(np.abs(R.diagonal()[k:len(keep)]) <= cut)
@@ -291,30 +297,51 @@ def _stacked_qr_skipping(A, B, cut):
         R[k:, k:] = _geqrf(np.triu(R[k:, k:], -1))
 
 
+def _stacked_qr_skipping(A, B, cut):
+    """Reference for ``_qr_skipping``: geqrf of the stacked M = [B; A], the
+    shared rows over the diagonal rows and their zero last row, with the
+    same deletions, each refactored by geqrf."""
+    R = _geqrf(np.asfortranarray(np.vstack([B, A])))
+    return _skipping(R, np.arange(A.shape[1] - 1), cut)
+
+
+def _geqrf_qr_skipping(A, B, cut):
+    """Reference for ``_qr_skipping``'s deletions: the same tpqrt of
+    [A; B], then a geqrf of each Hessenberg block behind a deleted column."""
+    return _skipping(_tpqrt(A, B), np.arange(A.shape[1] - 1), cut)
+
+
+def _solve_both(monkeypatch, reference, block, level, levels):
+    """`_solve_levels` on a block through the QR ``reference`` and through
+    `_qr_skipping`: their factors (R, kept columns) and fits, in that order."""
+    factors, fits = [], []
+    for qr in (reference, _qr_skipping):
+        def record(A, B, cut, qr=qr):
+            factors.append(qr(A, B, cut))
+            return factors[-1]
+        with monkeypatch.context() as m:
+            m.setattr(orbit, "_qr_skipping", record)
+            fits.append(_solve_levels(*block, level, levels, Tolerances().tol_rank))
+    return factors, fits
+
+
 def _assert_matches_stacked_qr(monkeypatch, block, level, levels, curve_tol=1e-13,
                                sines=True):
     """`_solve_levels` on a block against the same solve through the stacked
     geqrf: the same kept columns and detail, the residual curve to
     ``curve_tol`` ||b|| and, if ``sines``, |R_kk| to 1e-13.  Returns the
     fit."""
-    factors, fits = {}, {}
-    for name, qr in (("stacked", _stacked_qr_skipping), ("tp", _qr_skipping)):
-        def record(A, B, cut, name=name, qr=qr):
-            factors[name] = qr(A, B, cut)
-            return factors[name]
-        with monkeypatch.context() as m:
-            m.setattr(orbit, "_qr_skipping", record)
-            fits[name] = _solve_levels(*block, level, levels, Tolerances().tol_rank)
-    (R0, keep0), (R1, keep1) = factors["stacked"], factors["tp"]
+    ((R0, keep0), (R1, keep1)), (fit0, fit1) = _solve_both(
+        monkeypatch, _stacked_qr_skipping, block, level, levels)
     assert np.array_equal(keep0, keep1)
-    assert fits["stacked"]["detail"] == fits["tp"]["detail"]
+    assert fit0["detail"] == fit1["detail"]
     if sines:
         n = len(keep1) + 1
         diag = np.abs(np.abs(R0.diagonal()[:n]) - np.abs(R1.diagonal()[:n]))
         assert diag.max() <= 1e-13, diag.max()
-    curve = np.abs(fits["stacked"]["residuals"] - fits["tp"]["residuals"])
+    curve = np.abs(fit0["residuals"] - fit1["residuals"])
     assert curve.max() <= curve_tol * np.linalg.norm(block[4]), curve.max()
-    return fits["tp"]
+    return fit1
 
 
 def _disc_block(f, g, n):
@@ -479,15 +506,39 @@ def test_gram_condition_is_the_cholesky_estimate():
     assert rep.gram_condition == pytest.approx(rcond**-2, rel=1e-6)
 
 
-def _ill_conditioned_orbit():
-    """16^-k at exponents growing by 1.25 (degree 94), and the target z^3:
-    the scaled Gram condition is about 1e20, and at budget 96 z^3 lies in
-    the orbit span (80-digit arithmetic gives residual 0)."""
+def _ill_conditioned_orbit(terms=18):
+    """16^-k at exponents growing by 1.25 (degree 94 with 18 terms), and the
+    target z^3: the scaled Gram condition is about 1e20, and at budget 96
+    z^3 lies in the orbit span (80-digit arithmetic gives residual 0)."""
     exps = [0]
-    while len(exps) < 18:
+    while len(exps) < terms:
         exps.append(max(exps[-1] + 1, int(np.ceil(1.25 * exps[-1]))))
     f = scalar_series(exps, [16.0**-k for k in range(len(exps))])
     return f, scalar_series([3], [1.0])
+
+
+@pytest.mark.parametrize("terms, budget, deletions", [(18, 96, 9), (22, 512, 22),
+                                                      (26, 1024, 53)])
+def test_deletion_refactor_matches_geqrf(monkeypatch, terms, budget, deletions):
+    # tpqrt of the first row of each Hessenberg block onto the triangle below
+    # it against a geqrf of the whole block: the same kept columns, the same
+    # coefficient bits, |R_kk| and the curve to 1e-15 ||g||, and an R with
+    # nothing below its diagonal (geqrf leaves its reflectors there)
+    f, g = _ill_conditioned_orbit(terms)
+    block, cols = _disc_block(f, g, budget)
+    ((R0, keep0), (R1, keep1)), (fit0, fit1) = _solve_both(
+        monkeypatch, _geqrf_qr_skipping, block, cols, budget + 1)
+    assert len(cols) - len(keep1) == deletions
+    assert np.array_equal(keep0, keep1)
+    assert fit0["coefficients"].tobytes() == fit1["coefficients"].tobytes()
+    n, gn = len(keep1) + 1, g.norm()
+    assert np.abs(np.abs(R0.diagonal()[:n]) - np.abs(R1.diagonal()[:n])).max() <= 1e-15 * gn
+    assert np.abs(fit0["residuals"] - fit1["residuals"]).max() <= 1e-15 * gn
+    assert R1.shape == (n, n) and not np.tril(R1, -1).any()
+    # the rows behind a deletion are tiny here, so R row by row, up to a
+    # unimodular factor, to 1e-13 of the row's largest entry
+    A0, A1 = np.abs(np.triu(R0[:n, :n])), np.abs(R1)
+    assert (np.abs(A0 - A1) <= 1e-13 * A0.max(axis=1, keepdims=True)).all()
 
 
 @pytest.mark.parametrize("budget", [48, 96])
@@ -1641,6 +1692,18 @@ def test_polydisc_box_must_bound_every_variable(box):
         orbit_project_polydisc(f, one, box)
     with pytest.raises(ValueError, match="2 nonnegative bounds"):
         one_in_orbit_check(f, box)
+
+
+@pytest.mark.parametrize("big", [2**63, 2**64])
+def test_polydisc_rejects_exponents_past_int64(big):
+    # the exponent search runs in int64; either series may hold the exponent
+    small = PolySeries(2, 1, [((1, 0), [1.0])])
+    large = PolySeries(2, 1, [((big, 0), [1.0]), ((0, 1), [0.5])])
+    for f, g in ((large, small), (small, large)):
+        with pytest.raises(ValueError, match=r"below 2\^63"):
+            orbit_project_polydisc(f, g, (2, 2))
+    with pytest.raises(ValueError, match=r"below 2\^63"):
+        one_in_orbit_check(large, (2, 2))
 
 
 def test_polydisc_chain_is_exact_above_2_53():
