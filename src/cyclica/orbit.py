@@ -2,8 +2,10 @@
 
 The orbit of f under the backward shift spans the whole space exactly when f
 is cyclic; numerically we certify this at truncation by projecting a target g
-onto span{S*^alpha f : alpha within a shift budget} and reporting the
-residual curve; the disc is the one-variable case.
+onto span{S*^alpha f : alpha within a shift box} and reporting the residual
+along a chain of nested boxes.  One harness (``_project``) does it, and the
+disc is its one-variable case: its chain is the boxes 0, 1, ..., budget, so
+the curve has one point per shift, where the polydisc reports five sub-boxes.
 
 Lacunary spectra have few exponent coincidences, so almost every row of the
 orbit matrix is touched by one column only.  The exactly compressed system
@@ -12,20 +14,20 @@ column into one diagonal entry per column, an exact change of row basis.
 It splits into independent blocks, the connected components of the graph
 that links each shared row to the columns touching it; a block without a
 row of g has optimal coefficients 0 and adds nothing to any residual, so
-both harnesses factor only g's blocks.
+only g's blocks are factored.
 
-Both harnesses pick g's block columns by one search over exponents from
-g's rows (``_block_columns``), so the cost follows the block, which
-lacunarity keeps tiny, and not the box, which on the polydisc grows as a
-product; it reaches boxes of 1e11 columns and more.  On the disc the box is
-the shifts 0..budget, and g's block is about half of it.  One assembler
+g's block columns are picked by one search over exponents from g's rows
+(``_block_columns``), so the cost follows the block, which lacunarity keeps
+tiny, and not the box, which on the polydisc grows as a product; it reaches
+boxes of 1e11 columns and more.  On the disc the box is the shifts
+0..budget, and g's block is about half of it.  One assembler
 (``_assemble``) builds the compressed system straight from the exponents on
 those columns.  The block is factored once, by a QR of the column-scaled
-system with its columns in the order in which they enter (shift n at budget
-n on the disc, the first sub-box of the chain that holds alpha on the
-polydisc), deleting a direction within sine ``tol_rank`` of the kept span;
-the one factor yields the nonincreasing residual curve, the endpoint
-coefficients and a condition estimate.  The QR follows the block's shape:
+system with its columns in the order in which they enter (the first box of
+the chain that holds alpha: shift n at budget n on the disc), deleting a
+direction within sine ``tol_rank`` of the kept span; the one factor
+yields the nonincreasing residual curve, the endpoint coefficients and a
+condition estimate.  The QR follows the block's shape:
 its diagonal rows already form a triangle, so LAPACK's triangular-pentagonal
 tpqrt reduces only the shared rows onto it, about 2 n_r m^2 flops for n_r
 shared rows and m columns where dense Householder QR spends about
@@ -49,6 +51,7 @@ does not depend on the order of the rows.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from math import fsum, prod, sqrt
 
@@ -427,40 +430,75 @@ def _solve_levels(row, col, data, p2, bc, level, levels, cut):
                 detail={"block": (nr + m, m), "accepted_directions": k})
 
 
+def _bounds(bounds, n, message):
+    """``bounds`` as ``n`` Python ints, each an integer by ``operator.index``
+    (numpy integers too) and none negative; anything else raises
+    ValueError(message).  A float is never truncated, and a bool is not an
+    integer here, as ``io._integers`` reads them."""
+    try:
+        bounds = tuple(bounds)
+        if not any(isinstance(b, bool) for b in bounds):
+            ints = tuple(map(operator.index, bounds))
+            if len(ints) == n and min(ints, default=0) >= 0:
+                return ints
+    except TypeError:
+        pass
+    raise ValueError(message)
+
+
+def _project(T, coeffs, Tg, gcoeffs, edges, tol):
+    """Least squares of g against the orbit of f over a chain of boxes.
+
+    T (terms x poly_dim, int64) and ``coeffs`` (terms x dim) describe f, Tg
+    and ``gcoeffs`` g.  ``edges`` holds one box per level, one column per
+    axis, nested and ending at the full box, as int64 or as Python ints
+    (object dtype), which may pass 2^63.  g's block columns at the full box
+    are searched (``_block_columns``), assembled (``_assemble``) and solved
+    with each column entering at the first box that holds it
+    (``_solve_levels``), then replayed.  Returns the block columns alpha
+    (int64, m x poly_dim, C order) and the ``OrbitReport`` fields of the fit
+    but ``shifts_used`` and ``truncation_degree``, ``coefficients`` one per
+    block column.
+    """
+    if not len(T):
+        raise ValueError("cannot project onto the orbit of the zero series")
+    if T.shape[1] != Tg.shape[1] or coeffs.shape[1] != gcoeffs.shape[1]:
+        raise ValueError("dimension mismatch between series")
+    alpha = _block_columns(T, coeffs, Tg, gcoeffs, edges[-1])
+    block, replay = _assemble(T, coeffs, Tg, gcoeffs, alpha)
+    # the first box holding alpha: the largest first index over the axes
+    level = 0
+    for e, a in zip(edges.T, alpha.T):
+        level = np.maximum(level, e.searchsorted(a))
+    fit = _solve_levels(*block, level, len(edges), tol.tol_rank)
+    # replay takes the coefficients by block column; the norm is g.norm()'s
+    fit.update(residual_final=replay(fit["coefficients"]),
+               target_norm=float(np.sqrt(np.sum(np.abs(gcoeffs) ** 2))))
+    return alpha, fit
+
+
 def orbit_project(f: VectorSeries, g: VectorSeries, n_max: int,
                   tol: Tolerances = Tolerances()) -> OrbitReport:
     """Project g onto span{S*^n f : 0 <= n <= n_max}, exactly on truncations.
 
-    This is the one-variable polydisc solve with one level per shift: g's
-    block columns of the compressed orbit system are found by the exponent
-    search, each shift n entering at budget n, and one Householder QR gives
-    the residual curve for budgets 0..n_max, the coefficients at n_max and
-    the condition estimate.  ``coefficients`` has one entry per shift, 0
-    outside g's block; ``residual_final`` replays them on the rows that the
-    block or g touches, the only rows where A x - b can be nonzero.
-    ``detail`` holds ``accepted_directions`` (in g's block) and ``block``,
-    its size (rows, columns).
+    The one-variable polydisc solve (``_project``) on the chain of boxes
+    0, 1, ..., n_max, so that shift n enters at budget n: one QR gives the
+    residual curve for budgets 0..n_max, the coefficients at n_max and the
+    condition estimate.  ``n_max`` is a nonnegative integer (numpy integers
+    too, not a bool or a float), else ValueError.  ``coefficients`` has one
+    entry per shift, 0 outside g's block; ``residual_final`` replays them on
+    the rows that the block or g touches, the only rows where A x - b can be
+    nonzero.  ``detail`` holds ``accepted_directions`` (in g's block) and
+    ``block``, its size (rows, columns).
     """
-    if f.is_zero:
-        raise ValueError("cannot project onto the orbit of the zero series")
-    if f.dim != g.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    T, Tg = f.exponents[:, None], g.exponents[:, None]
-    alpha = _block_columns(T, f.coeffs, Tg, g.coeffs, (n_max,))
-    block, replay = _assemble(T, f.coeffs, Tg, g.coeffs, alpha)
-    fit = _solve_levels(*block, alpha[:, 0], n_max + 1, tol.tol_rank)
+    (n_max,) = _bounds((n_max,), 1, f"n_max must be a nonnegative integer, got {n_max!r}")
+    alpha, fit = _project(f.exponents[:, None], f.coeffs, g.exponents[:, None],
+                          g.coeffs, np.arange(n_max + 1)[:, None], tol)
     x = np.zeros(n_max + 1, dtype=complex)
     x[alpha[:, 0]] = fit["coefficients"]
-    # replay takes the coefficients by block column, not by shift
-    fit.update(coefficients=x, residual_final=replay(fit["coefficients"]))
-    return OrbitReport(
-        shifts_used=tuple(range(n_max + 1)),
-        truncation_degree=f.truncation_degree,
-        target_norm=g.norm(),
-        **fit,
-    )
+    fit["coefficients"] = x
+    return OrbitReport(shifts_used=tuple(range(n_max + 1)),
+                       truncation_degree=f.truncation_degree, **fit)
 
 
 # fractions of the box at which the residual curve is reported
@@ -471,13 +509,13 @@ def orbit_project_polydisc(f: PolySeries, g: PolySeries, box,
                            tol: Tolerances = Tolerances()) -> OrbitReport:
     """Least squares of g against {S*^alpha f : alpha <= box componentwise}.
 
-    The residual is reported along a nested chain of sub-boxes (the fractions
-    ``_CHAIN`` of the full box).  g's block of the compressed orbit system
-    at the full box is assembled on the columns that a search over
-    exponents finds (``_block_columns``), so the cost follows the block and
-    not the box, and it is solved as on the disc, each column entering at
-    the first sub-box that holds its shift: one Householder QR gives the
-    whole chain, the full-box coefficients and the condition estimate.
+    The same solve as on the disc (``_project``), on a chain of five nested
+    sub-boxes (the fractions ``_CHAIN`` of the full box) at which the
+    residual is reported, each column entering at the first sub-box that
+    holds its shift.  Only g's block of the compressed orbit system at the
+    full box is assembled, so the cost follows the block and not the box.
+    ``box`` holds one nonnegative integer per variable (numpy integers too,
+    not bools or floats), else ValueError.
 
     ``coefficients`` is in support form: the coefficients of g's block
     columns, whose multi-indices are the rows of ``detail["support"]``
@@ -488,37 +526,20 @@ def orbit_project_polydisc(f: PolySeries, g: PolySeries, box,
     box's column count, a Python int) and ``chain``.  The search runs in
     int64, so a multi-exponent of f or g at or above 2^63 raises ValueError.
     """
-    if not len(f):
-        raise ValueError("cannot project onto the orbit of the zero series")
-    if f.dim != g.dim or f.poly_dim != g.poly_dim:
-        raise ValueError("dimension mismatch between series")
-    box = tuple(int(b) for b in box)
-    if len(box) != f.poly_dim or any(b < 0 for b in box):
-        raise ValueError(f"box needs {f.poly_dim} nonnegative bounds, got {box}")
+    box = _bounds(box, f.poly_dim,
+                  f"box needs {f.poly_dim} nonnegative bounds (integers), got {box!r}")
     # exact integer edges: a float product rounds boxes above 2^53
     boxes = tuple(tuple(b * n // d for b in box)
                   for n, d in (frac.as_integer_ratio() for frac in _CHAIN))
     try:
         T = np.asarray(f.multi_exponents, dtype=np.int64)
-        Tg = np.asarray(g.multi_exponents, dtype=np.int64).reshape(len(g), f.poly_dim)
+        Tg = np.asarray(g.multi_exponents, dtype=np.int64).reshape(len(g), g.poly_dim)
     except OverflowError:
         raise ValueError("multi-exponents of f and g must be below 2^63") from None
-    alpha = _block_columns(T, f.coeffs, Tg, g.coeffs, box)
-    block, replay = _assemble(T, f.coeffs, Tg, g.coeffs, alpha)
-    # the first sub-box holding alpha: the largest first index over the axes
-    level = np.zeros(len(alpha), dtype=np.int64)
-    for axis, edges in enumerate(zip(*boxes)):
-        level = np.maximum(level, np.array(edges).searchsorted(alpha[:, axis]))
-    fit = _solve_levels(*block, level, len(boxes), tol.tol_rank)
-    fit["residual_final"] = replay(fit["coefficients"])
+    alpha, fit = _project(T, f.coeffs, Tg, g.coeffs, np.array(boxes, dtype=object), tol)
     fit["detail"].update(support=alpha, columns_at_full_box=prod(b + 1 for b in box),
                          chain=_CHAIN)
-    return OrbitReport(
-        shifts_used=boxes,
-        truncation_degree=max(max(t) for t in f.multi_exponents),
-        target_norm=g.norm(),
-        **fit,
-    )
+    return OrbitReport(shifts_used=boxes, truncation_degree=int(T.max()), **fit)
 
 
 def one_in_orbit_check(f: PolySeries, box, tol: Tolerances = Tolerances(),
