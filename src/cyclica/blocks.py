@@ -8,8 +8,9 @@ cyclicity is equivalent to L having maximal *local* rank: the dimension of
 
 This is the tail-span criterion applied to block stacks: block k flattens
 to one (N+1)*d stack at term position k, and ``coefspace``'s TailModel,
-``x_star`` and split decide consistency, L and the decomposition.  This
-module only builds the stacks and evaluates L.
+one exact-mode rule and split decide consistency, L and the decomposition:
+the model is checked against the stored blocks before L is taken from it.
+This module only builds the stacks and evaluates L.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefspace import TailModel, _split, cyclicity_single, x_star
+from .coefspace import TailModel, _decide, _split
 from .core import Subspace, Tolerances, VectorSeries, first_proper_tail
 from .verdicts import CYCLIC, NON_CYCLIC, NOT_CYCLIC, POSSIBLY_CYCLIC, Verdict
 
@@ -125,10 +126,9 @@ def _stacks(bs: BlockSeries, model: PolyDirectionModel):
 
 def compute_L(bs: BlockSeries, model: PolyDirectionModel,
               tol: Tolerances = Tolerances()) -> Subspace:
-    """L = span of the recurrent polynomial directions, as coefficient stacks."""
-    f, tm = _stacks(bs, model)
-    tm.check_consistency(f, tol)
-    return x_star(tm, tol)
+    """L = span of the recurrent polynomial directions, as coefficient stacks,
+    once the model is checked against the stored blocks."""
+    return _decide(*_stacks(bs, model), tol)[0]
 
 
 def local_rank(L: Subspace, dim: int, block_degree: int, seed: int = 0,
@@ -154,13 +154,10 @@ def local_rank(L: Subspace, dim: int, block_degree: int, seed: int = 0,
 def blocks_cyclicity(bs: BlockSeries, model: PolyDirectionModel,
                      tol: Tolerances = Tolerances(), seed: int = 0) -> Verdict:
     """Cyclic iff the recurrent polynomial directions have full local rank."""
+    L, v = _decide(*_stacks(bs, model), tol)
     if bs.block_degree == 0:
-        # blocks are constants: the criterion degenerates to the tail span,
-        # which reads only the model, so check the model first
-        f, tm = _stacks(bs, model)
-        tm.check_consistency(f, tol)
-        return cyclicity_single(f, tol, model=tm)
-    L = compute_L(bs, model, tol)
+        # blocks are constants: the criterion degenerates to the tail span
+        return v
     r = local_rank(L, bs.dim, bs.block_degree, seed=seed, tol=tol)
     status = CYCLIC if r == bs.dim else NON_CYCLIC
     return Verdict(status, "exact", detail={"local_rank": r, "dim": bs.dim})
@@ -175,8 +172,8 @@ def blocks_decompose(bs: BlockSeries, model: PolyDirectionModel,
     consistent model confines p to the transient blocks.  Either part is
     None when it has no nonzero block.
     """
-    f, _ = _stacks(bs, model)
-    p = _split(f, compute_L(bs, model, tol), tol)
+    f, tm = _stacks(bs, model)
+    p = _split(f, _decide(f, tm, tol)[0], tol)
     shape = (-1, bs.block_degree + 1, bs.dim)
 
     def unstack(rows):

@@ -8,6 +8,11 @@ which is full exactly when the (lacunary) series is cyclic for the backward
 shift.  X_* is an infinite-tail object, so it is computed exactly only under
 a declared :class:`TailModel` (transient coefficients + recurrent directions);
 raw truncations get an at-horizon estimate from the last half of the terms.
+One private rule, ``_decide``, turns a model into an X_* verdict for every
+caller (``decompose``, ``cyclicity_single`` and through them the unions,
+polydisc and blocks modules): a TailModel given beside a stored series is
+checked against its coefficients first, so no exact verdict rests on a
+model that the stored series contradicts.
 
 Every check reads a member through one tail view: ``_tail_rows`` lists its
 rows with their positions (a model's recurrent directions sit at position
@@ -176,42 +181,56 @@ def _split(f: VectorSeries, xs: Subspace, tol: Tolerances):
     return resid
 
 
+def _decide(f, model, tol: Tolerances):
+    """(X_*, verdict) of f under ``model``: the one exact-mode rule.
+
+    A TailModel given beside a stored series is first checked against its
+    coefficients, so an exact verdict never rests on a model that f
+    contradicts; a model given alone (f is the model) is taken as declared.
+    The mode is exact only for a TailModel; any other model leaves X_* to
+    f's at-horizon estimate.
+    """
+    exact = isinstance(model, TailModel)
+    if exact and not isinstance(f, TailModel):
+        model.check_consistency(f, tol)
+    xs = x_star(model if exact else f, tol)
+    status = CYCLIC if xs.is_full else NON_CYCLIC
+    return xs, Verdict(status, "exact" if exact else "at-horizon",
+                       detail={"dim_x_star": xs.dim, "dim": f.dim})
+
+
 def decompose(f: VectorSeries, model, tol: Tolerances = Tolerances()) -> CyclicityReport:
     """Split f = (f - p) + p with p = projection of f onto the X_* complement.
 
-    In exact (TailModel) mode the model is first checked for consistency with
-    the stored coefficients; p is then supported on transient positions only.
+    X_* and the verdict come from ``_decide``: in exact (TailModel) mode the
+    model is first checked against the stored coefficients, and p is then
+    supported on transient positions only.
     """
-    exact = isinstance(model, TailModel)
-    if exact:
-        model.check_consistency(f, tol)
-    xs = x_star(model if exact else f, tol)
+    xs, verdict = _decide(f, model, tol)
     resid = _split(f, xs, tol)
     p = VectorSeries(f.dim, f.exponents, resid, f.truncation_degree)
     nonzero = np.flatnonzero(np.linalg.norm(resid, axis=1) > 0)
     n_of_f = int(nonzero[-1]) + 1 if nonzero.size else 0
     deg_exp = int(f.exponents[nonzero[-1]]) if nonzero.size else -1
-    mode = "exact" if exact else "at-horizon"
-    status = CYCLIC if xs.is_full else NON_CYCLIC
-    verdict = Verdict(status, mode, detail={"dim_x_star": xs.dim, "dim": f.dim})
     return CyclicityReport(
         x_star=xs,
         n_of_f=n_of_f,
         p=p,
         verdict=verdict,
-        mode=mode,
+        mode=verdict.mode,
         deg_p_exponent=deg_exp,
         deg_p_index=n_of_f - 1,
     )
 
 
 def cyclicity_single(f, tol: Tolerances = Tolerances(), model=None) -> Verdict:
-    """Cyclic iff X_* is all of C^d (lacunary series, finite d)."""
-    model = f if model is None else model
-    xs = x_star(model, tol)
-    mode = "exact" if isinstance(model, TailModel) else "at-horizon"
-    status = CYCLIC if xs.is_full else NON_CYCLIC
-    return Verdict(status, mode, detail={"dim_x_star": xs.dim, "dim": model.dim})
+    """Cyclic iff X_* is all of C^d (lacunary series, finite d).
+
+    A TailModel ``model`` is checked against the stored series f before it
+    decides (ValueError if f contradicts it); ``cyclicity_single(tm)`` on a
+    model alone is exact and unchecked.
+    """
+    return _decide(f, f if model is None else model, tol)[1]
 
 
 def cyclicity_family(family, tol: Tolerances = Tolerances()) -> Verdict:

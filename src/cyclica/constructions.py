@@ -84,9 +84,6 @@ class DivisorClosedSet:
     def __contains__(self, m):
         return m == 1 or (m >= 1 and any(g % m == 0 for g in self.generators))
 
-    def sorted(self):
-        return sorted(self.closure)
-
 
 @dataclass(frozen=True)
 class CrtSequenceSpec:

@@ -124,12 +124,16 @@ def sstarN_cyclicity(f: VectorSeries, N: int, tol: Tolerances = Tolerances(),
     """Cyclicity of f for the N-th power of the backward shift.
 
     For a scalar series on a generator-backed spectrum (pass ``spectrum``),
-    the residue-class argument applies and can return a Proven verdict.
+    the residue-class argument applies and can return a Proven verdict.  A
+    declared spectrum must match f's exponents term by term (ValueError
+    otherwise), since the residue argument reads only the spectrum.
     Otherwise the stored truncation is reshaped and the stacked tail spans
     are checked window-by-window (at-horizon).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    if spectrum is not None and f.exponents.tolist() != spectrum.terms(len(f)):
+        raise ValueError("the series' exponents do not match the declared spectrum")
     if f.dim == 1 and spectrum is not None:
         v = spectrum_admits_SstarN(spectrum, N, horizon)
         status = CYCLIC if bool(v) else NON_CYCLIC

@@ -5,14 +5,15 @@ terms; the backward shifts S*^alpha drop everything below alpha and act as a
 semigroup.  Cyclicity under the sparseness conditions (bounded difference
 multiplicity, componentwise gap divergence) reduces to the same coefficient
 tail-span criterion as on the disc, re-indexed by the user's enumeration of
-the spectrum.
+the spectrum; ``coefspace.cyclicity_single`` decides it, checking a declared
+TailModel against the stored terms before it gives an exact verdict.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .coefspace import TailModel, x_star as _x_star
+from .coefspace import TailModel, cyclicity_single
 from .core import Tolerances
 from .spectrum import (
     IntegerSpectrum,
@@ -21,7 +22,7 @@ from .spectrum import (
     polydisc_c1,
     polydisc_c2,
 )
-from .verdicts import CYCLIC, NON_CYCLIC, Verdict
+from .verdicts import NON_CYCLIC, Verdict
 
 __all__ = [
     "PolySeries",
@@ -151,9 +152,11 @@ def polydisc_cyclicity(f: PolySeries, tol: Tolerances = Tolerances(),
     """Tail-span cyclicity along the enumeration (alpha_j) of the spectrum.
 
     Requires the sparseness conditions to hold (at horizon); a definitive
-    violation raises with a pointer to the orbit harness.  With a TailModel
-    over the enumeration index the verdict is exact; otherwise ``x_star`` of
-    the stored enumeration gives an at-horizon verdict.
+    violation raises with a pointer to the orbit harness.  The verdict is
+    ``cyclicity_single``'s: with a TailModel over the enumeration index it is
+    checked against the stored terms (ValueError on a contradiction) and the
+    verdict is exact; otherwise the stored enumeration gives an at-horizon
+    verdict.
     """
     if len(f) == 0:
         return Verdict(NON_CYCLIC, "exact", detail={"reason": "zero series"})
@@ -163,13 +166,6 @@ def polydisc_cyclicity(f: PolySeries, tol: Tolerances = Tolerances(),
             "componentwise gap divergence fails on this enumeration; "
             "only the orbit harness applies"
         )
-    if model is not None:
-        model.check_consistency(f, tol)  # duck-typed: positions follow the enumeration
-    xs = _x_star(f if model is None else model, tol)
-    mode = "at-horizon" if model is None else "exact"
-    status = CYCLIC if xs.dim == f.dim else NON_CYCLIC
-    return Verdict(
-        status, mode,
-        detail={"dim_x_star": xs.dim, "dim": f.dim, "c1": c1,
-                "c1_certificate": note},
-    )
+    v = cyclicity_single(f, tol, model=model)  # positions follow the enumeration
+    return Verdict(v.status, v.mode,
+                   detail={**v.detail, "c1": c1, "c1_certificate": note})

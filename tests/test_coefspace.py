@@ -6,16 +6,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclica import (
+    BlockSeries,
+    IntegerSpectrum,
+    PolyDirectionModel,
+    PolySeries,
+    ShiftedSpectrumFamily,
     TailModel,
     Tolerances,
     VectorSeries,
+    Verdict,
+    blocks_cyclicity,
     cyclicity_family,
     cyclicity_single,
     decompose,
     necessary_condition,
     numerical_span,
+    polydisc_cyclicity,
     project_vector,
     scalar_series,
+    shifted_stack_cyclicity,
     tail_span,
     x_star,
 )
@@ -119,6 +128,57 @@ def test_deg_p_conventions_can_differ():
     assert rep.n_of_f == 3
     assert rep.deg_p_index == 2
     assert rep.deg_p_exponent == 8
+
+
+# -- one exact-mode rule -----------------------------------------------------
+
+
+def _via_polydisc(f, model):
+    v = polydisc_cyclicity(PolySeries(1, f.dim, zip(f.exponents[:, None], f.coeffs)),
+                           model=model)
+    rest = {k: x for k, x in v.detail.items() if k not in ("c1", "c1_certificate")}
+    return Verdict(v.status, v.mode, v.witness, rest)
+
+
+def _via_blocks(f, model):
+    # at degree 0 each block is one coefficient, each model direction one row
+    bs = BlockSeries(f.dim, 0, zip(f.exponents, f.coeffs[:, None]))
+    pm = PolyDirectionModel([r[None] for r in model.recurrent],
+                            [k for k, _ in model.transient])
+    return blocks_cyclicity(bs, pm)
+
+
+def _via_shifted_stack(f, model):
+    # component i on {2^k + i}: removing the shifts restacks f's columns
+    comps = [scalar_series(f.exponents + i, f.coeffs[:, i]) for i in range(f.dim)]
+    fam = ShiftedSpectrumFamily(IntegerSpectrum.geometric(2), range(f.dim), comps)
+    return shifted_stack_cyclicity(fam, model=model)
+
+
+RULE_CALLERS = {
+    "cyclicity_single": lambda f, model: cyclicity_single(f, model=model),
+    "decompose": lambda f, model: decompose(f, model).verdict,
+    "polydisc_cyclicity": _via_polydisc,
+    "blocks_cyclicity_degree_0": _via_blocks,
+    "shifted_stack_cyclicity": _via_shifted_stack,
+}
+
+
+@pytest.mark.parametrize("caller", sorted(RULE_CALLERS))
+def test_every_exact_verdict_checks_its_model(caller):
+    # (1, 0) at position 0, then the direction (1, 1) at shrinking scale
+    f = VectorSeries(2, [2**k for k in range(1, 11)],
+                     [[1, 0]] + [[2.0**-k, 2.0**-k] for k in range(1, 10)])
+    consistent = TailModel(2, [[1, 1]], [(0, [1, 0])])
+    want = Verdict("NonCyclic", "exact", detail={"dim_x_star": 1, "dim": 2})
+    assert RULE_CALLERS[caller](f, consistent) == want
+    assert cyclicity_single(consistent) == want  # a model alone is taken as declared
+    contradicting = TailModel(2, [[1, -1]], [(0, [1, 0])])
+    with pytest.raises(ValueError) as declared:
+        contradicting.check_consistency(f)
+    with pytest.raises(ValueError) as got:
+        RULE_CALLERS[caller](f, contradicting)
+    assert str(got.value) == str(declared.value)
 
 
 # -- verdicts -----------------------------------------------------------------

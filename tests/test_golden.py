@@ -50,6 +50,7 @@ CASES = {
                  "--diff-mult", "--residues", "5"],
     "spectrum_crt": ["spectrum", "--input", "crt46.json", "--lacunarity",
                      "--diff-mult", "--residues", "5"],
+    "unions_check": ["unions", "check", "--input", "tail_model.json"],
     "unions_construct": ["unions", "construct",
                          "--spectra", "geometric2.json,geometric3.json"],
 }

@@ -390,6 +390,10 @@ REJECTED = {
     "transient_not_finite": ["analyze", "--strict", "--input", "{transient_nan}"],
     "truncation_degree_list": ["analyze", "--input", "{truncation_list}"],
     "unions_check_without_input": ["unions", "check"],
+    # a tail model that the stored series contradicts is bad input, not an
+    # exact NonCyclic verdict (exit 1 under --strict)
+    "unions_check_contradicting_model": ["unions", "check", "--strict",
+                                         "--input", "{contradicting_model}"],
     "unions_construct_without_spectra": ["unions", "construct"],
     "tolerance_out_of_range": ["analyze", "--input", "{series}", "--tol-rank", "2"],
     "count_zero": ["construct", "factorial", "--count", "0"],
@@ -420,6 +424,12 @@ def test_rejected_input_exits_2(name, tmp_path, capsys):
                       {"exp": 4, "coeff": [[0, 0], [1, 0]]}],
             "tail_model": {"recurrent": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
                            "transient": [{"index": 0, "coeff": [[np.nan, 0], [0, 0]]}]},
+        },
+        "contradicting_model": {
+            "dim": 2,
+            "terms": [{"exp": 2, "coeff": [[1, 0], [0, 0]]},
+                      {"exp": 4, "coeff": [[0, 0], [1, 0]]}],
+            "tail_model": {"recurrent": [[[1, 0], [0, 0]]]},
         },
     }
     paths = {k: _write(tmp_path / f"{k}.json", v) for k, v in files.items()}

@@ -123,6 +123,15 @@ def test_geometric2_not_sstar2_cyclic():
     assert v.status == "NonCyclic"
 
 
+def test_declared_spectrum_must_match_the_series():
+    # 4, 8, ..., 2^13 is not (k+1)! + k: the residue route reads only the
+    # spectrum, so a wrong one would prove f cyclic
+    f = scalar_series([2 ** (k + 1) for k in range(1, 13)], np.ones(12))
+    assert not sstarN_cyclicity(f, 2)
+    with pytest.raises(ValueError, match="declared spectrum"):
+        sstarN_cyclicity(f, 2, spectrum=IntegerSpectrum.factorial_plus_k())
+
+
 def test_reshaped_window_path():
     # explicit residue-covering spectrum handled without a generator
     exps = [3, 4, 9, 16, 33, 64, 129, 256, 513, 1024]
