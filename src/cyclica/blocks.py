@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefspace import TailModel, _decide, _split
-from .core import Subspace, Tolerances, VectorSeries, first_proper_tail
+from .core import Subspace, Tolerances, VectorSeries, _index, _indices, first_proper_tail
 from .verdicts import CYCLIC, NON_CYCLIC, NOT_CYCLIC, POSSIBLY_CYCLIC, Verdict
 
 __all__ = [
@@ -54,11 +54,12 @@ class BlockSeries:
     blocks: tuple
 
     def __init__(self, dim, block_degree, blocks):
-        d, N = int(dim), int(block_degree)
+        d, N = _index(dim, "dim"), _index(block_degree, "block_degree")
         if d < 1 or N < 0:
             raise ValueError("need dim >= 1 and block_degree >= 0")
-        bl = tuple((int(n), _as_poly(p, N, d)) for n, p in blocks)
-        ns = [n for n, _ in bl]
+        blocks = tuple(blocks)
+        ns = _indices([n for n, _ in blocks], "n").tolist()
+        bl = tuple((n, _as_poly(p, N, d)) for n, (_, p) in zip(ns, blocks))
         if any(n < 0 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("block positions must be strictly increasing and >= 0")
         if any(b - a <= N for a, b in zip(ns, ns[1:])):
@@ -99,7 +100,7 @@ class PolyDirectionModel:
             raise ValueError("recurrent set must be nonempty")
         if any(np.all(p == 0) for p in rec):
             raise ValueError("recurrent polynomials must be nonzero")
-        tr = tuple(sorted({int(k) for k in transient_indices}))
+        tr = tuple(sorted({_index(k, "transient_indices") for k in transient_indices}))
         if tr and tr[0] < 0:
             raise ValueError("transient indices must be >= 0")
         object.__setattr__(self, "recurrent_polys", rec)

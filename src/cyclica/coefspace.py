@@ -36,6 +36,7 @@ from .core import (
     Tolerances,
     VectorSeries,
     _family,
+    _index,
     first_proper_tail,
     numerical_span,
 )
@@ -74,7 +75,7 @@ class TailModel:
     transient: tuple = ()
 
     def __init__(self, dim, recurrent, transient=()):
-        d = int(dim)
+        d = _index(dim, "dim")
         rec = tuple(np.asarray(v, dtype=complex) for v in recurrent)
         if not rec:
             raise ValueError("recurrent set must be nonempty")
@@ -82,7 +83,7 @@ class TailModel:
             raise ValueError("recurrent vectors must have length dim")
         if not all(np.any(v != 0) for v in rec):  # a norm can underflow to 0
             raise ValueError("recurrent vectors must be nonzero")
-        tra = tuple((int(k), np.asarray(v, dtype=complex)) for k, v in transient)
+        tra = tuple((_index(k, "index"), np.asarray(v, dtype=complex)) for k, v in transient)
         if any(v.shape != (d,) for _, v in tra):
             raise ValueError("transient vectors must have length dim")
         if not all(np.isfinite(v).all() for v in rec + tuple(v for _, v in tra)):

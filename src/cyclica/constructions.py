@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import VectorSeries
+from .core import VectorSeries, _index
 
 __all__ = [
     "PRIME_TABLE_SIZE",
@@ -67,7 +67,7 @@ class DivisorClosedSet:
     generators: frozenset
 
     def __init__(self, generators):
-        gens = frozenset(int(g) for g in generators)
+        gens = frozenset(_index(g, "generators") for g in generators)
         if any(g < 1 for g in gens):
             raise ValueError("generators must be positive")
         object.__setattr__(self, "generators", gens)

@@ -12,6 +12,7 @@ All operations are pure; series and subspaces are never mutated in place.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,37 @@ __all__ = [
     "project_vector",
     "scalar_series",
 ]
+
+
+def _index(value, name):
+    """``value`` as a Python int, the one integer rule of the package.
+
+    Every integer field of the value types is read here: any integer by
+    ``operator.index`` passes, numpy integers included, while a bool, a
+    float, a string or None raises TypeError instead of being truncated.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name!r} must hold integers, got {value!r}")
+
+
+def _indices(values, name):
+    """The int64 array of ``values``, each read by :func:`_index`.
+
+    A signed integer ndarray passes without a copy.  Anything else is read
+    element by element, since ``np.asarray([True, 2])`` is int64 and a
+    uint64 of 2^63 would wrap; a value outside int64 raises ValueError.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
+        return values.astype(np.int64, copy=False)
+    ints = [_index(v, name) for v in values]
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{name!r} must lie below 2^63") from None
 
 
 @dataclass(frozen=True)
@@ -70,10 +102,10 @@ class VectorSeries:
     __slots__ = ("dim", "exponents", "coeffs", "truncation_degree")
 
     def __init__(self, dim, exponents, coeffs, truncation_degree=None):
-        dim = int(dim)
+        dim = _index(dim, "dim")
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        exps = np.asarray(exponents, dtype=np.int64)
+        exps = _indices(exponents, "exponents")
         cfs = np.asarray(coeffs, dtype=complex)
         if cfs.ndim == 1:
             cfs = cfs.reshape(-1, 1) if dim == 1 else cfs.reshape(1, -1)
@@ -97,8 +129,8 @@ class VectorSeries:
         keep = np.any(cfs != 0, axis=1)  # a norm can underflow to 0
         exps, cfs = exps[keep], cfs[keep]
         if truncation_degree is None:
-            truncation_degree = int(exps[-1]) if exps.size else 0
-        truncation_degree = int(truncation_degree)
+            truncation_degree = exps[-1] if exps.size else 0
+        truncation_degree = _index(truncation_degree, "truncation_degree")
         if exps.size and truncation_degree < exps[-1]:
             raise ValueError("truncation_degree smaller than the largest exponent")
         object.__setattr__(self, "dim", dim)
@@ -150,7 +182,7 @@ def scalar_series(exponents, coeffs, truncation_degree=None):
 
 def backward_shift(f: VectorSeries, n: int = 1) -> VectorSeries:
     """Drop the first n coefficients and shift the rest down: sum_{k>=n} a_k z^{k-n}."""
-    n = int(n)
+    n = _index(n, "n")
     if n < 0:
         raise ValueError("shift must be nonnegative")
     if n == 0:
@@ -162,7 +194,7 @@ def backward_shift(f: VectorSeries, n: int = 1) -> VectorSeries:
 
 def forward_shift(f: VectorSeries, n: int = 1) -> VectorSeries:
     """Multiply by z^n: exponents increase by n, norm is preserved."""
-    n = int(n)
+    n = _index(n, "n")
     if n < 0:
         raise ValueError("shift must be nonnegative")
     return VectorSeries(f.dim, f.exponents + n, f.coeffs, f.truncation_degree + n)
@@ -195,7 +227,7 @@ class Subspace:
     basis: np.ndarray = field(default=None)  # shape (d, r), orthonormal columns
 
     def __post_init__(self):
-        d = int(self.dim_ambient)
+        d = _index(self.dim_ambient, "dim_ambient")
         b = self.basis
         if b is None:
             b = np.zeros((d, 0), dtype=complex)

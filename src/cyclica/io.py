@@ -8,8 +8,7 @@ The series format:
                     "transient": [{"index": k, "coeff": coeff}, ...]}}
 
 Exponent lists must be strictly increasing (disc) or duplicate-free
-(polydisc); ``dim``, ``poly_dim``, the exponents, ``truncation_degree``
-and a transient's ``index`` must be JSON integers.
+(polydisc).
 A reader of one kind of series rejects a file of the other kind.
 
 A spectrum file is either a disc series file (its exponents are the
@@ -20,17 +19,16 @@ spectrum) or one of
     {"kind": "factorial_plus_k"}
     {"kind": "crt", "generators": [g, ...]}
 
-whose numbers must be JSON integers.
-
 A blocks file and its model file:
 
     {"dim": d, "block_degree": N,
      "blocks": [{"n": n_k, "poly": [coeff, ...]}, ...]}
     {"recurrent_polys": [[coeff, ...], ...], "transient_indices": [k, ...]}
 
-where each polynomial lists its N + 1 coefficients, constant term first,
-and ``dim``, ``block_degree``, each ``n`` and the transient indices must be
-JSON integers.
+where each polynomial lists its N + 1 coefficients, constant term first.
+Every integer field is checked by the value type that it builds: a float
+or a bool is not truncated to an integer, and a disc exponent or a block
+position at or above 2^63 is rejected.
 A malformed file raises :class:`InputError`.  All floating-point output
 uses 17 significant digits so that reports are byte-identical across runs.
 """
@@ -45,7 +43,7 @@ import numpy as np
 from .blocks import BlockSeries, PolyDirectionModel
 from .coefspace import TailModel
 from .constructions import CrtSequenceSpec, DivisorClosedSet
-from .core import VectorSeries
+from .core import VectorSeries, _index
 from .polydisc import PolySeries
 from .spectrum import IntegerSpectrum
 
@@ -116,49 +114,27 @@ def series_from_dict(data: dict):
     for key in ("dim", "terms"):
         if key not in data:
             raise InputError(f"series file is missing the {key!r} field")
-    dim = data["dim"]
-    if type(dim) is not int or dim < 1:  # bool is an int subclass, not a JSON integer
-        raise InputError(f"'dim' must be a positive integer, got {dim!r}")
     kind = data.get("kind", "disc")
     if kind not in ("disc", "polydisc"):
         raise InputError(f"'kind' must be 'disc' or 'polydisc', got {kind!r}")
     terms = data["terms"]
     if not isinstance(terms, list) or not all(isinstance(t, dict) for t in terms):
         raise InputError("'terms' must be a list of objects")
-    if kind == "polydisc":
-        poly_dim = data.get("poly_dim")
-        if type(poly_dim) is not int or poly_dim < 1:
-            raise InputError("'poly_dim' must be a positive integer for polydisc series")
-        parsed = []
-        for i, t in enumerate(terms):
-            e = t.get("exp")
-            if (not isinstance(e, list) or len(e) != poly_dim
-                    or not all(type(c) is int for c in e)):
-                raise InputError(f"terms[{i}]: 'exp' must be a list of {poly_dim} integers")
-            parsed.append((tuple(e), _coeff_from_pairs(t.get("coeff", []), dim, f"terms[{i}]")))
-        try:
-            series = PolySeries(poly_dim, dim, parsed)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-    else:
-        exps, coeffs = [], []
-        for i, t in enumerate(terms):
-            e = t.get("exp")
-            if type(e) is not int or e < 0:
-                raise InputError(f"terms[{i}]: 'exp' must be a nonnegative integer")
-            exps.append(e)
-            coeffs.append(_coeff_from_pairs(t.get("coeff", []), dim, f"terms[{i}]"))
-        if any(b <= a for a, b in zip(exps, exps[1:])):
-            raise InputError("'terms' exponents must be strictly increasing")
-        trunc = data.get("truncation_degree")
-        if trunc is not None:
-            _integers(trunc, "truncation_degree")
-        try:
-            series = VectorSeries(
-                dim, exps, np.array(coeffs).reshape(len(exps), dim), trunc
-            )
-        except (ValueError, TypeError) as exc:  # TypeError: a list as the degree
-            raise InputError(str(exc)) from exc
+    try:
+        dim = _index(data["dim"], "dim")  # the coefficients are read at length dim
+        exps = [t.get("exp") for t in terms]
+        coeffs = [_coeff_from_pairs(t.get("coeff", []), dim, f"terms[{i}]")
+                  for i, t in enumerate(terms)]
+        if kind == "polydisc":
+            series = PolySeries(data.get("poly_dim"), dim, zip(exps, coeffs))
+        else:
+            series = VectorSeries(dim, exps, np.reshape(coeffs, (len(exps), dim)),
+                                  data.get("truncation_degree"))
+            # VectorSeries sorts, so an unsorted file would pass unseen
+            if any(b <= a for a, b in zip(exps, exps[1:])):
+                raise ValueError("'terms' exponents must be strictly increasing")
+    except (ValueError, TypeError) as exc:
+        raise InputError(str(exc)) from exc
     model = None
     if "tail_model" in data and data["tail_model"] is not None:
         tm = data["tail_model"]
@@ -167,8 +143,7 @@ def series_from_dict(data: dict):
         try:
             rec = [_coeff_from_pairs(v, dim, "tail_model.recurrent") for v in tm["recurrent"]]
             tra = [
-                (_integers(t["index"], "index"),
-                 _coeff_from_pairs(t["coeff"], dim, "tail_model.transient"))
+                (t["index"], _coeff_from_pairs(t["coeff"], dim, "tail_model.transient"))
                 for t in tm.get("transient", [])
             ]
             model = TailModel(dim, rec, tra)
@@ -199,14 +174,6 @@ def _load_series(path, kind):
     return series, model
 
 
-def _integers(value, key):
-    """``value`` when it is a JSON integer or a list of them; a float or a
-    bool is not truncated to one."""
-    if not all(type(v) is int for v in (value if isinstance(value, list) else [value])):
-        raise InputError(f"{key!r} must hold integers, got {value!r}")
-    return value
-
-
 def load_spectrum(path) -> IntegerSpectrum:
     """A spectrum file, or the exponents of a disc series file."""
     data = _read_json(path)
@@ -216,19 +183,17 @@ def load_spectrum(path) -> IntegerSpectrum:
         series, _ = series_from_dict(data)
         if not isinstance(series, VectorSeries):
             raise InputError("polydisc series have no 1-D spectrum; pass a spectrum file")
-        return IntegerSpectrum.explicit([int(e) for e in series.exponents])
+        return IntegerSpectrum.explicit(series.exponents)
     kind = data.get("kind")
     try:
         if kind == "explicit":
-            return IntegerSpectrum.explicit(_integers(data["values"], "values"))
+            return IntegerSpectrum.explicit(data["values"])
         if kind == "geometric":
-            return IntegerSpectrum.geometric(_integers(data["base"], "base"))
+            return IntegerSpectrum.geometric(data["base"])
         if kind == "factorial_plus_k":
             return IntegerSpectrum.factorial_plus_k()
         if kind == "crt":
-            return IntegerSpectrum.crt(
-                CrtSequenceSpec(DivisorClosedSet(_integers(data["generators"], "generators")))
-            )
+            return IntegerSpectrum.crt(CrtSequenceSpec(DivisorClosedSet(data["generators"])))
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad spectrum file: {exc}") from exc
     raise InputError(f"unknown spectrum kind {kind!r}")
@@ -243,15 +208,15 @@ def load_blocks(path, model_path):
     """Parse a blocks file and its model file; returns (BlockSeries, model)."""
     data, mdata = _read_json(path), _read_json(model_path)
     try:
-        dim = _integers(data["dim"], "dim")
-        bs = BlockSeries(dim, _integers(data["block_degree"], "block_degree"), [
-            (_integers(b["n"], "n"), _poly_from_rows(b["poly"], dim, f"blocks[{i}].poly"))
+        dim = _index(data["dim"], "dim")  # the polynomials are read at width dim
+        bs = BlockSeries(dim, data["block_degree"], [
+            (b["n"], _poly_from_rows(b["poly"], dim, f"blocks[{i}].poly"))
             for i, b in enumerate(data["blocks"])
         ])
         model = PolyDirectionModel(
             [_poly_from_rows(p, dim, f"recurrent_polys[{i}]")
              for i, p in enumerate(mdata["recurrent_polys"])],
-            _integers(mdata.get("transient_indices", []), "transient_indices"),
+            mdata.get("transient_indices", []),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad blocks input: {exc}") from exc

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tolerances, VectorSeries, numerical_span
+from .core import Tolerances, VectorSeries, _index, numerical_span
 
 __all__ = [
     "MatrixPolynomial",
@@ -59,7 +59,7 @@ class MatrixPolynomial:
     coeffs: np.ndarray  # (M+1, d, d)
 
     def __init__(self, dim, coeffs):
-        d = int(dim)
+        d = _index(dim, "dim")
         c = np.asarray(coeffs, dtype=complex)
         if c.ndim != 3 or c.shape[1:] != (d, d):
             raise ValueError(f"coefficients must have shape (M+1, {d}, {d})")
@@ -117,7 +117,7 @@ class PotapovProduct:
     assembled: MatrixPolynomial
 
     def __init__(self, dim, factors):
-        d = int(dim)
+        d = _index(dim, "dim")
         factors = list(factors)
         fs = tuple(np.asarray(x, dtype=complex) for x in factors)
         if any(x.shape != (d,) for x in fs):

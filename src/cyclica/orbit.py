@@ -51,7 +51,6 @@ does not depend on the order of the rows.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from math import fsum, prod, sqrt
 
@@ -59,7 +58,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .constructions import abakumov_weights
-from .core import Tolerances, VectorSeries, backward_shift
+from .core import Tolerances, VectorSeries, _index, backward_shift
 from .polydisc import PolySeries
 
 __all__ = [
@@ -431,16 +430,13 @@ def _solve_levels(row, col, data, p2, bc, level, levels, cut):
 
 
 def _bounds(bounds, n, message):
-    """``bounds`` as ``n`` Python ints, each an integer by ``operator.index``
-    (numpy integers too) and none negative; anything else raises
-    ValueError(message).  A float is never truncated, and a bool is not an
-    integer here, as ``io._integers`` reads them."""
+    """``bounds`` as ``n`` Python ints, each read by ``core._index`` (numpy
+    integers too, never a bool or a float) and none negative; anything else
+    raises ValueError(message)."""
     try:
-        bounds = tuple(bounds)
-        if not any(isinstance(b, bool) for b in bounds):
-            ints = tuple(map(operator.index, bounds))
-            if len(ints) == n and min(ints, default=0) >= 0:
-                return ints
+        ints = tuple(_index(b, "bounds") for b in bounds)
+        if len(ints) == n and min(ints, default=0) >= 0:
+            return ints
     except TypeError:
         pass
     raise ValueError(message)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coefspace import TailModel, cyclicity_single
-from .core import Tolerances
+from .core import Tolerances, _index
 from .spectrum import (
     IntegerSpectrum,
     MultiSpectrum,
@@ -43,12 +43,12 @@ class PolySeries:
     __slots__ = ("poly_dim", "dim", "multi_exponents", "coeffs")
 
     def __init__(self, poly_dim, dim, terms):
-        poly_dim, dim = int(poly_dim), int(dim)
+        poly_dim, dim = _index(poly_dim, "poly_dim"), _index(dim, "dim")
         if poly_dim < 1 or dim < 1:
             raise ValueError("poly_dim and dim must be >= 1")
         exps, cfs = [], []
         for alpha, c in terms:
-            a = tuple(int(x) for x in alpha)
+            a = tuple(_index(x, "multi_exponents") for x in alpha)
             if len(a) != poly_dim or any(x < 0 for x in a):
                 raise ValueError(f"bad multi-index {alpha!r}")
             v = np.asarray(c, dtype=complex).reshape(dim)
@@ -102,7 +102,7 @@ class PolySeries:
 
 def poly_backward_shift(f: PolySeries, alpha) -> PolySeries:
     """S*^alpha: keep terms with exponent >= alpha componentwise, shifted down."""
-    alpha = tuple(int(x) for x in alpha)
+    alpha = tuple(_index(x, "alpha") for x in alpha)
     if len(alpha) != f.poly_dim or any(x < 0 for x in alpha):
         raise ValueError(f"bad shift multi-index {alpha!r}")
     out = []

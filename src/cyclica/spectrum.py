@@ -10,13 +10,13 @@ the usual notation.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
+from .core import _index
 from .verdicts import NO_WITNESS, PROVEN, YES_AT_HORIZON, Verdict
 
 __all__ = [
@@ -50,11 +50,11 @@ class IntegerSpectrum:
         if kind not in ("explicit", "geometric", "factorial_plus_k", "crt"):
             raise ValueError(f"unknown spectrum kind {kind!r}")
         self.kind = kind
-        self.base = operator.index(base) if kind == "geometric" else base
+        self.base = _index(base, "base") if kind == "geometric" else base
         self.crt_spec = crt_spec
         self.values = None
         if kind == "explicit":
-            vals = [operator.index(v) for v in values]
+            vals = [_index(v, "values") for v in values]
             if any(v < 0 for v in vals):
                 raise ValueError("exponents must be nonnegative")
             if any(b <= a for a, b in zip(vals, vals[1:])):
@@ -113,6 +113,7 @@ class IntegerSpectrum:
 
     def residues(self, modulus: int, horizon: int) -> list:
         """[n_1 mod N, ..., n_K mod N] for the modulus N, in one pass."""
+        modulus = _index(modulus, "modulus")
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
         K = max(horizon, 0)
@@ -210,6 +211,7 @@ def bounded_block_check(s: IntegerSpectrum, N: int, horizon: int, d_min: float) 
     Duplicate block indices (several exponents inside one width-N block) are
     collapsed; a leading zero block is skipped for the ratio test.
     """
+    N = _index(N, "N")
     if N < 1:
         raise ValueError("N must be >= 1")
     if d_min <= 1:
@@ -239,7 +241,7 @@ class MultiSpectrum:
     entries: tuple
 
     def __init__(self, entries):
-        ents = tuple(tuple(int(c) for c in e) for e in entries)
+        ents = tuple(tuple(_index(c, "entries") for c in e) for e in entries)
         if not ents:
             raise ValueError("MultiSpectrum needs at least one entry")
         if any(len(e) != len(ents[0]) for e in ents):

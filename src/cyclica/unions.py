@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .coefspace import TailModel, cyclicity_single
-from .core import Tolerances, VectorSeries, _family, backward_shift, first_proper_tail
+from .core import Tolerances, VectorSeries, _family, _index, backward_shift, first_proper_tail
 from .spectrum import IntegerSpectrum
 from .verdicts import (
     CYCLIC,
@@ -48,7 +48,7 @@ class ShiftedSpectrumFamily:
     components: tuple
 
     def __init__(self, base, shifts, components):
-        shifts = tuple(int(m) for m in shifts)
+        shifts = tuple(_index(m, "shifts") for m in shifts)
         components = tuple(components)
         if len(shifts) != len(components) or not components:
             raise ValueError("need one shift per component")
@@ -58,7 +58,7 @@ class ShiftedSpectrumFamily:
             raise ValueError("components must be scalar series")
         lam = set(base.terms(len(base)) if base.is_finite else base.terms(64))
         for m, f in zip(shifts, components):
-            bad = [int(e) for e in f.exponents if int(e) - m not in lam]
+            bad = [e for e in f.exponents.tolist() if e - m not in lam]
             if bad:
                 raise ValueError(
                     f"component exponents {bad} do not land in the base "

@@ -4,13 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclica import (
+    BlockSeries,
+    DivisorClosedSet,
+    IntegerSpectrum,
+    MatrixPolynomial,
+    MultiSpectrum,
+    PolyDirectionModel,
+    PolySeries,
+    PotapovProduct,
+    ShiftedSpectrumFamily,
     Subspace,
+    TailModel,
     Tolerances,
     VectorSeries,
     backward_shift,
     forward_shift,
     inner_product,
     numerical_span,
+    poly_backward_shift,
     project_vector,
     scalar_series,
 )
@@ -46,6 +57,67 @@ def test_tiny_coefficients_are_kept():
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         scalar_series([-1, 2], [1.0, 1.0])
+
+
+# caller -> (field, build): the caller run with x in that integer field, its
+# result as a plain value; every one reads the field by core._index
+INTEGER_FIELDS = {
+    "VectorSeries.dim": ("dim", lambda x: VectorSeries(x, [1], np.ones((1, 3))).coeffs.shape),
+    "VectorSeries.exponents": (
+        "exponents", lambda x: VectorSeries(1, [1, x], [1, 2]).exponents.tolist()),
+    "VectorSeries.truncation_degree": (
+        "truncation_degree", lambda x: VectorSeries(1, [1], [1], x).truncation_degree),
+    "backward_shift": ("n", lambda x: backward_shift(scalar_series([1, 4], [1, 2]), x)
+                       .exponents.tolist()),
+    "forward_shift": ("n", lambda x: forward_shift(scalar_series([1], [1]), x)
+                      .exponents.tolist()),
+    "Subspace": ("dim_ambient", lambda x: Subspace(x).dim_ambient),
+    "MatrixPolynomial": ("dim", lambda x: MatrixPolynomial(x, np.ones((1, 3, 3))).dim),
+    "PotapovProduct": ("dim", lambda x: PotapovProduct(x, [[1, 0, 0]]).dim),
+    "TailModel.dim": ("dim", lambda x: TailModel(x, [[1, 0, 0]]).dim),
+    "TailModel.index": ("index", lambda x: TailModel(1, [[1]], [(x, [2])]).transient[0][0]),
+    "BlockSeries.dim": ("dim", lambda x: BlockSeries(x, 0, [(1, np.ones((1, 3)))]).dim),
+    "BlockSeries.block_degree": (
+        "block_degree", lambda x: BlockSeries(1, x, [(1, np.ones((4, 1)))]).block_degree),
+    "BlockSeries.n": ("n", lambda x: BlockSeries(1, 0, [(x, [[1]])]).blocks[0][0]),
+    "PolyDirectionModel": (
+        "transient_indices", lambda x: PolyDirectionModel([[[1]]], [x]).transient_indices),
+    "DivisorClosedSet": ("generators", lambda x: sorted(DivisorClosedSet([x]).closure)),
+    "PolySeries.poly_dim": (
+        "poly_dim", lambda x: PolySeries(x, 1, [((1, 2, 3), [1])]).multi_exponents),
+    "PolySeries.dim": ("dim", lambda x: PolySeries(1, x, [((1,), [1, 2, 3])]).dim),
+    "PolySeries.multi_exponents": (
+        "multi_exponents", lambda x: PolySeries(2, 1, [((1, x), [1])]).multi_exponents),
+    "poly_backward_shift": (
+        "alpha", lambda x: poly_backward_shift(PolySeries(1, 1, [((5,), [1])]), (x,))
+        .multi_exponents),
+    "IntegerSpectrum.base": ("base", lambda x: IntegerSpectrum.geometric(x).terms(2)),
+    "IntegerSpectrum.values": ("values", lambda x: IntegerSpectrum.explicit([1, x]).terms(2)),
+    "MultiSpectrum": ("entries", lambda x: MultiSpectrum([(1, x)]).entries),
+    "ShiftedSpectrumFamily": (
+        "shifts", lambda x: ShiftedSpectrumFamily(
+            IntegerSpectrum.explicit([1, 2]), [0, x],
+            [scalar_series([1], [1]), scalar_series([4], [1])]).shifts),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(INTEGER_FIELDS))
+def test_integer_fields_follow_one_rule(caller):
+    field, build = INTEGER_FIELDS[caller]
+    # a float or a bool is never read as the integer below it
+    for x in (2.5, 3.0, True):
+        with pytest.raises(TypeError, match=f"'{field}' must hold integers"):
+            build(x)
+    # numpy integers are integers
+    assert build(np.int64(3)) == build(3)
+
+
+@pytest.mark.parametrize("exponents", [
+    [2**63], np.array([2**63], dtype=np.uint64), [1, 2**64]])
+def test_exponents_outside_int64_rejected(exponents):
+    # neither an overflow nor a uint64 wrapped to a negative exponent
+    with pytest.raises(ValueError, match="'exponents' must lie below 2\\^63"):
+        VectorSeries(1, exponents, np.ones(len(exponents)))
 
 
 def test_nonfinite_coefficient_rejected():

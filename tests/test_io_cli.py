@@ -80,6 +80,8 @@ def test_series_round_trip_tail_model():
         {"dim": 1, "terms": [{"exp": True, "coeff": [[1, 0]]}]},
         {"dim": 1, "kind": "polydisc", "poly_dim": 2,
          "terms": [{"exp": [2.5, 3], "coeff": [[1, 0]]}]},
+        # np.asarray([True, 2]) is int64: the bool is caught element by element
+        {"dim": 1, "terms": [{"exp": True, "coeff": [[1, 0]]}, {"exp": 2, "coeff": [[1, 0]]}]},
     ],
 )
 def test_malformed_series_rejected(mutant):
@@ -200,6 +202,32 @@ def test_non_integer_field_exits_2(field, tmp_path, capsys):
         argv = ["blocks", "--input", path, "--model", _write(tmp_path / "m.json", model)]
     assert dispatch(argv) == 2
     assert f"'{field}' must hold integers" in capsys.readouterr().err
+
+
+# subcommand -> its argv on a file whose exponent or block position is 2^64
+ABOVE_INT64 = {
+    "analyze": ["analyze", "--strict", "--input", "{series}"],
+    "multishift": ["multishift", "--power", "2", "--input", "{series}"],
+    "spectrum": ["spectrum", "--residues", "3", "--input", "{series}"],
+    "blocks": ["blocks", "--input", "{blocks}", "--model", "{model}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ABOVE_INT64))
+def test_int64_overflow_is_bad_input(name, tmp_path, capsys):
+    # an OverflowError traceback exited 1, the code of a NonCyclic verdict
+    big = 2**64
+    paths = {
+        "series": _write(tmp_path / "s.json", {"dim": 1, "terms": [
+            {"exp": 2, "coeff": [[1, 0]]}, {"exp": big, "coeff": [[0.5, 0]]}]}),
+        "blocks": _write(tmp_path / "b.json", {**_BLOCKS, "blocks": [
+            {"n": 1, "poly": [[[1, 0], [0, 0]]]}, {"n": big, "poly": [[[0, 0], [1, 0]]]}]}),
+        "model": _write(tmp_path / "m.json", _BLOCKS_MODEL),
+    }
+    assert dispatch([a.format(**paths) for a in ABOVE_INT64[name]]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("error:") == 1 and "must lie below 2^63" in err
 
 
 def test_dump_report_deterministic_floats():

@@ -56,6 +56,16 @@ def test_non_integral_numbers_rejected():
     assert IntegerSpectrum.explicit(np.array([2, 7])).terms(2) == [2, 7]
 
 
+def test_modulus_and_block_width_are_integers():
+    # a modulus or a width of 2.5 was used as given: float residues, a block check
+    s = IntegerSpectrum.geometric(2)
+    with pytest.raises(TypeError, match="'modulus' must hold integers"):
+        s.residues(2.5, 4)
+    with pytest.raises(TypeError, match="'N' must hold integers"):
+        bounded_block_check(s, 2.5, 8, 1.5)
+    assert s.residues(np.int64(3), 4) == s.residues(3, 4)
+
+
 @given(k=st.integers(1, 40), N=st.integers(1, 30))
 @settings(max_examples=80, deadline=None)
 def test_streamed_residue_matches_term(k, N):
