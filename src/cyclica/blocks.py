@@ -54,14 +54,13 @@ class BlockSeries:
     blocks: tuple
 
     def __init__(self, dim, block_degree, blocks):
-        d, N = _index(dim, "dim"), _index(block_degree, "block_degree")
-        if d < 1 or N < 0:
-            raise ValueError("need dim >= 1 and block_degree >= 0")
+        d, N = _index(dim, "dim", 1), _index(block_degree, "block_degree", 0)
         blocks = tuple(blocks)
-        ns = _indices([n for n, _ in blocks], "n").tolist()
+        ns = _indices([n for n, _ in blocks], "n", 0).tolist()
+        _indices([n + N for n in ns], "exponents")  # every block's top stays in int64
         bl = tuple((n, _as_poly(p, N, d)) for n, (_, p) in zip(ns, blocks))
-        if any(n < 0 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError("block positions must be strictly increasing and >= 0")
+        if any(b <= a for a, b in zip(ns, ns[1:])):
+            raise ValueError("block positions must be strictly increasing")
         if any(b - a <= N for a, b in zip(ns, ns[1:])):
             raise ValueError("blocks overlap: consecutive gaps must exceed the degree")
         if any(np.all(p == 0) for _, p in bl):
@@ -100,9 +99,7 @@ class PolyDirectionModel:
             raise ValueError("recurrent set must be nonempty")
         if any(np.all(p == 0) for p in rec):
             raise ValueError("recurrent polynomials must be nonzero")
-        tr = tuple(sorted({_index(k, "transient_indices") for k in transient_indices}))
-        if tr and tr[0] < 0:
-            raise ValueError("transient indices must be >= 0")
+        tr = tuple(sorted({_index(k, "transient_indices", 0) for k in transient_indices}))
         object.__setattr__(self, "recurrent_polys", rec)
         object.__setattr__(self, "transient_indices", tr)
 

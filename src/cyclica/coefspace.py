@@ -83,14 +83,14 @@ class TailModel:
             raise ValueError("recurrent vectors must have length dim")
         if not all(np.any(v != 0) for v in rec):  # a norm can underflow to 0
             raise ValueError("recurrent vectors must be nonzero")
-        tra = tuple((_index(k, "index"), np.asarray(v, dtype=complex)) for k, v in transient)
+        tra = tuple((_index(k, "index", 0), np.asarray(v, dtype=complex)) for k, v in transient)
         if any(v.shape != (d,) for _, v in tra):
             raise ValueError("transient vectors must have length dim")
         if not all(np.isfinite(v).all() for v in rec + tuple(v for _, v in tra)):
             raise ValueError("tail model vectors must be finite")
         ks = [k for k, _ in tra]
-        if any(b <= a for a, b in zip(ks, ks[1:])) or any(k < 0 for k in ks):
-            raise ValueError("transient positions must be strictly increasing and >= 0")
+        if any(b <= a for a, b in zip(ks, ks[1:])):
+            raise ValueError("transient positions must be strictly increasing")
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "recurrent", rec)
         object.__setattr__(self, "transient", tra)
@@ -160,7 +160,7 @@ def tail_span(f, m: int, tol: Tolerances = Tolerances()) -> Subspace:
     directions plus transient terms at positions >= m).
     """
     positions, rows = _tail_rows(f)
-    return numerical_span(rows[positions >= m], tol)
+    return numerical_span(rows[positions >= _index(m, "m", 0)], tol)
 
 
 def x_star(model, tol: Tolerances = Tolerances()) -> Subspace:

@@ -67,9 +67,7 @@ class DivisorClosedSet:
     generators: frozenset
 
     def __init__(self, generators):
-        gens = frozenset(_index(g, "generators") for g in generators)
-        if any(g < 1 for g in gens):
-            raise ValueError("generators must be positive")
+        gens = frozenset(_index(g, "generators", 1) for g in generators)
         object.__setattr__(self, "generators", gens)
 
     @cached_property
@@ -122,9 +120,7 @@ class CrtSequenceSpec:
         or M gains p_k; M mod a_k is carried along, so each step inverts a
         number below a_k instead of rebuilding both products.
         """
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        if count > PRIME_TABLE_SIZE:
+        if _index(count, "count", 0) > PRIME_TABLE_SIZE:
             raise ValueError(
                 f"k = {count} exceeds the prime table ({PRIME_TABLE_SIZE} primes)"
             )
@@ -184,9 +180,7 @@ class CrcPointSet:
 
 def crc_sequence(points: CrcPointSet, k: int) -> np.ndarray:
     """a_k = sum_{j=0}^{d-1} lambda_k^j x_j with lambda_k = 1/(k+1)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    lam = complex(1.0 / (k + 1))
+    lam = complex(1.0 / (_index(k, "k", 1) + 1))
     out = np.zeros(points.dim, dtype=complex)
     for j, x in enumerate(points.basis):
         out += lam**j * x

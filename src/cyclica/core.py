@@ -31,35 +31,48 @@ __all__ = [
 ]
 
 
-def _index(value, name):
+def _index(value, name, low=None):
     """``value`` as a Python int, the one integer rule of the package.
 
-    Every integer field of the value types is read here: any integer by
+    Every integer field and argument is read here: any integer by
     ``operator.index`` passes, numpy integers included, while a bool, a
     float, a string or None raises TypeError instead of being truncated.
+    With a floor ``low``, an integer below it raises ValueError naming the
+    field.
     """
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            i = operator.index(value)
         except TypeError:
             pass
+        else:
+            if low is None or i >= low:
+                return i
+            bound = "nonnegative (>= 0)" if low == 0 else f">= {low}"
+            raise ValueError(f"{name} must be {bound}, got {i}")
     raise TypeError(f"{name!r} must hold integers, got {value!r}")
 
 
-def _indices(values, name):
+def _indices(values, name, low=None):
     """The int64 array of ``values``, each read by :func:`_index`.
 
     A signed integer ndarray passes without a copy.  Anything else is read
     element by element, since ``np.asarray([True, 2])`` is int64 and a
     uint64 of 2^63 would wrap; a value outside int64 raises ValueError.
+    With a floor ``low``, only the least value is read against it, by
+    :func:`_index`.
     """
     if isinstance(values, np.ndarray) and values.dtype.kind == "i":
-        return values.astype(np.int64, copy=False)
-    ints = [_index(v, name) for v in values]
-    try:
-        return np.array(ints, dtype=np.int64)
-    except OverflowError:
-        raise ValueError(f"{name!r} must lie below 2^63") from None
+        a = values.astype(np.int64, copy=False)
+    else:
+        ints = [_index(v, name) for v in values]
+        try:
+            a = np.array(ints, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"{name!r} must lie below 2^63") from None
+    if low is not None and a.size:
+        _index(a.min(), name, low)
+    return a
 
 
 @dataclass(frozen=True)
@@ -102,10 +115,8 @@ class VectorSeries:
     __slots__ = ("dim", "exponents", "coeffs", "truncation_degree")
 
     def __init__(self, dim, exponents, coeffs, truncation_degree=None):
-        dim = _index(dim, "dim")
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        exps = _indices(exponents, "exponents")
+        dim = _index(dim, "dim", 1)
+        exps = _indices(exponents, "exponents", 0)
         cfs = np.asarray(coeffs, dtype=complex)
         if cfs.ndim == 1:
             cfs = cfs.reshape(-1, 1) if dim == 1 else cfs.reshape(1, -1)
@@ -113,8 +124,6 @@ class VectorSeries:
             raise ValueError(
                 f"shape mismatch: {exps.shape[0]} exponents vs coeffs {cfs.shape}, dim {dim}"
             )
-        if np.any(exps < 0):
-            raise ValueError("exponents must be nonnegative")
         order = np.argsort(exps, kind="stable")
         exps = exps[order]
         cfs = cfs[order]
@@ -182,9 +191,7 @@ def scalar_series(exponents, coeffs, truncation_degree=None):
 
 def backward_shift(f: VectorSeries, n: int = 1) -> VectorSeries:
     """Drop the first n coefficients and shift the rest down: sum_{k>=n} a_k z^{k-n}."""
-    n = _index(n, "n")
-    if n < 0:
-        raise ValueError("shift must be nonnegative")
+    n = _index(n, "n", 0)
     if n == 0:
         return f
     keep = f.exponents >= n
@@ -194,9 +201,9 @@ def backward_shift(f: VectorSeries, n: int = 1) -> VectorSeries:
 
 def forward_shift(f: VectorSeries, n: int = 1) -> VectorSeries:
     """Multiply by z^n: exponents increase by n, norm is preserved."""
-    n = _index(n, "n")
-    if n < 0:
-        raise ValueError("shift must be nonnegative")
+    n = _index(n, "n", 0)
+    if len(f):  # the largest shifted exponent must stay in int64
+        _indices([int(f.exponents[-1]) + n], "exponents")
     return VectorSeries(f.dim, f.exponents + n, f.coeffs, f.truncation_degree + n)
 
 

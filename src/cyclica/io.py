@@ -121,7 +121,7 @@ def series_from_dict(data: dict):
     if not isinstance(terms, list) or not all(isinstance(t, dict) for t in terms):
         raise InputError("'terms' must be a list of objects")
     try:
-        dim = _index(data["dim"], "dim")  # the coefficients are read at length dim
+        dim = _index(data["dim"], "dim", 1)  # the coefficients are read at length dim
         exps = [t.get("exp") for t in terms]
         coeffs = [_coeff_from_pairs(t.get("coeff", []), dim, f"terms[{i}]")
                   for i, t in enumerate(terms)]
@@ -208,7 +208,7 @@ def load_blocks(path, model_path):
     """Parse a blocks file and its model file; returns (BlockSeries, model)."""
     data, mdata = _read_json(path), _read_json(model_path)
     try:
-        dim = _index(data["dim"], "dim")  # the polynomials are read at width dim
+        dim = _index(data["dim"], "dim", 1)  # the polynomials are read at width dim
         bs = BlockSeries(dim, data["block_degree"], [
             (b["n"], _poly_from_rows(b["poly"], dim, f"blocks[{i}].poly"))
             for i, b in enumerate(data["blocks"])

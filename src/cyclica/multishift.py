@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tolerances, VectorSeries, _family, backward_shift, first_proper_tail
+from .core import Tolerances, VectorSeries, _family, _index, backward_shift, first_proper_tail
 from .spectrum import IntegerSpectrum, spectrum_admits_SstarN
 from .verdicts import CYCLIC, NON_CYCLIC, Verdict
 
@@ -46,8 +46,7 @@ def psi_reshape(f: VectorSeries, N: int) -> ReshapedSeries:
     Slot i of a stacked coefficient (entries i*d .. (i+1)*d - 1) carries the
     original coefficient at exponent N*k + i.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N = _index(N, "N", 1)
     d, n = f.dim, len(f)
     slots = np.zeros((n, N, d), dtype=complex)
     # += sums into zeros as the merge does, so a -0.0 part reads +0.0
@@ -130,8 +129,7 @@ def sstarN_cyclicity(f: VectorSeries, N: int, tol: Tolerances = Tolerances(),
     Otherwise the stored truncation is reshaped and the stacked tail spans
     are checked window-by-window (at-horizon).
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N = _index(N, "N", 1)
     if spectrum is not None and f.exponents.tolist() != spectrum.terms(len(f)):
         raise ValueError("the series' exponents do not match the declared spectrum")
     if f.dim == 1 and spectrum is not None:
@@ -158,8 +156,7 @@ def _stacks(spectrum: IntegerSpectrum, N: int, horizon: int, seed: int):
     """The block-by-residue stack matrix of n_1, ..., n_K, K the horizon cut
     to the spectrum's length: a seeded random coefficient k lands in row q,
     column r for divmod(n_k, N) = (q, r), the rows in increasing q."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N = _index(N, "N", 1)
     pairs = [divmod(n, N) for n in spectrum.terms(horizon)]
     rng = np.random.default_rng(seed)
     K = len(pairs)
@@ -207,7 +204,7 @@ def residue_crosscheck(spectrum: IntegerSpectrum, N: int, horizon: int = 32,
 def af_membership(spectrum: IntegerSpectrum, n_max: int, horizon: int = 64):
     """{N <= n_max : the residue criterion holds with a Proven verdict}."""
     out = set()
-    for N in range(1, n_max + 1):
+    for N in range(1, _index(n_max, "n_max", 0) + 1):
         if spectrum_admits_SstarN(spectrum, N, horizon).status == "Proven":
             out.add(N)
     return out
@@ -221,8 +218,7 @@ def bounded_block_family_cyclicity(family, N: int,
     {reshape(S*^i f) : f in family, 0 <= i < N} is all of C^{d N}.
     Each reshaped spectrum must be lacunary (bounded-block property).
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N = _index(N, "N", 1)
     family, d = _family(family)
     reshaped = []
     for f in family:

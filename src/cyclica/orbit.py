@@ -430,14 +430,14 @@ def _solve_levels(row, col, data, p2, bc, level, levels, cut):
 
 
 def _bounds(bounds, n, message):
-    """``bounds`` as ``n`` Python ints, each read by ``core._index`` (numpy
-    integers too, never a bool or a float) and none negative; anything else
-    raises ValueError(message)."""
+    """``bounds`` as ``n`` Python ints, each read by ``core._index`` with the
+    floor 0 (numpy integers too, never a bool, a float or a negative
+    value); anything else raises ValueError(message)."""
     try:
-        ints = tuple(_index(b, "bounds") for b in bounds)
-        if len(ints) == n and min(ints, default=0) >= 0:
+        ints = tuple(_index(b, "bounds", 0) for b in bounds)
+        if len(ints) == n:
             return ints
-    except TypeError:
+    except (TypeError, ValueError):
         pass
     raise ValueError(message)
 

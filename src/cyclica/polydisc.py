@@ -43,14 +43,12 @@ class PolySeries:
     __slots__ = ("poly_dim", "dim", "multi_exponents", "coeffs")
 
     def __init__(self, poly_dim, dim, terms):
-        poly_dim, dim = _index(poly_dim, "poly_dim"), _index(dim, "dim")
-        if poly_dim < 1 or dim < 1:
-            raise ValueError("poly_dim and dim must be >= 1")
+        poly_dim, dim = _index(poly_dim, "poly_dim", 1), _index(dim, "dim", 1)
         exps, cfs = [], []
         for alpha, c in terms:
-            a = tuple(_index(x, "multi_exponents") for x in alpha)
-            if len(a) != poly_dim or any(x < 0 for x in a):
+            if not hasattr(alpha, "__len__") or len(alpha) != poly_dim:
                 raise ValueError(f"bad multi-index {alpha!r}")
+            a = tuple(_index(x, "multi_exponents", 0) for x in alpha)
             v = np.asarray(c, dtype=complex).reshape(dim)
             if np.any(v != 0):
                 exps.append(a)
@@ -102,8 +100,8 @@ class PolySeries:
 
 def poly_backward_shift(f: PolySeries, alpha) -> PolySeries:
     """S*^alpha: keep terms with exponent >= alpha componentwise, shifted down."""
-    alpha = tuple(_index(x, "alpha") for x in alpha)
-    if len(alpha) != f.poly_dim or any(x < 0 for x in alpha):
+    alpha = tuple(_index(x, "alpha", 0) for x in alpha)
+    if len(alpha) != f.poly_dim:
         raise ValueError(f"bad shift multi-index {alpha!r}")
     out = []
     for t, c in zip(f.multi_exponents, f.coeffs):

@@ -50,18 +50,14 @@ class IntegerSpectrum:
         if kind not in ("explicit", "geometric", "factorial_plus_k", "crt"):
             raise ValueError(f"unknown spectrum kind {kind!r}")
         self.kind = kind
-        self.base = _index(base, "base") if kind == "geometric" else base
+        self.base = _index(base, "base", 2) if kind == "geometric" else base
         self.crt_spec = crt_spec
         self.values = None
         if kind == "explicit":
-            vals = [_index(v, "values") for v in values]
-            if any(v < 0 for v in vals):
-                raise ValueError("exponents must be nonnegative")
+            vals = [_index(v, "values", 0) for v in values]
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 raise ValueError("exponents must be strictly increasing")
             self.values = tuple(vals)
-        elif kind == "geometric" and self.base < 2:
-            raise ValueError("geometric base must be an integer >= 2")
         elif kind == "crt" and crt_spec is None:
             raise ValueError("crt spectrum needs a CrtSequenceSpec")
 
@@ -102,7 +98,7 @@ class IntegerSpectrum:
 
     def terms(self, horizon: int) -> list:
         """[n_1, ..., n_K] as exact integers."""
-        K = max(horizon, 0)
+        K = _index(horizon, "horizon", 0)
         if self.values is not None:
             return list(self.values[:K])
         out, p = [], 1
@@ -113,10 +109,7 @@ class IntegerSpectrum:
 
     def residues(self, modulus: int, horizon: int) -> list:
         """[n_1 mod N, ..., n_K mod N] for the modulus N, in one pass."""
-        modulus = _index(modulus, "modulus")
-        if modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        K = max(horizon, 0)
+        modulus, K = _index(modulus, "modulus", 1), _index(horizon, "horizon", 0)
         if self.values is not None:
             return [v % modulus for v in self.values[:K]]
         out, p = [], 1
@@ -169,8 +162,7 @@ def spectrum_admits_SstarN(s: IntegerSpectrum, N: int, horizon: int = 64) -> Ver
 def _admits_SstarN(s, N, horizon, residues):
     """:func:`spectrum_admits_SstarN`, calling ``residues()`` for the
     residue stream only when the tails must be checked."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N, horizon = _index(N, "N", 1), _index(horizon, "horizon", 0)
     if N == 1:
         return Verdict(PROVEN, "proven", detail={"argument": "single residue class"})
     if s.kind == "factorial_plus_k":
@@ -211,9 +203,7 @@ def bounded_block_check(s: IntegerSpectrum, N: int, horizon: int, d_min: float) 
     Duplicate block indices (several exponents inside one width-N block) are
     collapsed; a leading zero block is skipped for the ratio test.
     """
-    N = _index(N, "N")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N = _index(N, "N", 1)
     if d_min <= 1:
         raise ValueError("d_min must exceed 1")
     vals = s.terms(horizon)
@@ -241,13 +231,11 @@ class MultiSpectrum:
     entries: tuple
 
     def __init__(self, entries):
-        ents = tuple(tuple(_index(c, "entries") for c in e) for e in entries)
+        ents = tuple(tuple(_index(c, "entries", 0) for c in e) for e in entries)
         if not ents:
             raise ValueError("MultiSpectrum needs at least one entry")
         if any(len(e) != len(ents[0]) for e in ents):
             raise ValueError("all multi-indices must have the same length")
-        if any(c < 0 for e in ents for c in e):
-            raise ValueError("multi-indices must be nonnegative")
         if len(set(ents)) != len(ents):
             raise ValueError("multi-indices must be pairwise distinct")
         object.__setattr__(self, "entries", ents)

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from cyclica import (
     BlockSeries,
+    CrcPointSet,
+    CrtSequenceSpec,
     DivisorClosedSet,
     IntegerSpectrum,
     MatrixPolynomial,
@@ -17,13 +19,23 @@ from cyclica import (
     TailModel,
     Tolerances,
     VectorSeries,
+    af_membership,
     backward_shift,
+    bounded_block_check,
+    bounded_block_family_cyclicity,
+    crc_sequence,
     forward_shift,
     inner_product,
     numerical_span,
     poly_backward_shift,
     project_vector,
+    psi_reshape,
+    residue_crosscheck,
     scalar_series,
+    spectrum_admits_SstarN,
+    sstarN_cyclicity,
+    sstarN_cyclicity_spectral,
+    tail_span,
 )
 
 from cyclica.core import first_proper_tail
@@ -59,57 +71,91 @@ def test_negative_exponent_rejected():
         scalar_series([-1, 2], [1.0, 1.0])
 
 
-# caller -> (field, build): the caller run with x in that integer field, its
-# result as a plain value; every one reads the field by core._index
+# caller -> (field, build, floor): the caller run with x in that integer
+# field or argument, its result as a plain value; every one reads it by
+# core._index, and a value below the floor (None: no floor) is out of range
+_FACTORIAL = IntegerSpectrum.factorial_plus_k()
+_GEOMETRIC = IntegerSpectrum.geometric(2)
+_LACUNARY = scalar_series([4**k for k in range(1, 9)], np.ones(8))
 INTEGER_FIELDS = {
-    "VectorSeries.dim": ("dim", lambda x: VectorSeries(x, [1], np.ones((1, 3))).coeffs.shape),
+    "VectorSeries.dim": (
+        "dim", lambda x: VectorSeries(x, [1], np.ones((1, 3))).coeffs.shape, 1),
     "VectorSeries.exponents": (
-        "exponents", lambda x: VectorSeries(1, [1, x], [1, 2]).exponents.tolist()),
+        "exponents", lambda x: VectorSeries(1, [1, x], [1, 2]).exponents.tolist(), 0),
     "VectorSeries.truncation_degree": (
-        "truncation_degree", lambda x: VectorSeries(1, [1], [1], x).truncation_degree),
+        "truncation_degree", lambda x: VectorSeries(1, [1], [1], x).truncation_degree, None),
     "backward_shift": ("n", lambda x: backward_shift(scalar_series([1, 4], [1, 2]), x)
-                       .exponents.tolist()),
+                       .exponents.tolist(), 0),
     "forward_shift": ("n", lambda x: forward_shift(scalar_series([1], [1]), x)
-                      .exponents.tolist()),
-    "Subspace": ("dim_ambient", lambda x: Subspace(x).dim_ambient),
-    "MatrixPolynomial": ("dim", lambda x: MatrixPolynomial(x, np.ones((1, 3, 3))).dim),
-    "PotapovProduct": ("dim", lambda x: PotapovProduct(x, [[1, 0, 0]]).dim),
-    "TailModel.dim": ("dim", lambda x: TailModel(x, [[1, 0, 0]]).dim),
-    "TailModel.index": ("index", lambda x: TailModel(1, [[1]], [(x, [2])]).transient[0][0]),
-    "BlockSeries.dim": ("dim", lambda x: BlockSeries(x, 0, [(1, np.ones((1, 3)))]).dim),
+                      .exponents.tolist(), 0),
+    "Subspace": ("dim_ambient", lambda x: Subspace(x).dim_ambient, None),
+    "MatrixPolynomial": ("dim", lambda x: MatrixPolynomial(x, np.ones((1, 3, 3))).dim, None),
+    "PotapovProduct": ("dim", lambda x: PotapovProduct(x, [[1, 0, 0]]).dim, None),
+    "TailModel.dim": ("dim", lambda x: TailModel(x, [[1, 0, 0]]).dim, None),
+    "TailModel.index": (
+        "index", lambda x: TailModel(1, [[1]], [(x, [2])]).transient[0][0], 0),
+    "BlockSeries.dim": ("dim", lambda x: BlockSeries(x, 0, [(1, np.ones((1, 3)))]).dim, 1),
     "BlockSeries.block_degree": (
-        "block_degree", lambda x: BlockSeries(1, x, [(1, np.ones((4, 1)))]).block_degree),
-    "BlockSeries.n": ("n", lambda x: BlockSeries(1, 0, [(x, [[1]])]).blocks[0][0]),
+        "block_degree", lambda x: BlockSeries(1, x, [(1, np.ones((4, 1)))]).block_degree, 0),
+    "BlockSeries.n": ("n", lambda x: BlockSeries(1, 0, [(x, [[1]])]).blocks[0][0], 0),
     "PolyDirectionModel": (
-        "transient_indices", lambda x: PolyDirectionModel([[[1]]], [x]).transient_indices),
-    "DivisorClosedSet": ("generators", lambda x: sorted(DivisorClosedSet([x]).closure)),
+        "transient_indices", lambda x: PolyDirectionModel([[[1]]], [x]).transient_indices, 0),
+    "DivisorClosedSet": ("generators", lambda x: sorted(DivisorClosedSet([x]).closure), 1),
     "PolySeries.poly_dim": (
-        "poly_dim", lambda x: PolySeries(x, 1, [((1, 2, 3), [1])]).multi_exponents),
-    "PolySeries.dim": ("dim", lambda x: PolySeries(1, x, [((1,), [1, 2, 3])]).dim),
+        "poly_dim", lambda x: PolySeries(x, 1, [((1, 2, 3), [1])]).multi_exponents, 1),
+    "PolySeries.dim": ("dim", lambda x: PolySeries(1, x, [((1,), [1, 2, 3])]).dim, 1),
     "PolySeries.multi_exponents": (
-        "multi_exponents", lambda x: PolySeries(2, 1, [((1, x), [1])]).multi_exponents),
+        "multi_exponents", lambda x: PolySeries(2, 1, [((1, x), [1])]).multi_exponents, 0),
     "poly_backward_shift": (
         "alpha", lambda x: poly_backward_shift(PolySeries(1, 1, [((5,), [1])]), (x,))
-        .multi_exponents),
-    "IntegerSpectrum.base": ("base", lambda x: IntegerSpectrum.geometric(x).terms(2)),
-    "IntegerSpectrum.values": ("values", lambda x: IntegerSpectrum.explicit([1, x]).terms(2)),
-    "MultiSpectrum": ("entries", lambda x: MultiSpectrum([(1, x)]).entries),
+        .multi_exponents, 0),
+    "IntegerSpectrum.base": ("base", lambda x: IntegerSpectrum.geometric(x).terms(2), 2),
+    "IntegerSpectrum.values": ("values", lambda x: IntegerSpectrum.explicit([1, x]).terms(2), 0),
+    "IntegerSpectrum.terms": ("horizon", lambda x: _GEOMETRIC.terms(x), 0),
+    "IntegerSpectrum.residues.modulus": ("modulus", lambda x: _GEOMETRIC.residues(x, 4), 1),
+    "IntegerSpectrum.residues.horizon": ("horizon", lambda x: _GEOMETRIC.residues(3, x), 0),
+    "spectrum_admits_SstarN.N": (
+        "N", lambda x: spectrum_admits_SstarN(_FACTORIAL, x).to_dict(), 1),
+    "spectrum_admits_SstarN.horizon": (
+        "horizon", lambda x: spectrum_admits_SstarN(_FACTORIAL, 2, x).to_dict(), 0),
+    "bounded_block_check.N": ("N", lambda x: bounded_block_check(_GEOMETRIC, x, 8, 1.5), 1),
+    "bounded_block_check.horizon": (
+        "horizon", lambda x: bounded_block_check(_GEOMETRIC, 2, x, 1.5), 0),
+    "MultiSpectrum": ("entries", lambda x: MultiSpectrum([(1, x)]).entries, 0),
     "ShiftedSpectrumFamily": (
         "shifts", lambda x: ShiftedSpectrumFamily(
             IntegerSpectrum.explicit([1, 2]), [0, x],
-            [scalar_series([1], [1]), scalar_series([4], [1])]).shifts),
+            [scalar_series([1], [1]), scalar_series([4], [1])]).shifts, None),
+    "psi_reshape": ("N", lambda x: psi_reshape(_LACUNARY, x).series.exponents.tolist(), 1),
+    "sstarN_cyclicity": ("N", lambda x: sstarN_cyclicity(
+        scalar_series(_FACTORIAL.terms(8), np.ones(8)), x, spectrum=_FACTORIAL).to_dict(), 1),
+    "sstarN_cyclicity_spectral": (
+        "N", lambda x: sstarN_cyclicity_spectral(_FACTORIAL, x).to_dict(), 1),
+    "residue_crosscheck": ("N", lambda x: residue_crosscheck(_FACTORIAL, x), 1),
+    "bounded_block_family_cyclicity": (
+        "N", lambda x: bounded_block_family_cyclicity(_LACUNARY, x).to_dict(), 1),
+    "af_membership.n_max": ("n_max", lambda x: af_membership(_FACTORIAL, x), 0),
+    "af_membership.horizon": ("horizon", lambda x: af_membership(_FACTORIAL, 3, x), 0),
+    "CrtSequenceSpec.offsets": (
+        "count", lambda x: CrtSequenceSpec(DivisorClosedSet([6])).offsets(x), 0),
+    "crc_sequence": ("k", lambda x: crc_sequence(CrcPointSet([[1, 0], [0, 1]]), x).tolist(), 1),
+    "tail_span": ("m", lambda x: tail_span(_LACUNARY, x).basis.tolist(), 0),
 }
 
 
 @pytest.mark.parametrize("caller", sorted(INTEGER_FIELDS))
 def test_integer_fields_follow_one_rule(caller):
-    field, build = INTEGER_FIELDS[caller]
+    field, build, low = INTEGER_FIELDS[caller]
     # a float or a bool is never read as the integer below it
     for x in (2.5, 3.0, True):
         with pytest.raises(TypeError, match=f"'{field}' must hold integers"):
             build(x)
     # numpy integers are integers
     assert build(np.int64(3)) == build(3)
+    # one below the floor raises, naming the field
+    if low is not None:
+        with pytest.raises(ValueError, match=f"^{field} must be .*>= {low}\\b"):
+            build(low - 1)
 
 
 @pytest.mark.parametrize("exponents", [
@@ -118,6 +164,24 @@ def test_exponents_outside_int64_rejected(exponents):
     # neither an overflow nor a uint64 wrapped to a negative exponent
     with pytest.raises(ValueError, match="'exponents' must lie below 2\\^63"):
         VectorSeries(1, exponents, np.ones(len(exponents)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: forward_shift(scalar_series([2**62], [1]), 2**62),
+    lambda: forward_shift(scalar_series([1], [1]), 2**63),
+    lambda: BlockSeries(1, 1, [(2**63 - 1, [[1], [1]])]),
+], ids=["shift-wraps", "shift-overflows", "block-top"])
+def test_shifted_exponents_outside_int64_rejected(build):
+    # a sum past 2^63 wrapped to a negative exponent, or overflowed
+    with pytest.raises(ValueError, match="'exponents' must lie below 2\\^63"):
+        build()
+
+
+def test_shifted_exponents_up_to_int64_max():
+    top = 2**63 - 1
+    assert forward_shift(scalar_series([1], [1]), top - 1).exponents.tolist() == [top]
+    bs = BlockSeries(1, 1, [(top - 1, [[1], [2]])])
+    assert bs.to_series().exponents.tolist() == [top - 1, top]
 
 
 def test_nonfinite_coefficient_rejected():

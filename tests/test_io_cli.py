@@ -66,26 +66,33 @@ def test_series_round_trip_tail_model():
     assert np.allclose(model.recurrent[0], [1.0, 0.0])
 
 
-@pytest.mark.parametrize(
-    "mutant",
-    [
-        {"terms": []},  # missing dim
-        {"dim": 0, "terms": []},
-        {"dim": 1, "kind": "annulus", "terms": []},
-        {"dim": 1, "terms": [{"exp": -1, "coeff": [[1, 0]]}]},
-        {"dim": 1, "terms": [{"exp": 2, "coeff": [[1, 0]]}, {"exp": 1, "coeff": [[1, 0]]}]},
-        {"dim": 2, "terms": [{"exp": 1, "coeff": [[1, 0]]}]},  # short coeff
-        # a bool or a float is not a JSON integer, and is not read as one
-        {"dim": True, "terms": [{"exp": 1, "coeff": [[1, 0]]}]},
-        {"dim": 1, "terms": [{"exp": True, "coeff": [[1, 0]]}]},
-        {"dim": 1, "kind": "polydisc", "poly_dim": 2,
-         "terms": [{"exp": [2.5, 3], "coeff": [[1, 0]]}]},
-        # np.asarray([True, 2]) is int64: the bool is caught element by element
-        {"dim": 1, "terms": [{"exp": True, "coeff": [[1, 0]]}, {"exp": 2, "coeff": [[1, 0]]}]},
-    ],
-)
-def test_malformed_series_rejected(mutant):
-    with pytest.raises(InputError):
+# (malformed series file, pattern of its message or None)
+MALFORMED = [
+    ({"terms": []}, None),  # missing dim
+    ({"dim": 0, "terms": []}, None),
+    ({"dim": 1, "kind": "annulus", "terms": []}, None),
+    ({"dim": 1, "terms": [{"exp": -1, "coeff": [[1, 0]]}]}, None),
+    ({"dim": 1, "terms": [{"exp": 2, "coeff": [[1, 0]]}, {"exp": 1, "coeff": [[1, 0]]}]}, None),
+    ({"dim": 2, "terms": [{"exp": 1, "coeff": [[1, 0]]}]}, None),  # short coeff
+    # a bool or a float is not a JSON integer, and is not read as one
+    ({"dim": True, "terms": [{"exp": 1, "coeff": [[1, 0]]}]}, None),
+    ({"dim": 1, "terms": [{"exp": True, "coeff": [[1, 0]]}]}, None),
+    ({"dim": 1, "kind": "polydisc", "poly_dim": 2,
+      "terms": [{"exp": [2.5, 3], "coeff": [[1, 0]]}]}, None),
+    # np.asarray([True, 2]) is int64: the bool is caught element by element
+    ({"dim": 1, "terms": [{"exp": True, "coeff": [[1, 0]]}, {"exp": 2, "coeff": [[1, 0]]}]},
+     None),
+    # the dim is bounded before the coefficients are read at its length
+    ({"dim": -1, "terms": []}, "^dim must be >= 1"),
+    ({"dim": 1, "kind": "polydisc", "poly_dim": 1,
+      "terms": [{"exp": 3, "coeff": [[1, 0]]}]}, "^bad multi-index 3$"),
+]
+
+
+@pytest.mark.parametrize("mutant, match", MALFORMED,
+                         ids=[f"mutant{i}" for i in range(len(MALFORMED))])
+def test_malformed_series_rejected(mutant, match):
+    with pytest.raises(InputError, match=match):
         series_from_dict(mutant)
 
 
